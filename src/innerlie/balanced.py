@@ -11,7 +11,8 @@ making each simple-root value at least 1: noncompact witnesses fix the
 compact-simple relations without disturbing each other, and witnesses from
 the compact span of the noncompact simples fix the noncompact-simple
 relations without feeding back.  Every produced metric is re-verified by
-exact vector arithmetic; nothing is trusted from the construction.
+summing both sides of the identity exactly; nothing is trusted from the
+construction.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .rootsys import (
     RootVector,
     all_simple_systems,
     build_root_system,
-    zero_vector,
 )
 
 
@@ -72,16 +72,17 @@ class BalancedMetric:
 
 def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSystem:
     simples = set(ordering.system.simples)
-    nc_span = SimpleSpanChecker(ordering.noncompact_simples)
     spanned_compact, unspanned_compact, nc_nonsimple = [], [], []
     for root in ordering.positives:
         if root in simples:
             continue
         if pair.grading.is_compact(root):
-            if nc_span.contains(root):
-                spanned_compact.append(root)
-            else:
+            n, _ = decompose_over(ordering, root)
+            # in the span of the noncompact simples iff zero on the compact ones
+            if any(n):
                 unspanned_compact.append(root)
+            else:
+                spanned_compact.append(root)
         else:
             nc_nonsimple.append(root)
     return BalancedSystem(pair=pair, ordering=ordering,
@@ -90,29 +91,15 @@ def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSy
                           nc_nonsimple=tuple(nc_nonsimple))
 
 
-class SimpleSpanChecker:
-    """Membership test for the rational span of a set of independent vectors."""
+def _relation_values(system: BalancedSystem, g: dict[RootVector, Fraction | int]):
+    """Evaluate the right-hand sides: one value per compact and noncompact simple.
 
-    def __init__(self, vectors):
-        from .rootsys import SimpleSystem
-        self._system = SimpleSystem(vectors) if vectors else None
-
-    def contains(self, v: RootVector) -> bool:
-        if self._system is None:
-            return v.is_zero()
-        try:
-            self._system.coefficients(v)
-        except RootSystemError:
-            return False
-        return True
-
-
-def _relation_values(system: BalancedSystem, g: dict[RootVector, Fraction]):
-    """Evaluate the right-hand sides: one value per compact and noncompact simple."""
+    Exact for integer and Fraction values of g alike.
+    """
     ordering = system.ordering
     k, l = len(ordering.compact_simples), len(ordering.noncompact_simples)
-    g_vals = [Fraction(0)] * k
-    h_vals = [Fraction(0)] * l
+    g_vals = [0] * k
+    h_vals = [0] * l
     for root in system.nc_nonsimple:
         n, m = decompose_over(ordering, root)
         for j in range(k):
@@ -158,11 +145,11 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
         noncompact_witness(ordering, pair, j)  # hard failure if absent
 
     free = system.nc_nonsimple + system.spanned_compact + system.unspanned_compact
-    g = {root: Fraction(1) for root in free}
+    g = {root: 1 for root in free}  # integers until the metric is packaged
 
-    def bump(root: RootVector, coefficient: int, deficit: Fraction) -> None:
+    def bump(root: RootVector, coefficient: int, deficit: int) -> None:
         steps = -((-deficit) // coefficient)  # ceil for positive coefficient
-        g[root] += max(1, int(steps))
+        g[root] += max(1, steps)
 
     for _ in range(len(ordering.system.simples) + 1):
         g_vals, h_vals = _relation_values(system, g)
@@ -200,11 +187,11 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
         raise InvariantViolation(f"{pair.name}: noncompact relations did not stabilize")
 
     g_vals, h_vals = _relation_values(system, g)
-    metric = dict(g)
+    metric = {root: Fraction(value) for root, value in g.items()}
     for phi, value in zip(ordering.compact_simples, g_vals):
-        metric[phi] = value
+        metric[phi] = Fraction(value)
     for psi, value in zip(ordering.noncompact_simples, h_vals):
-        metric[psi] = value
+        metric[psi] = Fraction(value)
     result = BalancedMetric(g=metric, ordering=ordering)
     if any(v <= 0 for v in metric.values()):
         raise InvariantViolation(f"{pair.name}: constructive scheme left a non-positive value")
@@ -262,18 +249,24 @@ def solve_so1_2n(n: int, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
 
 
 def verify_balanced(metric: BalancedMetric, pair: InnerPair) -> bool:
-    """Exact equality of the two weighted root sums; solver-independent."""
+    """Exact equality of the two weighted root sums; solver-independent.
+
+    The sums are taken in integer coordinates over the standard base, whose
+    map to the ambient space is injective, so equality there is equality of
+    the ambient vectors.
+    """
     positives = metric.ordering.positives
     if set(metric.g) != set(positives):
         raise RootSystemError("metric domain does not match the positive roots")
-    dim = pair.system.ambient_dim
-    compact_sum = zero_vector(dim)
-    noncompact_sum = zero_vector(dim)
+    rs = pair.system
+    compact_sum = [0] * rs.rank
+    noncompact_sum = [0] * rs.rank
     for root in positives:
-        if pair.grading.is_compact(root):
-            compact_sum = compact_sum + metric.g[root] * root
-        else:
-            noncompact_sum = noncompact_sum + metric.g[root] * root
+        target = compact_sum if pair.grading.is_compact(root) else noncompact_sum
+        value = metric.g[root]
+        for i, c in enumerate(rs.coordinates(root)):
+            if c:
+                target[i] += value * c
     return compact_sum == noncompact_sum
 
 

@@ -7,8 +7,10 @@ keys, lowest-terms "p/q" payloads), so identical inputs produce identical
 bytes apart from the provenance timestamp.
 
 Verification here re-derives every verdict from the raw payload using only
-the root-system and catalog primitives; it shares no code path with the
-solvers, so it stays an independent check of the same mathematics.
+the root set, the standard base and the painted nodes of the catalog, with
+its own arithmetic on ambient coordinates; it shares no code path with the
+solvers or the integer root core, so it stays an independent check of the
+same mathematics.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from operator import mul
 
 from . import __version__
 from .pairs import InnerPair, pair_by_name
-from .rootsys import RootSystemError, RootVector, SimpleSystem, zero_vector
+from .rootsys import RootSystemError, RootVector
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "innerlie"
@@ -209,14 +212,100 @@ def load(path: str) -> AnalysisCertificate:
 
 # ---------------------------------------------------------------------------
 # Independent verification (root-system and catalog primitives only)
+#
+# The verifier names roots by their ambient vectors and does its own exact
+# arithmetic on them.  It reads the root set, the standard base and the
+# painted nodes, but none of the integer coordinate tables of `rootsys`, so
+# the fast core and the checker share no arithmetic.
 # ---------------------------------------------------------------------------
 
 def _fail(reason: str) -> VerificationResult:
     return VerificationResult(False, reason)
 
 
-def _verify_pluriclosed_payload(payload: dict, pair: InnerPair,
-                                system: SimpleSystem) -> VerificationResult:
+def _doubled(v: RootVector) -> tuple[int, ...]:
+    """2v as integers; every root coordinate lies in (1/2)Z."""
+    return tuple(2 * c.numerator // c.denominator for c in v.coords)
+
+
+def _scaled_inverse(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(d, A) with matrix^-1 = A / d, by fraction-free Gauss-Jordan elimination.
+
+    Every division is exact (Bareiss); raises RootSystemError if singular.
+    """
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    previous = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
+        if pivot is None:
+            raise RootSystemError("simple roots are linearly dependent")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        head = aug[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(head[k] * a - f * b) // previous for a, b in zip(aug[i], head)]
+        previous = head[k]
+    return previous, [row[n:] for row in aug]
+
+
+class _AmbientBase:
+    """Decomposition over claimed simple roots in doubled ambient integers.
+
+    The Gram matrix of the doubled simples is inverted once, as an integer
+    matrix over a common denominator; each root is then decomposed by
+    integer products.  The rounded coordinates must recompose to the root
+    exactly, which holds only when the true ones are integers, and must be
+    of one sign.
+    """
+
+    def __init__(self, simples):
+        self.basis = [_doubled(s) for s in simples]
+        gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
+        self.scale, self.solve = _scaled_inverse(gram)
+        self.columns = list(zip(*self.basis))
+
+    def coordinates(self, v: RootVector) -> tuple[int, ...]:
+        w = _doubled(v)
+        rhs = [sum(map(mul, w, b)) for b in self.basis]
+        coeffs = tuple(sum(map(mul, row, rhs)) // self.scale for row in self.solve)
+        if tuple(sum(map(mul, coeffs, column)) for column in self.columns) != w:
+            raise RootSystemError(f"{v!r} has no integral coordinates over the base")
+        if min(coeffs) < 0 < max(coeffs):
+            raise RootSystemError(f"{v!r} has mixed-sign coordinates over the base")
+        return coeffs
+
+
+def _claimed_coordinates(rs, simples) -> dict[RootVector, tuple[int, ...]]:
+    """Coordinates of every root of rs over claimed simple roots.
+
+    Raises RootSystemError unless the claim is a genuine base: rank-many
+    roots, independent, with every root decomposing integrally, exactly and
+    with one sign.
+    """
+    if len(simples) != rs.rank:
+        raise RootSystemError(f"expected {rs.rank} simple roots, got {len(simples)}")
+    for s in simples:
+        if not rs.is_root(s):
+            raise RootSystemError(f"{s!r} is not a root")
+    base = _AmbientBase(simples)
+    return {v: base.coordinates(v) for v in rs.sorted_roots}
+
+
+def _n_squared(roots, alpha: RootVector, beta: RootVector) -> Fraction:
+    """q(1-p)/2 * |alpha|^2 from the alpha-string p..q through beta."""
+    q = 0
+    while beta + (q + 1) * alpha in roots:
+        q += 1
+    p = 0
+    while beta + (p - 1) * alpha in roots:
+        p -= 1
+    return Fraction(q * (1 - p), 2) * alpha.norm_sq()
+
+
+def _verify_pluriclosed_payload(payload: dict, pair: InnerPair, is_positive,
+                                is_compact) -> VerificationResult:
     rs = pair.system
     try:
         branch = payload["branch"]
@@ -245,7 +334,7 @@ def _verify_pluriclosed_payload(payload: dict, pair: InnerPair,
             return _fail("malformed certificate")
         if not (rs.is_root(alpha) and rs.is_root(beta)):
             return _fail("relation roots invalid")
-        if not (system.is_positive(alpha) and system.is_positive(beta)):
+        if not (is_positive(alpha) and is_positive(beta)):
             return _fail("relation roots invalid")
         derived: dict[RootVector, Fraction] = {}
 
@@ -255,13 +344,13 @@ def _verify_pluriclosed_payload(payload: dict, pair: InnerPair,
                 del derived[root]
 
         if rs.is_root(alpha + beta):
-            n2 = rs.n_squared(alpha, beta)
+            n2 = _n_squared(rs.roots, alpha, beta)
             accumulate(alpha + beta, n2)
             accumulate(alpha, -n2)
             accumulate(beta, -n2)
         if rs.is_root(alpha - beta):
-            n2 = rs.n_squared(alpha, -beta)
-            sign = 1 if system.is_positive(alpha - beta) else -1
+            n2 = _n_squared(rs.roots, alpha, -beta)
+            sign = 1 if is_positive(alpha - beta) else -1
             accumulate(alpha - beta if sign > 0 else beta - alpha, n2)
             accumulate(beta, sign * n2)
             accumulate(alpha, -sign * n2)
@@ -290,15 +379,22 @@ def _verify_pluriclosed_payload(payload: dict, pair: InnerPair,
     for root, sign in signs.items():
         if not rs.is_root(root):
             return _fail("relation roots invalid")
-        if sign != (-1 if pair.grading.is_compact(root) else 1):
+        if sign != (-1 if is_compact(root) else 1):
             return _fail("sign pattern violated")
     for root, value in combined.items():
-        true_sign = -1 if pair.grading.is_compact(root) else 1
+        true_sign = -1 if is_compact(root) else 1
         if signs.get(root) != true_sign:
             return _fail("sign pattern violated")
         if (value > 0) != (true_sign > 0):
             return _fail("sign pattern violated")
     return VerificationResult(True)
+
+
+def _pair_block_typed(cert: AnalysisCertificate) -> bool:
+    """name and family are strings; the four counts are integers, not booleans."""
+    counts = (cert.rank, cert.painted_node, cert.dim_g, cert.dim_k)
+    return (isinstance(cert.pair_name, str) and isinstance(cert.family, str)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in counts))
 
 
 def verify_data(data: dict) -> VerificationResult:
@@ -311,6 +407,8 @@ def verify_data(data: dict) -> VerificationResult:
         cert = from_dict(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return _fail("malformed certificate")
+    if not _pair_block_typed(cert):
+        return _fail("malformed certificate")
 
     try:
         pair = pair_by_name(cert.pair_name)
@@ -320,9 +418,9 @@ def verify_data(data: dict) -> VerificationResult:
             cert.rank, cert.painted_node, cert.dim_g, cert.dim_k, cert.family):
         return _fail("pair mismatch")
 
+    rs = pair.system
     try:
-        system = SimpleSystem(cert.simples)
-        pair.system.validate_base(system)
+        coords = _claimed_coordinates(rs, cert.simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if cert.ordering_mode not in ("partner_property", "so_1_2n_special"):
@@ -330,24 +428,40 @@ def verify_data(data: dict) -> VerificationResult:
     if (cert.ordering_mode == "so_1_2n_special") != pair.is_so_1_2n:
         return _fail("ordering invalid")
 
-    positives = pair.system.positives(system)
+    # The grading is parity over the painted nodes of the standard base; it is
+    # additive, so a root's parity follows from its claimed coordinates and
+    # the parities of the claimed simples.
+    standard = _AmbientBase(rs.base.simples)
+    simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
+                     for s in cert.simples]
+
+    def is_compact(root: RootVector) -> bool:
+        return sum(map(mul, coords[root], simple_parity)) % 2 == 0
+
+    def is_positive(root: RootVector) -> bool:
+        return all(c >= 0 for c in coords[root])
+
+    positives = [root for root in rs.sorted_roots if is_positive(root)]
     if set(cert.metric) != set(positives):
         return _fail("metric domain mismatch")
     if any(value <= 0 for value in cert.metric.values()):
         return _fail("positivity violated")
 
-    compact_sum = zero_vector(pair.system.ambient_dim)
-    noncompact_sum = zero_vector(pair.system.ambient_dim)
+    dim = rs.ambient_dim
+    compact_sum = [Fraction(0)] * dim
+    noncompact_sum = [Fraction(0)] * dim
+    delta = [Fraction(0)] * dim
     for root in positives:
-        weighted = cert.metric[root] * root
-        if pair.grading.is_compact(root):
-            compact_sum = compact_sum + weighted
-        else:
-            noncompact_sum = noncompact_sum + weighted
+        target = compact_sum if is_compact(root) else noncompact_sum
+        weight = cert.metric[root]
+        for i, c in enumerate(root.coords):
+            if c:
+                target[i] += weight * c
+                delta[i] += c
     if compact_sum != noncompact_sum or not cert.balanced_verdict:
         return _fail("balanced identity failed")
 
-    result = _verify_pluriclosed_payload(cert.pluriclosed, pair, system)
+    result = _verify_pluriclosed_payload(cert.pluriclosed, pair, is_positive, is_compact)
     if not result.ok:
         return result
 
@@ -356,14 +470,11 @@ def verify_data(data: dict) -> VerificationResult:
         scalar_stored = Fraction(cert.chern["scalar_curvature"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return _fail("malformed certificate")
-    delta = zero_vector(pair.system.ambient_dim)
-    for root in positives:
-        delta = delta + root
-    if delta != delta_stored:
+    if RootVector(delta) != delta_stored:
         return _fail("delta mismatch")
-    if delta.is_zero() or not cert.chern.get("delta_nonzero", False):
+    if not any(delta) or not cert.chern.get("delta_nonzero", False):
         return _fail("delta zero")
-    scalar = 2 * (noncompact_sum - compact_sum).dot(delta)
+    scalar = 2 * sum((n - c) * d for n, c, d in zip(noncompact_sum, compact_sum, delta))
     if scalar != 0 or scalar_stored != scalar:
         return _fail("chern scalar nonzero")
     if cert.chern.get("kodaira_flag") is not True:

@@ -16,7 +16,7 @@ from typing import Mapping
 from .balanced import BalancedMetric
 from .ordering import AdmissibleOrdering
 from .pairs import InnerPair
-from .rootsys import RootVector, zero_vector
+from .rootsys import RootVector
 
 
 @dataclass
@@ -29,10 +29,19 @@ class ChernReport:
 
 def weyl_delta(ordering: AdmissibleOrdering) -> RootVector:
     """Coordinate sum of the ordering's positive roots."""
-    total = zero_vector(ordering.positives[0].ambient_dim)
+    return _weighted_sum(ordering, lambda root: 1)
+
+
+def _weighted_sum(ordering: AdmissibleOrdering, weight) -> RootVector:
+    """sum of weight(r) * r over the positive roots r, accumulated in integer
+    coordinates over the ordering's simple roots."""
+    total = [0] * ordering.system.rank
     for root in ordering.positives:
-        total = total + root
-    return total
+        w = weight(root)
+        for k, c in enumerate(ordering.system.decompose(root)):
+            if c:
+                total[k] += w * c
+    return ordering.system.combine(total)
 
 
 def ricci_value(alpha: RootVector, ordering: AdmissibleOrdering) -> Fraction:
@@ -47,13 +56,8 @@ def chern_scalar(metric: BalancedMetric | Mapping[RootVector, Fraction],
     """Twice the pairing of the weighted noncompact-minus-compact root sum
     against the positive-root sum; exactly zero for balanced metrics."""
     g = metric.g if isinstance(metric, BalancedMetric) else metric
-    imbalance = zero_vector(pair.system.ambient_dim)
-    for root in ordering.positives:
-        weighted = g[root] * root
-        if pair.grading.is_compact(root):
-            imbalance = imbalance - weighted
-        else:
-            imbalance = imbalance + weighted
+    imbalance = _weighted_sum(
+        ordering, lambda root: -g[root] if pair.grading.is_compact(root) else g[root])
     return 2 * imbalance.dot(weyl_delta(ordering))
 
 

@@ -5,10 +5,10 @@ partner whose sum is again a root; the one exception is the so(1,2n) family,
 where the noncompact simples of every chamber form a singleton and the
 standard ordering is used instead.
 
-The search mirrors the constructive argument: the standard base fails (its
-noncompact part is a singleton), a single reflection about the painted
-simple root succeeds, and a bounded breadth-first search over reflection
-words is kept as a safety net whose exhaustion signals a grading bug.
+The search follows the constructive argument.  The standard base never
+works: one painted node leaves a single noncompact simple, which has no
+partner.  A single reflection about that simple root does work for every
+catalog pair outside so(1,2n); if it fails, the grading is wrong.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from .rootsys import (
     RootSystemError,
     RootVector,
     SimpleSystem,
-    reflect,
 )
-
-_BFS_NODE_BUDGET = 100_000
 
 MODE_PARTNER = "partner_property"
 MODE_SPECIAL = "so_1_2n_special"
@@ -41,6 +38,11 @@ class AdmissibleOrdering:
     noncompact_simples: tuple[RootVector, ...]
     mode: str
 
+    def __post_init__(self):
+        index = {s: i for i, s in enumerate(self.system.simples)}
+        self.compact_index = tuple(index[s] for s in self.compact_simples)
+        self.noncompact_index = tuple(index[s] for s in self.noncompact_simples)
+
 
 def make_ordering(pair: InnerPair, system: SimpleSystem, mode: str | None = None) -> AdmissibleOrdering:
     """Wrap a simple system for a pair, classifying or validating its mode."""
@@ -51,11 +53,11 @@ def make_ordering(pair: InnerPair, system: SimpleSystem, mode: str | None = None
     if mode is None:
         if pair.is_so_1_2n and system.key() == pair.system.base.key():
             mode = MODE_SPECIAL
-        elif satisfies_partner_property(system, pair):
+        elif _has_partners(noncompact_simples, pair):
             mode = MODE_PARTNER
         else:
             mode = MODE_DIAGNOSTIC
-    elif mode == MODE_PARTNER and not satisfies_partner_property(system, pair):
+    elif mode == MODE_PARTNER and not _has_partners(noncompact_simples, pair):
         raise RootSystemError("ordering does not satisfy the noncompact-partner property")
     elif mode == MODE_SPECIAL and not pair.is_so_1_2n:
         raise RootSystemError("the special mode is reserved for the so(1,2n) family")
@@ -69,70 +71,50 @@ def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:
     return make_ordering(pair, pair.system.base)
 
 
-def satisfies_partner_property(system: SimpleSystem, pair: InnerPair) -> bool:
-    """True iff every noncompact simple has a noncompact partner summing to a root."""
-    pair.system.validate_base(system)
-    nc = [s for s in system.simples if not pair.grading.is_compact(s)]
+def _has_partners(noncompact_simples, pair: InnerPair) -> bool:
+    rs = pair.system
+    coords = [rs.coordinates(s) for s in noncompact_simples]
     return all(
-        any(pair.system.is_root(psi + other) for other in nc)
-        for psi in nc
+        any(rs.root_at(map(sum, zip(psi, other))) is not None for other in coords)
+        for psi in coords
     )
 
 
+def satisfies_partner_property(system: SimpleSystem, pair: InnerPair) -> bool:
+    """True iff every noncompact simple has a noncompact partner summing to a root."""
+    pair.system.validate_base(system)
+    return _has_partners([s for s in system.simples if not pair.grading.is_compact(s)], pair)
+
+
 def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
-    """Deterministic search for an admissible ordering.
-
-    Order of attempts: the standard base; single reflections about each of
-    its noncompact simple roots; breadth-first search over reflection words
-    up to length rank + 2.  Exhausting the search is a hard failure: the
-    partner property is guaranteed for every catalog pair outside so(1,2n).
+    """The standard base for so(1,2n); otherwise the standard base reflected
+    about its noncompact simple root, which must have the partner property.
     """
+    rs = pair.system
     if pair.is_so_1_2n:
-        return make_ordering(pair, pair.system.base, mode=MODE_SPECIAL)
-    base = pair.system.base
-    if satisfies_partner_property(base, pair):
-        return make_ordering(pair, base, mode=MODE_PARTNER)
-
-    def reflected(simples, mirror):
-        return SimpleSystem(sorted(reflect(v, mirror) for v in simples))
-
-    first_layer = []
-    for psi in base.simples:
-        if not pair.grading.is_compact(psi):
-            candidate = reflected(base.simples, psi)
-            if satisfies_partner_property(candidate, pair):
-                return make_ordering(pair, candidate, mode=MODE_PARTNER)
-            first_layer.append(candidate)
-
-    seen = {base.key()} | {c.key() for c in first_layer}
-    queue = [(c, 1) for c in first_layer]
-    while queue:
-        current, depth = queue.pop(0)
-        if depth >= pair.rank + 2:
+        return make_ordering(pair, rs.base, mode=MODE_SPECIAL)
+    for p, psi in enumerate(rs.base.simples):
+        if pair.grading.is_compact(psi):
             continue
-        for mirror in current.simples:
-            candidate = reflected(current.simples, mirror)
-            if candidate.key() in seen:
-                continue
-            seen.add(candidate.key())
-            if satisfies_partner_property(candidate, pair):
-                return make_ordering(pair, candidate, mode=MODE_PARTNER)
-            queue.append((candidate, depth + 1))
-            if len(seen) > _BFS_NODE_BUDGET:
-                raise InvariantViolation(
-                    f"{pair.name}: admissible-ordering search exceeded its budget; "
-                    "this contradicts the partner property and indicates a grading bug")
+        reflected = []
+        for i in range(rs.rank):  # s_p(a_i) = a_i - C[i][p] a_p
+            coords = [0] * rs.rank
+            coords[i] += 1
+            coords[p] -= rs.cartan[i][p]
+            reflected.append(rs.root_at(coords))
+        ordering = make_ordering(pair, SimpleSystem(sorted(reflected)))
+        if ordering.mode == MODE_PARTNER:
+            return ordering
     raise InvariantViolation(
-        f"{pair.name}: no admissible ordering within reflection words of "
-        f"length {pair.rank + 2}; this indicates a grading bug")
+        f"{pair.name}: no single reflection of the standard base about a noncompact "
+        "simple root has the partner property; this indicates a grading bug")
 
 
 def decompose_over(ordering: AdmissibleOrdering, root: RootVector):
     """Coefficients of a root split along (compact simples, noncompact simples)."""
     coeffs = ordering.system.decompose(root)
-    by_simple = dict(zip(ordering.system.simples, coeffs))
-    n = tuple(by_simple[phi] for phi in ordering.compact_simples)
-    m = tuple(by_simple[psi] for psi in ordering.noncompact_simples)
+    n = tuple(coeffs[i] for i in ordering.compact_index)
+    m = tuple(coeffs[i] for i in ordering.noncompact_index)
     return n, m
 
 
@@ -140,12 +122,12 @@ def noncompact_witness(ordering: AdmissibleOrdering, pair: InnerPair, j: int) ->
     """Smallest noncompact positive non-simple root with a nonzero coefficient
     along the j-th compact simple."""
     phi = ordering.compact_simples[j]
+    column = ordering.compact_index[j]
     simples = set(ordering.system.simples)
     for root in ordering.positives:  # lexicographic order
         if root in simples or pair.grading.is_compact(root):
             continue
-        n, _ = decompose_over(ordering, root)
-        if n[j] != 0:
+        if ordering.system.decompose(root)[column] != 0:
             return root
     raise InvariantViolation(
         f"{pair.name}: no noncompact witness for compact simple {phi!r}; "

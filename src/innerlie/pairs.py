@@ -39,8 +39,7 @@ class CompactnessGrading:
     painted: tuple[int, ...]  # 0-based indices into the standard base
 
     def is_compact(self, root: RootVector) -> bool:
-        self.system.require_root(root)
-        coeffs = self.system.base.decompose(root)
+        coeffs = self.system.coordinates(root)
         return sum(abs(coeffs[i]) for i in self.painted) % 2 == 0
 
     def compact_count(self) -> int:

@@ -77,6 +77,7 @@ def _relation_coeffs(alpha: RootVector, beta: RootVector,
     """Right-hand side of the relation for (alpha, beta), with the difference
     term folded onto its positive representative."""
     rs = pair.system
+    a, b = rs.coordinates(alpha), rs.coordinates(beta)
     coeffs: dict[RootVector, Fraction] = {}
 
     def accumulate(root, value):
@@ -84,15 +85,18 @@ def _relation_coeffs(alpha: RootVector, beta: RootVector,
         if coeffs[root] == 0:
             del coeffs[root]
 
-    if rs.is_root(alpha + beta):
+    total = rs.root_at([x + y for x, y in zip(a, b)])
+    if total is not None:
         n2 = rs.n_squared(alpha, beta)
-        accumulate(alpha + beta, n2)
+        accumulate(total, n2)
         accumulate(alpha, -n2)
         accumulate(beta, -n2)
-    if rs.is_root(alpha - beta):
+    d = [x - y for x, y in zip(a, b)]
+    difference = rs.root_at(d)
+    if difference is not None:
         n2 = rs.n_squared(alpha, -beta)
-        sign = 1 if system.is_positive(alpha - beta) else -1
-        accumulate(alpha - beta if sign > 0 else beta - alpha, n2)
+        sign = 1 if system.is_positive(difference) else -1
+        accumulate(difference if sign > 0 else rs.root_at([-x for x in d]), n2)
         accumulate(beta, sign * n2)
         accumulate(alpha, -sign * n2)
     return coeffs
@@ -117,11 +121,14 @@ def find_noncompact_interacting_pair(ordering: AdmissibleOrdering, pair: InnerPa
         raise RootSystemError("an ordering with the partner property is required")
     rs = pair.system
     for psi1 in ordering.noncompact_simples:
+        a = rs.coordinates(psi1)
         for psi2 in ordering.noncompact_simples:
-            if psi1 == psi2 or not rs.is_root(psi1 + psi2):
+            b = rs.coordinates(psi2)
+            phi = rs.root_at([x + y for x, y in zip(a, b)])
+            if psi1 == psi2 or phi is None:
                 continue
-            if not rs.is_root(psi1 + psi1 + psi2):
-                return psi1, psi2, psi1 + psi2
+            if rs.root_at([2 * x + y for x, y in zip(a, b)]) is None:
+                return psi1, psi2, phi
     raise InvariantViolation(
         f"{pair.name}: no interacting noncompact pair; contradicts the partner property")
 

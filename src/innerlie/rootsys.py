@@ -1,9 +1,16 @@
-"""Exact root systems in epsilon coordinates.
+"""Exact root systems: integer coordinates inside, epsilon coordinates outside.
 
 Families A-D at variable rank plus G2, F4, E6 and E8, realized with the
 classical coordinates (E6 sits inside the E8 ambient space, spanned by the
-first six E8 simple roots).  Every coordinate is a `fractions.Fraction`;
-no floating point is used anywhere in this package.
+first six E8 simple roots).  Each root system is generated once in integer
+coordinates over its standard base, by the simple reflections written with
+the Cartan matrix, and each root is mapped once to its ambient RootVector,
+whose coordinates are `fractions.Fraction`s.  No floating point is used
+anywhere in this package.
+
+Checking a simple system, decomposing roots over it and walking root strings
+all work on those integer tuples; the ambient vectors are the names the rest
+of the package and the certificates give to roots.
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -16,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
-
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E8")
 
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E8": 8}
@@ -45,10 +52,11 @@ class InvariantViolation(RuntimeError):
 class RootVector:
     """Immutable vector of exact rationals in the ambient epsilon basis."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable[Fraction | int | str]):
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+        self._hash = None
 
     @property
     def ambient_dim(self) -> int:
@@ -75,14 +83,16 @@ class RootVector:
         return RootVector(-c for c in self.coords)
 
     def __rmul__(self, scalar) -> "RootVector":
-        s = Fraction(scalar)
+        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
         return RootVector(s * c for c in self.coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RootVector) and self.coords == other.coords
+        return self is other or (isinstance(other, RootVector) and self.coords == other.coords)
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        if self._hash is None:
+            self._hash = hash(self.coords)
+        return self._hash
 
     def __lt__(self, other: "RootVector") -> bool:
         return self.coords < other.coords
@@ -94,10 +104,6 @@ class RootVector:
 def root_vector(*coords) -> RootVector:
     """Shorthand constructor: root_vector(1, -1, 0)."""
     return RootVector(coords)
-
-
-def zero_vector(dim: int) -> RootVector:
-    return RootVector([0] * dim)
 
 
 def reflect(v: RootVector, mirror: RootVector) -> RootVector:
@@ -112,30 +118,50 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
     return v - (2 * v.dot(mirror) / nsq) * mirror
 
 
-def _gram_inverse(simples: Sequence[RootVector]) -> list[list[Fraction]]:
-    """Invert the Gram matrix of the simple roots by Gaussian elimination."""
-    n = len(simples)
-    gram = [[simples[i].dot(simples[j]) for j in range(n)] for i in range(n)]
-    aug = [gram[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _unimodular_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Inverse of an integer matrix of determinant +-1, by integer row operations.
+
+    Each column is reduced by Euclid's algorithm, so the pivots left are the
+    gcds of the remaining column entries and their product is +-det.  Raises
+    RootSystemError when the rows are dependent or the determinant is not
+    +-1 (the inverse would not be integral).
+    """
+    n = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise RootSystemError("simple roots are linearly dependent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        while True:
+            live = [r for r in range(col, n) if rows[r][col]]
+            if not live:
+                raise RootSystemError("simple roots are linearly dependent")
+            pivot = min(live, key=lambda r: abs(rows[r][col]))
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            head = rows[col]
+            reduced = True
+            for r in range(col + 1, n):
+                if rows[r][col]:
+                    q = rows[r][col] // head[col]
+                    rows[r] = [a - q * b for a, b in zip(rows[r], head)]
+                    reduced = reduced and not rows[r][col]
+            if reduced:
+                break
+        if abs(rows[col][col]) != 1:
+            raise RootSystemError("roots have non-integral coordinates over the base")
+    for col in reversed(range(n)):
+        head = rows[col] = [rows[col][col] * a for a in rows[col]]  # pivot -1 becomes 1
+        for r in range(col):
+            if rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], head)]
+    return [row[n:] for row in rows]
 
 
 class SimpleSystem:
-    """An ordered choice of simple roots with exact decomposition support.
+    """An ordered choice of simple roots.
 
-    The decomposition cache is a pure memo (each entry is a function of its
-    key alone), so sharing a SimpleSystem across threads stays safe.
+    `RootSystem.validate_base` checks it and stores in it the integer
+    coordinates of every root over it, which `decompose` and `is_positive`
+    then read.  The stored table is replaced whole, never changed in place,
+    so sharing a SimpleSystem across threads stays safe.
     """
 
     def __init__(self, simples: Sequence[RootVector]):
@@ -143,42 +169,28 @@ class SimpleSystem:
         if not self.simples:
             raise RootSystemError("a simple system needs at least one root")
         self.rank = len(self.simples)
-        self._gram_inv = _gram_inverse(self.simples)
-        self._cache: dict[RootVector, tuple[Fraction, ...]] = {}
-
-    def coefficients(self, v: RootVector) -> tuple[Fraction, ...]:
-        """Exact coordinates of v over the simple roots.
-
-        Raises RootSystemError when v lies outside their span (relevant for
-        ambient spaces larger than the rank, e.g. type A and E6).
-        """
-        cached = self._cache.get(v)
-        if cached is not None:
-            return cached
-        rhs = [v.dot(s) for s in self.simples]
-        coeffs = tuple(
-            sum((row[j] * rhs[j] for j in range(self.rank)), Fraction(0))
-            for row in self._gram_inv
-        )
-        recomposed = zero_vector(v.ambient_dim)
-        for c, s in zip(coeffs, self.simples):
-            recomposed = recomposed + c * s
-        if recomposed != v:
-            raise RootSystemError(f"{v!r} is not in the span of the simple roots")
-        self._cache[v] = coeffs
-        return coeffs
+        self._coords: dict[RootVector, tuple[int, ...]] = {}
 
     def decompose(self, root: RootVector) -> tuple[int, ...]:
-        """Integer coordinates of a root, validated to be of one sign."""
-        coeffs = self.coefficients(root)
-        if any(c.denominator != 1 for c in coeffs):
-            raise RootSystemError(f"{root!r} has non-integral coordinates over the base")
-        if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
-            raise RootSystemError(f"{root!r} has mixed-sign coordinates over the base")
-        return tuple(int(c) for c in coeffs)
+        """Integer coordinates of a root over the simple roots, all of one sign.
+
+        Defined for the roots of the last root system that validated this
+        base; any other vector raises RootSystemError.
+        """
+        try:
+            return self._coords[root]
+        except KeyError:
+            raise RootSystemError(
+                f"{root!r} is not a root of a system this base was validated for") from None
 
     def is_positive(self, root: RootVector) -> bool:
         return all(c >= 0 for c in self.decompose(root))
+
+    def combine(self, coeffs: Sequence[Fraction | int]) -> RootVector:
+        """The ambient vector sum_k coeffs[k] * simples[k]."""
+        terms = [(c, s.coords) for c, s in zip(coeffs, self.simples) if c]
+        return RootVector(sum((c * v[d] for c, v in terms), Fraction(0))
+                          for d in range(self.simples[0].ambient_dim))
 
     def key(self) -> frozenset[RootVector]:
         return frozenset(self.simples)
@@ -187,16 +199,38 @@ class SimpleSystem:
         return f"SimpleSystem{list(self.simples)!r}"
 
 
-class RootSystem:
-    """Immutable set of roots with a distinguished (standard) base."""
+def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
+    """C[i][j] = 2<a_i, a_j> / <a_j, a_j>."""
+    rows = []
+    for a in simples:
+        row = []
+        for b in simples:
+            value = 2 * a.dot(b) / b.norm_sq()
+            if value.denominator != 1:
+                raise InvariantViolation("non-integral Cartan pairing")
+            row.append(int(value))
+        rows.append(tuple(row))
+    return tuple(rows)
 
-    def __init__(self, family: str, rank: int, roots: Iterable[RootVector], base: SimpleSystem):
+
+class RootSystem:
+    """Immutable set of roots with a distinguished (standard) base.
+
+    Each root is held both as its ambient RootVector and as its integer
+    coordinates over the standard base (`coordinates`, `root_at`).
+    """
+
+    def __init__(self, family: str, rank: int, base: SimpleSystem):
         self.family = family
         self.rank = rank
         self.base = base
-        self.sorted_roots = tuple(sorted(roots))
+        self.cartan = _cartan(base.simples)
+        by_root = {base.combine(c): c for c in _closure(self.cartan)}
+        self.sorted_roots = tuple(sorted(by_root))
         self.roots = frozenset(self.sorted_roots)
         self.ambient_dim = self.sorted_roots[0].ambient_dim
+        self._coords = {v: by_root[v] for v in self.sorted_roots}
+        self._roots_at = {c: v for v, c in self._coords.items()}
 
     def is_root(self, v: RootVector) -> bool:
         return v in self.roots
@@ -205,27 +239,41 @@ class RootSystem:
         if not self.is_root(v):
             raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}")
 
+    def coordinates(self, v: RootVector) -> tuple[int, ...]:
+        """Integer coordinates of a root over the standard base."""
+        try:
+            return self._coords[v]
+        except KeyError:
+            raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}") from None
+
+    def root_at(self, coords: Sequence[int]) -> RootVector | None:
+        """The root with these standard-base coordinates, or None."""
+        return self._roots_at.get(tuple(coords))
+
     @property
     def positive_roots(self) -> tuple[RootVector, ...]:
         """Positive roots of the standard base, in lexicographic order."""
         return self.positives(self.base)
 
     def positives(self, system: SimpleSystem) -> tuple[RootVector, ...]:
-        """Positive roots with respect to an arbitrary simple system."""
+        """Positive roots with respect to a validated simple system."""
         return tuple(v for v in self.sorted_roots if system.is_positive(v))
 
     def root_string(self, alpha: RootVector, beta: RootVector) -> tuple[int, int]:
         """The alpha-string through beta: maximal p <= 0 <= q with
         beta + n*alpha a root for all p <= n <= q."""
-        self.require_root(alpha)
-        self.require_root(beta)
-        if alpha == beta or alpha == -beta:
+        a, b = self.coordinates(alpha), self.coordinates(beta)
+        if a == b or all(x == -y for x, y in zip(a, b)):
             raise RootSystemError("root string requires alpha != ±beta")
+
+        def is_root_at(n: int) -> bool:
+            return tuple(y + n * x for x, y in zip(a, b)) in self._roots_at
+
         q = 0
-        while beta + (q + 1) * alpha in self.roots:
+        while is_root_at(q + 1):
             q += 1
         p = 0
-        while beta + (p - 1) * alpha in self.roots:
+        while is_root_at(p - 1):
             p -= 1
         return p, q
 
@@ -239,30 +287,29 @@ class RootSystem:
 
     def cartan_matrix(self, base: SimpleSystem | None = None) -> tuple[tuple[int, ...], ...]:
         """C[i][j] = 2<a_i, a_j> / <a_j, a_j> over the given (default standard) base."""
-        simples = (base or self.base).simples
-        rows = []
-        for a in simples:
-            row = []
-            for b in simples:
-                value = 2 * a.dot(b) / b.norm_sq()
-                if value.denominator != 1:
-                    raise InvariantViolation("non-integral Cartan pairing")
-                row.append(int(value))
-            rows.append(tuple(row))
-        return tuple(rows)
+        return self.cartan if base is None else _cartan(base.simples)
 
     def validate_base(self, system: SimpleSystem) -> None:
-        """Check that `system` is a genuine simple system for this root system.
+        """Check that `system` is a genuine simple system for this root system,
+        and store in it the coordinates of every root over it.
 
-        Requires: rank-many roots, linear independence (implicit in the Gram
-        inverse), and an integral one-sign decomposition of every root.
+        Requires rank-many roots whose standard-base coordinate matrix has an
+        integral inverse (a genuine base is unimodular; a singular matrix
+        means dependent roots), and a one-sign decomposition of every root.
         """
         if system.rank != self.rank:
             raise RootSystemError(f"expected {self.rank} simple roots, got {system.rank}")
         for s in system.simples:
             self.require_root(s)
-        for v in self.sorted_roots:
-            system.decompose(v)
+        inverse = _unimodular_inverse([self._coords[s] for s in system.simples])
+        columns = tuple(zip(*inverse))
+        table = {}
+        for v, c in self._coords.items():
+            coeffs = tuple(sum(map(mul, c, column)) for column in columns)
+            if min(coeffs) < 0 < max(coeffs):
+                raise RootSystemError(f"{v!r} has mixed-sign coordinates over the base")
+            table[v] = coeffs
+        system._coords = table
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}, rank={self.rank}, roots={len(self.roots)})"
@@ -304,18 +351,27 @@ def _base_coords(family: str, rank: int) -> list[RootVector]:
     return e8[:6] if family == "E6" else e8
 
 
-def _closure(simples: Sequence[RootVector]) -> set[RootVector]:
-    """Orbit of the base under its simple reflections (equals the root set)."""
+def _closure(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Orbit of the simple roots under the simple reflections, in integer
+    coordinates over the base (equals the root set).
+
+    s_j(v) = v - <v, a_j^vee> a_j, where <v, a_j^vee> = sum_i v_i C[i][j].
+    """
+    rank = len(cartan)
+    columns = tuple(zip(*cartan))
+    simples = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     roots = set(simples)
-    frontier = set(simples)
+    frontier = simples
     while frontier:
-        new = set()
+        new = []
         for v in frontier:
-            for s in simples:
-                image = reflect(v, s)
-                if image not in roots:
-                    new.add(image)
-        roots |= new
+            for j, column in enumerate(columns):
+                pairing = sum(map(mul, v, column))
+                if pairing:
+                    image = v[:j] + (v[j] - pairing,) + v[j + 1:]
+                    if image not in roots:
+                        roots.add(image)
+                        new.append(image)
         frontier = new
     return roots
 
@@ -340,15 +396,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     for the family and is immutable afterwards, hence shared via the cache.
     """
     _validate_family(family, rank)
-    base_roots = _base_coords(family, rank)
-    roots = _closure(base_roots)
+    system = RootSystem(family, rank, SimpleSystem(_base_coords(family, rank)))
     expected = _ROOT_COUNT[family](rank)
-    if len(roots) != expected:
+    if len(system.roots) != expected:
         raise InvariantViolation(
-            f"{family}{rank}: generated {len(roots)} roots, expected {expected}")
-    if any(-v not in roots for v in roots):
+            f"{family}{rank}: generated {len(system.roots)} roots, expected {expected}")
+    if any(system.root_at([-c for c in system.coordinates(v)]) is None for v in system.sorted_roots):
         raise InvariantViolation(f"{family}{rank}: root set not closed under negation")
-    system = RootSystem(family, rank, roots, SimpleSystem(base_roots))
     system.validate_base(system.base)
     return system
 

@@ -16,6 +16,7 @@ from innerlie import (
     build_certificate,
     chern_scalar,
     pair_by_name,
+    reflect,
     scan_binvariant,
     solve_constructive,
     solve_for_pair,
@@ -51,6 +52,7 @@ def analyzed(catalog8):
 
 def test_criterion_1_balanced_metrics_full_catalog(catalog8, analyzed):
     assert len(catalog8) == 61
+    single_reflections = 0
     for pair in catalog8:
         entry = analyzed[pair.name]
         ordering, metric = entry["ordering"], entry["metric"]
@@ -61,10 +63,16 @@ def test_criterion_1_balanced_metrics_full_catalog(catalog8, analyzed):
             nc = ordering.noncompact_simples
             for psi in nc:  # the partner property itself
                 assert any(pair.system.is_root(psi + other) for other in nc)
+            # one reflection of the standard base about its noncompact simple
+            base = pair.system.base.simples
+            (mirror,) = [s for s in base if not pair.grading.is_compact(s)]
+            assert set(ordering.system.simples) == {reflect(s, mirror) for s in base}
+            single_reflections += 1
         assert set(metric.g) == set(ordering.positives)
         assert all(isinstance(v, Fraction) and v > 0 for v in metric.g.values())
         assert verify_balanced(metric, pair)
         assert entry["seconds"] < 10.0
+    assert single_reflections == 57
     assert analyzed["__total_seconds__"] < 120.0
     print("\nACCEPTANCE 1 (balanced metric, exact identity, full catalog): PASS")
 

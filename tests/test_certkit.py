@@ -128,6 +128,27 @@ def test_verify_rejects_unknown_pair(g2_data):
     assert not result.ok and result.reason == "pair unknown"
 
 
+RETYPED = [5, 5.5, None, True, [], {}]
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("name", "family", "rank", "painted_node", "dim_g", "dim_k")
+    for value in RETYPED
+    if field in ("name", "family") or value != 5  # 5 is the counts' own type
+], ids=repr)
+def test_verify_rejects_retyped_pair_field(g2_data, field, value):
+    result = certkit.verify_data(_tampered(g2_data, lambda d: d["pair"].update({field: value})))
+    assert not result.ok and result.reason == "malformed certificate"
+
+
+def test_cli_verify_retyped_pair_name_exit_code(tmp_path, capsys, g2_data):
+    path = tmp_path / "g2.cert.json"
+    path.write_text(json.dumps(_tampered(g2_data, lambda d: d["pair"].update(name=5))))
+    assert main(["verify", str(path)]) == 1
+    assert "malformed certificate" in capsys.readouterr().out
+
+
 def test_verify_file_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -159,6 +180,30 @@ def test_verifier_module_independent_of_solvers():
         elif isinstance(node, ast.Import):
             top_level_imports.update(alias.name for alias in node.names)
     assert not top_level_imports & {"balanced", "pluriclosed", "chern", "ordering"}
+
+
+def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
+    """The verifier keeps its own arithmetic: with the pair resolved up
+    front, it accepts a valid certificate and rejects a tampered one while
+    every integer table of the root core raises when read."""
+    from innerlie.pairs import pair_by_name
+    from innerlie.rootsys import RootSystem, SimpleSystem
+
+    pair = pair_by_name("g2(2)")
+    monkeypatch.setattr(certkit, "pair_by_name", lambda name: pair)
+
+    def unreadable(*args, **kwargs):
+        raise AssertionError("the verifier read an integer table")
+
+    for owner, name in [(RootSystem, "coordinates"), (RootSystem, "root_at"),
+                        (RootSystem, "validate_base"), (RootSystem, "positives"),
+                        (RootSystem, "root_string"), (SimpleSystem, "decompose")]:
+        monkeypatch.setattr(owner, name, unreadable)
+    assert certkit.verify_data(g2_data).ok
+
+    def mutate(d):
+        d["pluriclosed_certificate"]["relations"][0]["coeffs"][0]["c"] = "17"
+    assert certkit.verify_data(_tampered(g2_data, mutate)).reason == "relation mismatch"
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_base_decomposition_one_signed():
 def test_simple_system_rejects_outside_span():
     rs = build_root_system("E6", 6)
     with pytest.raises(RootSystemError):
-        rs.base.coefficients(root_vector(0, 0, 0, 0, 0, 0, 0, 1))
+        rs.base.decompose(root_vector(0, 0, 0, 0, 0, 0, 0, 1))
 
 
 def test_all_simple_systems_counts():
