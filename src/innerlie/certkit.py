@@ -6,22 +6,27 @@ all as exact rational strings.  Serialization is canonical JSON (sorted
 keys, lowest-terms "p/q" payloads), so identical inputs produce identical
 bytes apart from the provenance timestamp.
 
-Verification here re-derives every verdict from the raw payload using only
-the root set, the standard base and the painted nodes of the catalog, with
-its own arithmetic on ambient coordinates; it shares no code path with the
-solvers or the integer root core, so it stays an independent check of the
-same mathematics.
+Verification re-derives every verdict straight from the parsed JSON, using
+only the root set, the standard base and the painted nodes of the catalog.
+A strict reader takes each rational from a string "-?digits(/digits)?" of
+bounded length; every root becomes its doubled ambient vector, a tuple of
+integers, and every check is integer tuple arithmetic on those, with metric
+values, relation coefficients and weights kept exact (an int when integral,
+else a Fraction).  The verifier shares no code path with the solvers or the
+integer root core, so it stays an independent check of the same
+mathematics.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from . import __version__
 from .pairs import InnerPair, pair_by_name
@@ -81,18 +86,21 @@ def _coeffs_from_json(data) -> dict[RootVector, Fraction]:
 
 
 def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertificate:
-    """Run the full pipeline on one catalog pair and package the results."""
-    from .balanced import solve_for_pair, verify_balanced
+    """Run the full pipeline on one catalog pair and package the results.
+
+    Both solvers check the balanced identity on their output and raise
+    InvariantViolation when it fails, so the metric they return is balanced.
+    """
+    from .balanced import solve_for_pair
     from .chern import chern_report
     from .pluriclosed import build_certificate
 
     pair = pair_or_name if isinstance(pair_or_name, InnerPair) else pair_by_name(pair_or_name)
     metric = solve_for_pair(pair, x, y)
     ordering = metric.ordering
-    balanced_ok = verify_balanced(metric, pair)
     pluri = build_certificate(ordering, pair)
     chern = chern_report(metric, ordering, pair)
-    if not (balanced_ok and chern.scalar_curvature == 0 and chern.delta_nonzero):
+    if not (chern.scalar_curvature == 0 and chern.delta_nonzero):
         raise RootSystemError(f"{pair.name}: pipeline produced an inconsistent result")
 
     pluri_payload = {
@@ -128,7 +136,7 @@ def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertific
         ordering_mode=ordering.mode,
         simples=ordering.system.simples,
         metric=dict(metric.g),
-        balanced_verdict=balanced_ok,
+        balanced_verdict=True,
         pluriclosed=pluri_payload,
         chern=chern_payload,
         provenance={
@@ -213,18 +221,78 @@ def load(path: str) -> AnalysisCertificate:
 # ---------------------------------------------------------------------------
 # Independent verification (root-system and catalog primitives only)
 #
-# The verifier names roots by their ambient vectors and does its own exact
-# arithmetic on them.  It reads the root set, the standard base and the
-# painted nodes, but none of the integer coordinate tables of `rootsys`, so
-# the fast core and the checker share no arithmetic.
+# Every root is named by its doubled ambient vector, a tuple of integers
+# (root coordinates lie in (1/2)Z).  The verifier reads the root set, the
+# standard base and the painted nodes, but neither the integer coordinate
+# tables of `rootsys` nor RootVector arithmetic, so the fast core and the
+# checker share no arithmetic.
 # ---------------------------------------------------------------------------
+
+# A rational in a certificate is a JSON string "-?digits" or
+# "-?digits/digits" with at most MAX_DIGITS digits on each side of the bar,
+# which bounds the size of the numbers a file can feed the arithmetic.
+MAX_DIGITS = 64
+_RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+
 
 def _fail(reason: str) -> VerificationResult:
     return VerificationResult(False, reason)
 
 
+def _exact(numerator: int, denominator: int) -> int | Fraction:
+    """numerator / denominator: an int when integral, else a Fraction."""
+    if numerator % denominator:
+        return Fraction(numerator, denominator)
+    return numerator // denominator
+
+
+def _rational(text, scale: int = 1) -> int | Fraction:
+    """scale times the value of a strict rational string.
+
+    Raises ValueError for anything else, ZeroDivisionError for "p/0".
+    """
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError("not a rational string")
+    numerator, denominator = match.groups()
+    return _exact(scale * int(numerator), 1 if denominator is None else int(denominator))
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON array")
+    return value
+
+
+class _Reader:
+    """Reads the vectors and coefficients of one certificate.
+
+    Each distinct coordinate string is parsed once, into its double; the
+    memo lives as long as the reader.  A coordinate outside (1/2)Z stays a
+    Fraction, so a vector holding one equals no doubled root.
+    """
+
+    def __init__(self):
+        self._doubled: dict[str, int | Fraction] = {}
+
+    def vector(self, value) -> tuple:
+        """2v for a JSON list of coordinate strings."""
+        memo = self._doubled
+        out = []
+        for c in _array(value):
+            doubled = memo.get(c)  # TypeError for a list or an object
+            if doubled is None:
+                doubled = memo[c] = _rational(c, 2)
+            out.append(doubled)
+        return tuple(out)
+
+    def coefficients(self, value) -> dict:
+        return {self.vector(item["root"]): _rational(item["c"]) for item in _array(value)}
+
+
 def _doubled(v: RootVector) -> tuple[int, ...]:
-    """2v as integers; every root coordinate lies in (1/2)Z."""
+    """2v as integers, for a catalog root."""
     return tuple(2 * c.numerator // c.denominator for c in v.coords)
 
 
@@ -251,150 +319,174 @@ def _scaled_inverse(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
 
 
 class _AmbientBase:
-    """Decomposition over claimed simple roots in doubled ambient integers.
+    """Decomposition over claimed simple roots, all doubled ambient vectors.
 
-    The Gram matrix of the doubled simples is inverted once, as an integer
-    matrix over a common denominator; each root is then decomposed by
-    integer products.  The rounded coordinates must recompose to the root
-    exactly, which holds only when the true ones are integers, and must be
-    of one sign.
+    The Gram matrix of the simples is inverted once, as an integer matrix
+    over a common denominator, and multiplied into the simples, so that
+    each coordinate of a root is one integer product and a division.  The
+    rounded coordinates must recompose to the root exactly, which holds
+    only when the true ones are integers, and must be of one sign.
     """
 
     def __init__(self, simples):
-        self.basis = [_doubled(s) for s in simples]
-        gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
-        self.scale, self.solve = _scaled_inverse(gram)
-        self.columns = list(zip(*self.basis))
+        gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
+        self.scale, solve = _scaled_inverse(gram)
+        self.columns = list(zip(*simples))
+        self.rows = [tuple(sum(map(mul, row, column)) for column in self.columns)
+                     for row in solve]
 
-    def coordinates(self, v: RootVector) -> tuple[int, ...]:
-        w = _doubled(v)
-        rhs = [sum(map(mul, w, b)) for b in self.basis]
-        coeffs = tuple(sum(map(mul, row, rhs)) // self.scale for row in self.solve)
-        if tuple(sum(map(mul, coeffs, column)) for column in self.columns) != w:
-            raise RootSystemError(f"{v!r} has no integral coordinates over the base")
+    def coordinates(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        coeffs = tuple(sum(map(mul, v, row)) // self.scale for row in self.rows)
+        if tuple(sum(map(mul, coeffs, column)) for column in self.columns) != v:
+            raise RootSystemError(f"{v} (doubled) has no integral coordinates over the base")
         if min(coeffs) < 0 < max(coeffs):
-            raise RootSystemError(f"{v!r} has mixed-sign coordinates over the base")
+            raise RootSystemError(f"{v} (doubled) has mixed-sign coordinates over the base")
         return coeffs
 
 
-def _claimed_coordinates(rs, simples) -> dict[RootVector, tuple[int, ...]]:
-    """Coordinates of every root of rs over claimed simple roots.
+def _claimed_coordinates(roots: list[tuple[int, ...]], rank: int,
+                         simples) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Coordinates of every root over claimed simple roots; the roots of the
+    system and the claimed simples are doubled vectors.
 
     Raises RootSystemError unless the claim is a genuine base: rank-many
     roots, independent, with every root decomposing integrally, exactly and
     with one sign.
     """
-    if len(simples) != rs.rank:
-        raise RootSystemError(f"expected {rs.rank} simple roots, got {len(simples)}")
-    for s in simples:
-        if not rs.is_root(s):
-            raise RootSystemError(f"{s!r} is not a root")
+    if len(simples) != rank:
+        raise RootSystemError(f"expected {rank} simple roots, got {len(simples)}")
+    known = set(roots)
+    if any(s not in known for s in simples):
+        raise RootSystemError("a claimed simple root is not a root")
     base = _AmbientBase(simples)
-    return {v: base.coordinates(v) for v in rs.sorted_roots}
+    return {v: base.coordinates(v) for v in roots}
 
 
-def _n_squared(roots, alpha: RootVector, beta: RootVector) -> Fraction:
-    """q(1-p)/2 * |alpha|^2 from the alpha-string p..q through beta."""
+def _negated(v: tuple) -> tuple:
+    return tuple(-x for x in v)
+
+
+def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
+    """N^2 = q(1-p)/2 * |alpha|^2 from the alpha-string p..q through beta.
+
+    On doubled vectors |alpha|^2 is a quarter of alpha.alpha, so this is
+    q(1-p) * alpha.alpha / 8.
+    """
+    def shifted(n):
+        return tuple(b + n * a for a, b in zip(alpha, beta))
+
     q = 0
-    while beta + (q + 1) * alpha in roots:
+    while shifted(q + 1) in roots:
         q += 1
     p = 0
-    while beta + (p - 1) * alpha in roots:
+    while shifted(p - 1) in roots:
         p -= 1
-    return Fraction(q * (1 - p), 2) * alpha.norm_sq()
+    return _exact(q * (1 - p) * sum(map(mul, alpha, alpha)), 8)
 
 
-def _verify_pluriclosed_payload(payload: dict, pair: InnerPair, is_positive,
-                                is_compact) -> VerificationResult:
-    rs = pair.system
+def _accumulate(coeffs: dict, root: tuple, value) -> None:
+    """coeffs[root] += value, keeping only nonzero entries."""
+    total = coeffs.get(root, 0) + value
+    if total:
+        coeffs[root] = total
+    else:
+        coeffs.pop(root, None)
+
+
+def _add_symmetric(matrix: dict, weight, a: tuple, b: tuple) -> None:
+    """matrix += weight * (a b^T + b a^T), over the nonzero entries of a and b."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    term = weight * x * y
+                    matrix[i, j] = matrix.get((i, j), 0) + term
+                    matrix[j, i] = matrix.get((j, i), 0) + term
+
+
+def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords: dict,
+                                positive: set, compact: set) -> VerificationResult:
+    """Check the sign contradiction on doubled roots: `coords` holds every
+    root, `positive` and `compact` the positive and the compact ones."""
     try:
         branch = payload["branch"]
-        relations = payload["relations"]
-        combination = [Fraction(c) for c in payload["combination"]]
-        conclusion_root = _vec_from_json(payload["conclusion_root"])
-        conclusion_coeffs = _coeffs_from_json(payload["conclusion_coeffs"])
-        signs = {_vec_from_json(item["root"]): item["sign"]
-                 for item in payload["variable_signs"]}
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        relations = _array(payload["relations"])
+        combination = [_rational(c) for c in _array(payload["combination"])]
+        conclusion_root = read.vector(payload["conclusion_root"])
+        conclusion_coeffs = read.coefficients(payload["conclusion_coeffs"])
+        signs = {read.vector(item["root"]): item["sign"]
+                 for item in _array(payload["variable_signs"])}
+    except _MALFORMED:
         return _fail("malformed certificate")
     if (branch == "so_1_2n") != pair.is_so_1_2n:
         return _fail("branch mismatch")
     if len(relations) != len(combination):
         return _fail("malformed certificate")
 
-    dim = rs.ambient_dim
-    combined_matrix = [[Fraction(0)] * dim for _ in range(dim)]
-    combined: dict[RootVector, Fraction] = {}
+    # Both sides of the elimination carry the factor 4 of doubled vectors.
+    matrix: dict[tuple[int, int], int | Fraction] = {}
+    combined: dict[tuple, int | Fraction] = {}
     for weight, item in zip(combination, relations):
         try:
-            alpha = _vec_from_json(item["alpha"])
-            beta = _vec_from_json(item["beta"])
-            stored = _coeffs_from_json(item["coeffs"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            alpha = read.vector(item["alpha"])
+            beta = read.vector(item["beta"])
+            stored = read.coefficients(item["coeffs"])
+        except _MALFORMED:
             return _fail("malformed certificate")
-        if not (rs.is_root(alpha) and rs.is_root(beta)):
+        if not (alpha in positive and beta in positive):
             return _fail("relation roots invalid")
-        if not (is_positive(alpha) and is_positive(beta)):
-            return _fail("relation roots invalid")
-        derived: dict[RootVector, Fraction] = {}
-
-        def accumulate(root, value):
-            derived[root] = derived.get(root, Fraction(0)) + value
-            if derived[root] == 0:
-                del derived[root]
-
-        if rs.is_root(alpha + beta):
-            n2 = _n_squared(rs.roots, alpha, beta)
-            accumulate(alpha + beta, n2)
-            accumulate(alpha, -n2)
-            accumulate(beta, -n2)
-        if rs.is_root(alpha - beta):
-            n2 = _n_squared(rs.roots, alpha, -beta)
-            sign = 1 if is_positive(alpha - beta) else -1
-            accumulate(alpha - beta if sign > 0 else beta - alpha, n2)
-            accumulate(beta, sign * n2)
-            accumulate(alpha, -sign * n2)
+        derived: dict[tuple, int | Fraction] = {}
+        total = tuple(map(add, alpha, beta))
+        if total in coords:
+            n2 = _n_squared(coords, alpha, beta)
+            _accumulate(derived, total, n2)
+            _accumulate(derived, alpha, -n2)
+            _accumulate(derived, beta, -n2)
+        difference = tuple(map(sub, alpha, beta))
+        if difference in coords:
+            n2 = _n_squared(coords, alpha, _negated(beta))
+            sign = 1 if difference in positive else -1
+            _accumulate(derived, difference if sign > 0 else _negated(difference), n2)
+            _accumulate(derived, beta, sign * n2)
+            _accumulate(derived, alpha, -sign * n2)
         if derived != stored:
             return _fail("relation mismatch")
-        for i in range(dim):
-            for j in range(dim):
-                combined_matrix[i][j] += weight * (
-                    alpha.coords[i] * beta.coords[j] + alpha.coords[j] * beta.coords[i])
+        _add_symmetric(matrix, weight, alpha, beta)
         for root, value in stored.items():
-            combined[root] = combined.get(root, Fraction(0)) + weight * value
-            if combined[root] == 0:
-                del combined[root]
+            _accumulate(combined, root, weight * value)
 
-    if not rs.is_root(conclusion_root):
+    if conclusion_root not in coords:
         return _fail("relation roots invalid")
-    for i in range(dim):
-        for j in range(dim):
-            target = 2 * conclusion_root.coords[i] * conclusion_root.coords[j]
-            if combined_matrix[i][j] != target:
-                return _fail("elimination failed")
+    target: dict[tuple[int, int], int] = {}
+    _add_symmetric(target, 1, conclusion_root, conclusion_root)
+    if {entry: value for entry, value in matrix.items() if value} != target:
+        return _fail("elimination failed")
     if combined != conclusion_coeffs:
         return _fail("conclusion mismatch")
     if not combined:
         return _fail("sign pattern violated")
     for root, sign in signs.items():
-        if not rs.is_root(root):
+        if root not in coords:
             return _fail("relation roots invalid")
-        if sign != (-1 if is_compact(root) else 1):
+        if sign != (-1 if root in compact else 1):
             return _fail("sign pattern violated")
     for root, value in combined.items():
-        true_sign = -1 if is_compact(root) else 1
-        if signs.get(root) != true_sign:
-            return _fail("sign pattern violated")
-        if (value > 0) != (true_sign > 0):
+        true_sign = -1 if root in compact else 1
+        if signs.get(root) != true_sign or (value > 0) != (true_sign > 0):
             return _fail("sign pattern violated")
     return VerificationResult(True)
 
 
-def _pair_block_typed(cert: AnalysisCertificate) -> bool:
-    """name and family are strings; the four counts are integers, not booleans."""
-    counts = (cert.rank, cert.painted_node, cert.dim_g, cert.dim_k)
-    return (isinstance(cert.pair_name, str) and isinstance(cert.family, str)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in counts))
+def _pair_block(block) -> tuple:
+    """(name, family, rank, painted node, dim g, dim k); raises TypeError
+    unless name and family are strings and the four counts are integers,
+    not booleans."""
+    fields = (block["name"], block["family"], block["rank"], block["painted_node"],
+              block["dim_g"], block["dim_k"])
+    if not (all(isinstance(v, str) for v in fields[:2])
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in fields[2:])):
+        raise TypeError("pair block has the wrong types")
+    return fields
 
 
 def verify_data(data: dict) -> VerificationResult:
@@ -403,93 +495,97 @@ def verify_data(data: dict) -> VerificationResult:
         return _fail("schema mismatch")
     if data["schema_version"] != SCHEMA_VERSION:
         return _fail("schema mismatch")
+    read = _Reader()
     try:
-        cert = from_dict(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        return _fail("malformed certificate")
-    if not _pair_block_typed(cert):
+        name, family, *counts = _pair_block(data["pair"])
+        mode = data["ordering"]["mode"]
+        simples = [read.vector(s) for s in _array(data["ordering"]["simples"])]
+        metric = read.coefficients(data["metric"])
+        balanced_verdict = data["balanced_verdict"]
+        payload = data["pluriclosed_certificate"]
+        chern = data["chern_report"]
+        if "provenance" not in data:
+            raise KeyError("provenance")
+    except _MALFORMED:
         return _fail("malformed certificate")
 
     try:
-        pair = pair_by_name(cert.pair_name)
-    except RootSystemError:
+        pair = pair_by_name(name)
+    except ValueError:  # RootSystemError, or a number in the name that int() refuses
         return _fail("pair unknown")
-    if (pair.rank, pair.painted_node, pair.dim_g, pair.dim_k, pair.family) != (
-            cert.rank, cert.painted_node, cert.dim_g, cert.dim_k, cert.family):
+    if [pair.family, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k] != [family, *counts]:
         return _fail("pair mismatch")
 
     rs = pair.system
     try:
-        coords = _claimed_coordinates(rs, cert.simples)
+        coords = _claimed_coordinates([_doubled(v) for v in rs.sorted_roots], rs.rank, simples)
     except RootSystemError:
         return _fail("ordering invalid")
-    if cert.ordering_mode not in ("partner_property", "so_1_2n_special"):
+    if mode not in ("partner_property", "so_1_2n_special"):
         return _fail("ordering invalid")
-    if (cert.ordering_mode == "so_1_2n_special") != pair.is_so_1_2n:
+    if (mode == "so_1_2n_special") != pair.is_so_1_2n:
         return _fail("ordering invalid")
 
     # The grading is parity over the painted nodes of the standard base; it is
     # additive, so a root's parity follows from its claimed coordinates and
     # the parities of the claimed simples.
-    standard = _AmbientBase(rs.base.simples)
+    standard = _AmbientBase([_doubled(s) for s in rs.base.simples])
     simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
-                     for s in cert.simples]
-
-    def is_compact(root: RootVector) -> bool:
-        return sum(map(mul, coords[root], simple_parity)) % 2 == 0
-
-    def is_positive(root: RootVector) -> bool:
-        return all(c >= 0 for c in coords[root])
-
-    positives = [root for root in rs.sorted_roots if is_positive(root)]
-    if set(cert.metric) != set(positives):
+                     for s in simples]
+    positive = {v for v, c in coords.items() if min(c) >= 0}
+    compact = {v for v, c in coords.items() if sum(map(mul, c, simple_parity)) % 2 == 0}
+    if set(metric) != positive:
         return _fail("metric domain mismatch")
-    if any(value <= 0 for value in cert.metric.values()):
+    if any(value <= 0 for value in metric.values()):
         return _fail("positivity violated")
 
     dim = rs.ambient_dim
-    compact_sum = [Fraction(0)] * dim
-    noncompact_sum = [Fraction(0)] * dim
-    delta = [Fraction(0)] * dim
-    for root in positives:
-        target = compact_sum if is_compact(root) else noncompact_sum
-        weight = cert.metric[root]
-        for i, c in enumerate(root.coords):
+    compact_sum = [0] * dim
+    noncompact_sum = [0] * dim
+    delta = [0] * dim
+    for root in positive:
+        target = compact_sum if root in compact else noncompact_sum
+        weight = metric[root]
+        for i, c in enumerate(root):
             if c:
                 target[i] += weight * c
                 delta[i] += c
-    if compact_sum != noncompact_sum or not cert.balanced_verdict:
+    if compact_sum != noncompact_sum or not balanced_verdict:
         return _fail("balanced identity failed")
 
-    result = _verify_pluriclosed_payload(cert.pluriclosed, pair, is_positive, is_compact)
+    result = _verify_pluriclosed_payload(payload, read, pair, coords, positive, compact)
     if not result.ok:
         return result
 
     try:
-        delta_stored = _vec_from_json(cert.chern["delta"])
-        scalar_stored = Fraction(cert.chern["scalar_curvature"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        delta_stored = read.vector(chern["delta"])
+        scalar_stored = _rational(chern["scalar_curvature"])
+    except _MALFORMED:
         return _fail("malformed certificate")
-    if RootVector(delta) != delta_stored:
+    if tuple(delta) != delta_stored:
         return _fail("delta mismatch")
-    if not any(delta) or not cert.chern.get("delta_nonzero", False):
+    if not any(delta) or not chern.get("delta_nonzero", False):
         return _fail("delta zero")
-    scalar = 2 * sum((n - c) * d for n, c, d in zip(noncompact_sum, compact_sum, delta))
-    if scalar != 0 or scalar_stored != scalar:
+    # On doubled vectors this sum is twice the scalar 2 * sum (n - c) * delta.
+    twice_scalar = sum((n - c) * d for n, c, d in zip(noncompact_sum, compact_sum, delta))
+    if twice_scalar != 0 or 2 * scalar_stored != twice_scalar:
         return _fail("chern scalar nonzero")
-    if cert.chern.get("kodaira_flag") is not True:
+    if chern.get("kodaira_flag") is not True:
         return _fail("flag mismatch")
     return VerificationResult(True)
 
 
 def verify_file(path: str) -> VerificationResult:
+    """Verify a certificate file; unreadable bytes, text that is not UTF-8
+    and anything the JSON reader refuses, including nesting too deep and
+    integers too long, give "parse error"."""
     try:
-        with open(path) as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError:
         return _fail("parse error")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return _fail("parse error")
     return verify_data(data)

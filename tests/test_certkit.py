@@ -128,6 +128,13 @@ def test_verify_rejects_unknown_pair(g2_data):
     assert not result.ok and result.reason == "pair unknown"
 
 
+@pytest.mark.parametrize("name", ["so(\u00b2)*", "su(" + "1" * 5000 + ",1)"],
+                         ids=["superscript digit", "5000 digits"])
+def test_verify_rejects_pair_name_with_unreadable_number(g2_data, name):
+    result = certkit.verify_data(_tampered(g2_data, lambda d: d["pair"].update(name=name)))
+    assert not result.ok and result.reason == "pair unknown"
+
+
 RETYPED = [5, 5.5, None, True, [], {}]
 
 
@@ -165,6 +172,67 @@ def test_verify_rejects_zero_denominator(g2_data):
     assert not result.ok and result.reason == "malformed certificate"
 
 
+@pytest.mark.parametrize("relations", [5, "x", {}], ids=repr)
+def test_verify_rejects_non_list_relations(g2_data, relations):
+    def mutate(d):
+        d["pluriclosed_certificate"]["relations"] = relations
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "malformed certificate"
+
+
+NON_CANONICAL = {
+    "exponent": "1e400",
+    "decimal": "1.0",
+    "underscore": "1_0",
+    "whitespace": " 1",
+    "plus": "+1",
+    "json number": 1,
+    "over-limit numerator": "1" * (certkit.MAX_DIGITS + 1),
+    "over-limit denominator": "1/" + "1" * (certkit.MAX_DIGITS + 1),
+    "non-ascii digit": "\u0661",
+}
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
+@pytest.mark.parametrize("site", ["metric", "coordinate", "combination"])
+def test_verify_rejects_non_canonical_rational(g2_data, site, text):
+    def mutate(d):
+        if site == "metric":
+            d["metric"][0]["c"] = text
+        elif site == "coordinate":
+            d["ordering"]["simples"][0][0] = text
+        else:
+            d["pluriclosed_certificate"]["combination"][0] = text
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "malformed certificate"
+
+
+def test_verify_reads_rationals_up_to_the_digit_limit(g2_data):
+    """A coefficient of MAX_DIGITS digits is read, and then fails the
+    mathematics, not the reader."""
+    def mutate(d):
+        d["metric"][0]["c"] = "1" * certkit.MAX_DIGITS
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "balanced identity failed"
+
+
+UNPARSABLE = {
+    "not utf-8": b'{"schema_version": 1, "pair": "\xff\xfe"}',
+    "deep nesting": b"[" * 200_000,
+    "long integer": b'{"schema_version": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("content", UNPARSABLE.values(), ids=UNPARSABLE.keys())
+def test_verify_file_total_over_bytes(tmp_path, capsys, content):
+    path = tmp_path / "hostile.cert.json"
+    path.write_bytes(content)
+    result = certkit.verify_file(str(path))
+    assert not result.ok and result.reason == "parse error"
+    assert main(["verify", str(path)]) == 1
+    assert "FAILED (parse error)" in capsys.readouterr().out
+
+
 def test_verifier_module_independent_of_solvers():
     """The verification code path may use only root-system and catalog
     primitives; solver modules are imported lazily by the analysis pipeline."""
@@ -185,9 +253,10 @@ def test_verifier_module_independent_of_solvers():
 def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     """The verifier keeps its own arithmetic: with the pair resolved up
     front, it accepts a valid certificate and rejects a tampered one while
-    every integer table of the root core raises when read."""
+    every integer table of the root core, and RootVector arithmetic, raise
+    when used."""
     from innerlie.pairs import pair_by_name
-    from innerlie.rootsys import RootSystem, SimpleSystem
+    from innerlie.rootsys import RootSystem, RootVector, SimpleSystem
 
     pair = pair_by_name("g2(2)")
     monkeypatch.setattr(certkit, "pair_by_name", lambda name: pair)
@@ -197,7 +266,9 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
 
     for owner, name in [(RootSystem, "coordinates"), (RootSystem, "root_at"),
                         (RootSystem, "validate_base"), (RootSystem, "positives"),
-                        (RootSystem, "root_string"), (SimpleSystem, "decompose")]:
+                        (RootSystem, "root_string"), (SimpleSystem, "decompose"),
+                        (RootVector, "__add__"), (RootVector, "__sub__"),
+                        (RootVector, "__rmul__"), (RootVector, "dot")]:
         monkeypatch.setattr(owner, name, unreadable)
     assert certkit.verify_data(g2_data).ok
 

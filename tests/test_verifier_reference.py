@@ -1,0 +1,357 @@
+"""The certificate verifier against a Fraction reference.
+
+The reference below is the verifier the package used before it switched to
+doubled integer coordinates: it parses every coordinate into a `Fraction`
+RootVector, decomposes roots over the claimed base by a Bareiss-inverted
+Gram matrix, and recomputes root strings, the elimination matrix, the
+balanced sums and the Chern data in Fraction arithmetic.  The verifier in
+`certkit` must give the same (ok, reason) on every catalog certificate and
+on a fixed set of tampered copies of each.
+"""
+
+import copy
+import json
+from fractions import Fraction
+from operator import mul
+
+import pytest
+
+import innerlie.certkit as certkit
+from innerlie import catalog, pair_by_name
+from innerlie.rootsys import RootSystemError, RootVector
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction verifier
+# ---------------------------------------------------------------------------
+
+def _fail(reason):
+    return certkit.VerificationResult(False, reason)
+
+
+def _vec(data):
+    return RootVector([Fraction(c) for c in data])
+
+
+def _coeffs(data):
+    return {_vec(item["root"]): Fraction(item["c"]) for item in data}
+
+
+def _doubled(v):
+    return tuple(2 * c.numerator // c.denominator for c in v.coords)
+
+
+def _scaled_inverse(matrix):
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    previous = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
+        if pivot is None:
+            raise RootSystemError("simple roots are linearly dependent")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        head = aug[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(head[k] * a - f * b) // previous for a, b in zip(aug[i], head)]
+        previous = head[k]
+    return previous, [row[n:] for row in aug]
+
+
+class _AmbientBase:
+    def __init__(self, simples):
+        self.basis = [_doubled(s) for s in simples]
+        gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
+        self.scale, self.solve = _scaled_inverse(gram)
+        self.columns = list(zip(*self.basis))
+
+    def coordinates(self, v):
+        w = _doubled(v)
+        rhs = [sum(map(mul, w, b)) for b in self.basis]
+        coeffs = tuple(sum(map(mul, row, rhs)) // self.scale for row in self.solve)
+        if tuple(sum(map(mul, coeffs, column)) for column in self.columns) != w:
+            raise RootSystemError("no integral coordinates over the base")
+        if min(coeffs) < 0 < max(coeffs):
+            raise RootSystemError("mixed-sign coordinates over the base")
+        return coeffs
+
+
+def _claimed_coordinates(rs, simples):
+    if len(simples) != rs.rank:
+        raise RootSystemError("wrong number of simple roots")
+    for s in simples:
+        if not rs.is_root(s):
+            raise RootSystemError("not a root")
+    base = _AmbientBase(simples)
+    return {v: base.coordinates(v) for v in rs.sorted_roots}
+
+
+def _n_squared(roots, alpha, beta):
+    q = 0
+    while beta + (q + 1) * alpha in roots:
+        q += 1
+    p = 0
+    while beta + (p - 1) * alpha in roots:
+        p -= 1
+    return Fraction(q * (1 - p), 2) * alpha.norm_sq()
+
+
+def _reference_pluriclosed(payload, pair, is_positive, is_compact):
+    rs = pair.system
+    try:
+        branch = payload["branch"]
+        relations = payload["relations"]
+        combination = [Fraction(c) for c in payload["combination"]]
+        conclusion_root = _vec(payload["conclusion_root"])
+        conclusion_coeffs = _coeffs(payload["conclusion_coeffs"])
+        signs = {_vec(item["root"]): item["sign"] for item in payload["variable_signs"]}
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return _fail("malformed certificate")
+    if (branch == "so_1_2n") != pair.is_so_1_2n:
+        return _fail("branch mismatch")
+    if len(relations) != len(combination):
+        return _fail("malformed certificate")
+
+    dim = rs.ambient_dim
+    combined_matrix = [[Fraction(0)] * dim for _ in range(dim)]
+    combined = {}
+    for weight, item in zip(combination, relations):
+        try:
+            alpha = _vec(item["alpha"])
+            beta = _vec(item["beta"])
+            stored = _coeffs(item["coeffs"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            return _fail("malformed certificate")
+        if not (rs.is_root(alpha) and rs.is_root(beta)):
+            return _fail("relation roots invalid")
+        if not (is_positive(alpha) and is_positive(beta)):
+            return _fail("relation roots invalid")
+        derived = {}
+
+        def accumulate(root, value):
+            derived[root] = derived.get(root, Fraction(0)) + value
+            if derived[root] == 0:
+                del derived[root]
+
+        if rs.is_root(alpha + beta):
+            n2 = _n_squared(rs.roots, alpha, beta)
+            accumulate(alpha + beta, n2)
+            accumulate(alpha, -n2)
+            accumulate(beta, -n2)
+        if rs.is_root(alpha - beta):
+            n2 = _n_squared(rs.roots, alpha, -beta)
+            sign = 1 if is_positive(alpha - beta) else -1
+            accumulate(alpha - beta if sign > 0 else beta - alpha, n2)
+            accumulate(beta, sign * n2)
+            accumulate(alpha, -sign * n2)
+        if derived != stored:
+            return _fail("relation mismatch")
+        for i in range(dim):
+            for j in range(dim):
+                combined_matrix[i][j] += weight * (
+                    alpha.coords[i] * beta.coords[j] + alpha.coords[j] * beta.coords[i])
+        for root, value in stored.items():
+            combined[root] = combined.get(root, Fraction(0)) + weight * value
+            if combined[root] == 0:
+                del combined[root]
+
+    if not rs.is_root(conclusion_root):
+        return _fail("relation roots invalid")
+    for i in range(dim):
+        for j in range(dim):
+            target = 2 * conclusion_root.coords[i] * conclusion_root.coords[j]
+            if combined_matrix[i][j] != target:
+                return _fail("elimination failed")
+    if combined != conclusion_coeffs:
+        return _fail("conclusion mismatch")
+    if not combined:
+        return _fail("sign pattern violated")
+    for root, sign in signs.items():
+        if not rs.is_root(root):
+            return _fail("relation roots invalid")
+        if sign != (-1 if is_compact(root) else 1):
+            return _fail("sign pattern violated")
+    for root, value in combined.items():
+        true_sign = -1 if is_compact(root) else 1
+        if signs.get(root) != true_sign:
+            return _fail("sign pattern violated")
+        if (value > 0) != (true_sign > 0):
+            return _fail("sign pattern violated")
+    return certkit.VerificationResult(True)
+
+
+def _pair_block_typed(cert):
+    counts = (cert.rank, cert.painted_node, cert.dim_g, cert.dim_k)
+    return (isinstance(cert.pair_name, str) and isinstance(cert.family, str)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in counts))
+
+
+def reference_verify(data):
+    if not isinstance(data, dict) or "schema_version" not in data:
+        return _fail("schema mismatch")
+    if data["schema_version"] != certkit.SCHEMA_VERSION:
+        return _fail("schema mismatch")
+    try:
+        cert = certkit.from_dict(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return _fail("malformed certificate")
+    if not _pair_block_typed(cert):
+        return _fail("malformed certificate")
+    try:
+        pair = pair_by_name(cert.pair_name)
+    except RootSystemError:
+        return _fail("pair unknown")
+    if (pair.rank, pair.painted_node, pair.dim_g, pair.dim_k, pair.family) != (
+            cert.rank, cert.painted_node, cert.dim_g, cert.dim_k, cert.family):
+        return _fail("pair mismatch")
+
+    rs = pair.system
+    try:
+        coords = _claimed_coordinates(rs, cert.simples)
+    except RootSystemError:
+        return _fail("ordering invalid")
+    if cert.ordering_mode not in ("partner_property", "so_1_2n_special"):
+        return _fail("ordering invalid")
+    if (cert.ordering_mode == "so_1_2n_special") != pair.is_so_1_2n:
+        return _fail("ordering invalid")
+
+    standard = _AmbientBase(rs.base.simples)
+    simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
+                     for s in cert.simples]
+
+    def is_compact(root):
+        return sum(map(mul, coords[root], simple_parity)) % 2 == 0
+
+    def is_positive(root):
+        return all(c >= 0 for c in coords[root])
+
+    positives = [root for root in rs.sorted_roots if is_positive(root)]
+    if set(cert.metric) != set(positives):
+        return _fail("metric domain mismatch")
+    if any(value <= 0 for value in cert.metric.values()):
+        return _fail("positivity violated")
+
+    dim = rs.ambient_dim
+    compact_sum = [Fraction(0)] * dim
+    noncompact_sum = [Fraction(0)] * dim
+    delta = [Fraction(0)] * dim
+    for root in positives:
+        target = compact_sum if is_compact(root) else noncompact_sum
+        weight = cert.metric[root]
+        for i, c in enumerate(root.coords):
+            if c:
+                target[i] += weight * c
+                delta[i] += c
+    if compact_sum != noncompact_sum or not cert.balanced_verdict:
+        return _fail("balanced identity failed")
+
+    result = _reference_pluriclosed(cert.pluriclosed, pair, is_positive, is_compact)
+    if not result.ok:
+        return result
+
+    try:
+        delta_stored = _vec(cert.chern["delta"])
+        scalar_stored = Fraction(cert.chern["scalar_curvature"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return _fail("malformed certificate")
+    if RootVector(delta) != delta_stored:
+        return _fail("delta mismatch")
+    if not any(delta) or not cert.chern.get("delta_nonzero", False):
+        return _fail("delta zero")
+    scalar = 2 * sum((n - c) * d for n, c, d in zip(noncompact_sum, compact_sum, delta))
+    if scalar != 0 or scalar_stored != scalar:
+        return _fail("chern scalar nonzero")
+    if cert.chern.get("kodaira_flag") is not True:
+        return _fail("flag mismatch")
+    return certkit.VerificationResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Tampers: each changes one value of a valid certificate
+# ---------------------------------------------------------------------------
+
+def _bump(value):
+    return str(Fraction(value) + 1)
+
+
+def _middle(items):
+    return items[len(items) // 2]
+
+
+def _metric_coefficient(d):
+    entry = _middle(d["metric"])
+    entry["c"] = _bump(entry["c"])
+
+
+def _relation_coefficient(d):
+    entry = _middle(_middle(d["pluriclosed_certificate"]["relations"])["coeffs"])
+    entry["c"] = _bump(entry["c"])
+
+
+def _flipped_sign(d):
+    entry = _middle(d["pluriclosed_certificate"]["variable_signs"])
+    entry["sign"] = -entry["sign"]
+
+
+def _delta_coordinate(d):
+    delta = d["chern_report"]["delta"]
+    delta[0] = _bump(delta[0])
+
+
+def _third(coords):
+    coords[0] = "1/3"
+
+
+def _negated_simple(d):
+    simples = d["ordering"]["simples"]
+    simples[0] = [str(-Fraction(c)) for c in simples[0]]
+
+
+TAMPERS = {
+    "metric_coefficient": _metric_coefficient,
+    "relation_coefficient": _relation_coefficient,
+    "flipped_sign": _flipped_sign,
+    "delta_coordinate": _delta_coordinate,
+    "third_in_simple": lambda d: _third(d["ordering"]["simples"][-1]),
+    "third_in_metric_root": lambda d: _third(_middle(d["metric"])["root"]),
+    "third_in_relation_root": lambda d: _third(
+        _middle(d["pluriclosed_certificate"]["relations"])["alpha"]),
+    "third_in_conclusion_root": lambda d: _third(
+        d["pluriclosed_certificate"]["conclusion_root"]),
+    "third_in_sign_root": lambda d: _third(
+        _middle(d["pluriclosed_certificate"]["variable_signs"])["root"]),
+    "negated_simple": _negated_simple,
+    "unknown_pair": lambda d: d["pair"].update(name="su(2,2)"),
+    "retyped_pair": lambda d: d["pair"].update(name=5),
+}
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """Canonical certificate dicts of the catalog: ranks up to 6, plus e8(8)."""
+    pairs = [pair for pair in catalog(8) if pair.rank <= 6 or pair.name == "e8(8)"]
+    return {pair.name: json.loads(certkit.serialize(certkit.analyze_pair(pair)))
+            for pair in pairs}
+
+
+def test_reference_sweep_covers_every_family(certificates):
+    families = {pair_by_name(name).family for name in certificates}
+    assert families == {"A", "B", "C", "D", "G2", "F4", "E6", "E8"}
+
+
+def test_every_certificate_agrees_with_reference(certificates):
+    for name, data in certificates.items():
+        expected = reference_verify(data)
+        assert expected.ok, (name, expected.reason)
+        assert certkit.verify_data(data) == expected, name
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERS))
+def test_every_tampered_copy_agrees_with_reference(certificates, kind):
+    for name, data in certificates.items():
+        tampered = copy.deepcopy(data)
+        TAMPERS[kind](tampered)
+        expected = reference_verify(tampered)
+        assert not expected.ok, (name, kind)
+        assert certkit.verify_data(tampered) == expected, (name, kind)
