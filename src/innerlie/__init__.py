@@ -25,7 +25,6 @@ from .chern import (
     ChernReport,
     chern_report,
     chern_scalar,
-    ricci_structure_check,
     ricci_value,
     weyl_delta,
 )

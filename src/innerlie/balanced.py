@@ -10,9 +10,9 @@ coefficient and then bumps selected witnesses by the least positive integer
 making each simple-root value at least 1: noncompact witnesses fix the
 compact-simple relations without disturbing each other, and witnesses from
 the compact span of the noncompact simples fix the noncompact-simple
-relations without feeding back.  Every produced metric is re-verified by
-summing both sides of the identity exactly; nothing is trusted from the
-construction.
+relations without feeding back.  The solvers build without checking their
+output; callers check a metric with `verify_balanced`, or a whole
+certificate with `certkit.verify_data` or `certkit.verify_file`.
 """
 
 from __future__ import annotations
@@ -151,40 +151,30 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
         steps = -((-deficit) // coefficient)  # ceil for positive coefficient
         g[root] += max(1, steps)
 
-    for _ in range(len(ordering.system.simples) + 1):
-        g_vals, h_vals = _relation_values(system, g)
-        stable = True
-        for j, value in enumerate(g_vals):
-            if value < 1:
-                witness = noncompact_witness(ordering, pair, j)
-                n, _ = decompose_over(ordering, witness)
-                bump(witness, n[j], 1 - value)
-                stable = False
-        if stable:
-            break
-    else:
-        raise InvariantViolation(f"{pair.name}: compact relations did not stabilize")
+    # One pass per phase.  A noncompact witness is a positive root, so its
+    # bump can only raise the compact values; a witness from the span of the
+    # noncompact simples is zero on the compact simples, so its bump leaves
+    # them alone.
+    g_vals, _ = _relation_values(system, g)
+    for j, value in enumerate(g_vals):
+        if value < 1:
+            witness = noncompact_witness(ordering, pair, j)
+            n, _ = decompose_over(ordering, witness)
+            bump(witness, n[j], 1 - value)
 
-    for _ in range(len(ordering.noncompact_simples) + 1):
-        g_vals, h_vals = _relation_values(system, g)
-        stable = True
-        for j, value in enumerate(h_vals):
-            if value < 1:
-                witness = next(
-                    (root for root in system.spanned_compact
-                     if decompose_over(ordering, root)[1][j] != 0), None)
-                if witness is None:
-                    raise InfeasibleOrdering(
-                        ordering.noncompact_simples[j],
-                        f"{pair.name}: the constructive scheme has no witness in the "
-                        f"span of the noncompact simples for {ordering.noncompact_simples[j]!r}")
-                _, m = decompose_over(ordering, witness)
-                bump(witness, m[j], 1 - value)
-                stable = False
-        if stable:
-            break
-    else:
-        raise InvariantViolation(f"{pair.name}: noncompact relations did not stabilize")
+    _, h_vals = _relation_values(system, g)
+    for j, value in enumerate(h_vals):
+        if value < 1:
+            witness = next(
+                (root for root in system.spanned_compact
+                 if decompose_over(ordering, root)[1][j] != 0), None)
+            if witness is None:
+                raise InfeasibleOrdering(
+                    ordering.noncompact_simples[j],
+                    f"{pair.name}: the constructive scheme has no witness in the "
+                    f"span of the noncompact simples for {ordering.noncompact_simples[j]!r}")
+            _, m = decompose_over(ordering, witness)
+            bump(witness, m[j], 1 - value)
 
     g_vals, h_vals = _relation_values(system, g)
     metric = {root: Fraction(value) for root, value in g.items()}
@@ -192,12 +182,9 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
         metric[phi] = Fraction(value)
     for psi, value in zip(ordering.noncompact_simples, h_vals):
         metric[psi] = Fraction(value)
-    result = BalancedMetric(g=metric, ordering=ordering)
     if any(v <= 0 for v in metric.values()):
         raise InvariantViolation(f"{pair.name}: constructive scheme left a non-positive value")
-    if not verify_balanced(result, pair):
-        raise InvariantViolation(f"{pair.name}: constructive output fails the balanced identity")
-    return result
+    return BalancedMetric(g=metric, ordering=ordering)
 
 
 def so_1_2n_pair(n: int) -> InnerPair:
@@ -242,10 +229,7 @@ def solve_so1_2n(n: int, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
             g[root] = x
         else:
             g[root] = y
-    metric = BalancedMetric(g=g, ordering=ordering)
-    if not verify_balanced(metric, pair):
-        raise InvariantViolation("so(1,2n) closed form fails the balanced identity")
-    return metric
+    return BalancedMetric(g=g, ordering=ordering)
 
 
 def verify_balanced(metric: BalancedMetric, pair: InnerPair) -> bool:

@@ -88,8 +88,8 @@ def _coeffs_from_json(data) -> dict[RootVector, Fraction]:
 def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertificate:
     """Run the full pipeline on one catalog pair and package the results.
 
-    Both solvers check the balanced identity on their output and raise
-    InvariantViolation when it fails, so the metric they return is balanced.
+    Nothing here checks the result: callers check the certificate with
+    `verify_data` (on `to_dict` of it) or `verify_file` (on the saved file).
     """
     from .balanced import solve_for_pair
     from .chern import chern_report
@@ -100,8 +100,6 @@ def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertific
     ordering = metric.ordering
     pluri = build_certificate(ordering, pair)
     chern = chern_report(metric, ordering, pair)
-    if not (chern.scalar_curvature == 0 and chern.delta_nonzero):
-        raise RootSystemError(f"{pair.name}: pipeline produced an inconsistent result")
 
     pluri_payload = {
         "branch": pluri.branch,

@@ -61,36 +61,6 @@ def chern_scalar(metric: BalancedMetric | Mapping[RootVector, Fraction],
     return 2 * imbalance.dot(weyl_delta(ordering))
 
 
-def _ricci_pair_value(alpha: RootVector, beta: RootVector, delta: RootVector,
-                      rs) -> Fraction:
-    """rho(E_a, E_b) = B([E_a, E_b], delta): the bracket is toral exactly when
-    b = -a, and root vectors pair to zero against toral elements."""
-    if beta == -alpha:
-        return alpha.dot(delta)
-    return Fraction(0)
-
-
-def ricci_structure_check(ordering: AdmissibleOrdering, pair: InnerPair) -> bool:
-    """Vanishing pattern of the Ricci form on root-vector pairs.
-
-    Checks, over all root pairs, that nonzero values occur only at b = -a,
-    that those values are antisymmetric under negating the pair, and that
-    toral pairs contribute zero; a formula-consistency regression supporting
-    the trivial first Chern class.
-    """
-    rs = pair.system
-    delta = weyl_delta(ordering)
-    for alpha in rs.sorted_roots:
-        for beta in rs.sorted_roots:
-            value = _ricci_pair_value(alpha, beta, delta, rs)
-            if value != 0 and beta != -alpha:
-                return False
-            if beta == -alpha:
-                if value != -_ricci_pair_value(-alpha, -beta, delta, rs):
-                    return False
-    return True
-
-
 def chern_report(metric: BalancedMetric, ordering: AdmissibleOrdering,
                  pair: InnerPair) -> ChernReport:
     delta = weyl_delta(ordering)

@@ -71,6 +71,9 @@ def cmd_catalog(args) -> int:
 def cmd_analyze(args) -> int:
     pair = pair_by_name(args.pair)
     cert = certkit.analyze_pair(pair)
+    result = certkit.verify_data(certkit.to_dict(cert))
+    if not result.ok:
+        raise InvariantViolation(f"{pair.name}: certificate failed verification: {result.reason}")
     out = args.out or f"{_safe_filename(pair.name)}.cert.json"
     certkit.save(cert, out)
     print(f"{pair.name}: balanced=ok pluriclosed-obstruction=ok chern-scalar=0 -> {out}")

@@ -27,6 +27,11 @@ from .rootsys import (
 )
 
 
+# The largest rank a pair name may build.  It bounds the work a name can ask
+# for, from the command line or from a certificate being verified.
+MAX_RANK = 16
+
+
 class CatalogError(RuntimeError):
     """Catalog data is inconsistent (a bug in the tables, not user input)."""
 
@@ -101,14 +106,14 @@ def infer_grading(system: RootSystem, expected_dim_k: int,
 
 
 def _make_pair(name, family, rank, params, dim_g, dim_k, painted_index, aliases=()):
+    if rank > MAX_RANK:
+        raise RootSystemError(f"{name} has rank {rank} > bound {MAX_RANK}; refusing to build it")
     system = build_root_system(family, rank)
     if dim_g != rank + len(system.roots):
         raise CatalogError(f"{name}: dim g = {dim_g} != rank + |R| = {rank + len(system.roots)}")
     if dim_g % 2 != 0:
         raise CatalogError(f"{name}: dim g = {dim_g} is odd")
     grading = infer_grading(system, dim_k, painted_index)
-    if rank + grading.compact_count() != dim_k:
-        raise CatalogError(f"{name}: painted node fails the dim k test")
     return InnerPair(name=name, family=family, rank=rank, params=params,
                      system=system, grading=grading, dim_g=dim_g, dim_k=dim_k,
                      aliases=tuple(aliases))

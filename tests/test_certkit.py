@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -128,8 +129,8 @@ def test_verify_rejects_unknown_pair(g2_data):
     assert not result.ok and result.reason == "pair unknown"
 
 
-@pytest.mark.parametrize("name", ["so(\u00b2)*", "su(" + "1" * 5000 + ",1)"],
-                         ids=["superscript digit", "5000 digits"])
+@pytest.mark.parametrize("name", ["so(\u00b2)*", "su(" + "1" * 5000 + ",1)", "su(21,20)"],
+                         ids=["superscript digit", "5000 digits", "rank 40 over the bound"])
 def test_verify_rejects_pair_name_with_unreadable_number(g2_data, name):
     result = certkit.verify_data(_tampered(g2_data, lambda d: d["pair"].update(name=name)))
     assert not result.ok and result.reason == "pair unknown"
@@ -318,6 +319,38 @@ def test_cli_analyze_and_verify(tmp_path, capsys):
 def test_cli_analyze_unknown_pair(capsys):
     assert main(["analyze", "su(2,2)"]) == 2
     assert "p+q must be odd" in capsys.readouterr().err
+
+
+def test_cli_analyze_pair_over_the_rank_bound(capsys):
+    assert main(["analyze", "su(21,20)"]) == 2
+    assert "bound 16" in capsys.readouterr().err
+
+
+def _negated_metric(cert):
+    root = next(iter(cert.metric))
+    return dataclasses.replace(cert, metric={**cert.metric, root: -cert.metric[root]})
+
+
+def test_cli_analyze_refuses_a_certificate_that_fails_verification(
+        tmp_path, capsys, monkeypatch, g2_cert):
+    monkeypatch.setattr(certkit, "analyze_pair", lambda pair: _negated_metric(g2_cert))
+    out = tmp_path / "g2.cert.json"
+    assert main(["analyze", "g2(2)", "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "g2(2)" in err and "positivity violated" in err
+
+
+def test_cli_sweep_reports_a_certificate_that_fails_verification(
+        tmp_path, capsys, monkeypatch, g2_cert):
+    analyze = certkit.analyze_pair
+    monkeypatch.setattr(certkit, "analyze_pair", lambda pair: (
+        _negated_metric(g2_cert) if pair.name == "g2(2)" else analyze(pair)))
+    assert main(["sweep", "--max-rank", "2", "--out", str(tmp_path), "--format", "json"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    status = {row["pair"]: row["status"] for row in rows}
+    assert status.pop("g2(2)") == "verify failed: positivity violated"
+    assert set(status.values()) == {"ok"}
 
 
 def test_cli_verify_tampered_exit_code(tmp_path, capsys):

@@ -10,7 +10,6 @@ from innerlie import (
     find_admissible_ordering,
     make_ordering,
     pair_by_name,
-    ricci_structure_check,
     ricci_value,
     root_vector,
     solve_for_pair,
@@ -80,13 +79,6 @@ def test_chern_scalar_linear_in_metric():
     unit = BalancedMetric(g={r: F(1) for r in ordering.positives}, ordering=ordering)
     scaled = BalancedMetric(g={r: F(7, 3) for r in ordering.positives}, ordering=ordering)
     assert chern_scalar(scaled, ordering, pair) == F(7, 3) * chern_scalar(unit, ordering, pair)
-
-
-@pytest.mark.parametrize("name", ["su(2,1)", "so(1,4)", "g2(2)"])
-def test_ricci_structure_pattern(name):
-    pair = pair_by_name(name)
-    ordering = find_admissible_ordering(pair)
-    assert ricci_structure_check(ordering, pair)
 
 
 def test_chern_report_flags():

@@ -14,6 +14,7 @@ from innerlie import (
     split_positive,
     standard_ordering,
 )
+from innerlie.pairs import MAX_RANK
 
 
 def test_catalog_rank_2():
@@ -167,6 +168,13 @@ def test_pair_by_name_rejections():
         pair_by_name("e7(7)")
     with pytest.raises(RootSystemError):
         pair_by_name("nonsense")
+
+
+def test_pair_by_name_rank_bound():
+    assert pair_by_name("su(16,1)").rank == MAX_RANK == 16
+    for name in ("su(10,9)", "su(21,20)", "so(18,18)", "sp(9,9)", "sp(18,R)", "so(36)*"):
+        with pytest.raises(RootSystemError, match="bound 16"):
+            pair_by_name(name)
 
 
 def test_so_1_2n_flag(catalog8):
