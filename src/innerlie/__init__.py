@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .balanced import (
     BalancedMetric,
-    BalancedSystem,
     InfeasibleOrdering,
     assemble_system,
     family_metric,
@@ -22,14 +21,12 @@ from .balanced import (
     verify_balanced,
 )
 from .chern import (
-    ChernReport,
     chern_report,
     chern_scalar,
     ricci_value,
     weyl_delta,
 )
 from .ordering import (
-    AdmissibleOrdering,
     decompose_over,
     find_admissible_ordering,
     noncompact_witness,
@@ -48,8 +45,6 @@ from .pairs import (
     split_positive,
 )
 from .pluriclosed import (
-    PluriclosedCertificate,
-    PluriclosedRelation,
     build_certificate,
     epsilon,
     find_noncompact_interacting_pair,

@@ -69,11 +69,8 @@ class AnalysisCertificate:
 
 
 def _vec_to_json(v: RootVector) -> list[str]:
-    return [str(c) for c in v.coords]
-
-
-def _vec_from_json(data) -> RootVector:
-    return RootVector([Fraction(c) for c in data])
+    """The ambient coordinates in lowest terms: "1/2", "-3/2", "0", "-3"."""
+    return [f"{c}/2" if c % 2 else str(c // 2) for c in v.coords]
 
 
 def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
@@ -82,7 +79,7 @@ def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
 
 
 def _coeffs_from_json(data) -> dict[RootVector, Fraction]:
-    return {_vec_from_json(item["root"]): Fraction(item["c"]) for item in data}
+    return {RootVector(item["root"]): Fraction(item["c"]) for item in data}
 
 
 def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertificate:
@@ -179,7 +176,7 @@ def from_dict(data: dict) -> AnalysisCertificate:
         dim_g=pair["dim_g"],
         dim_k=pair["dim_k"],
         ordering_mode=data["ordering"]["mode"],
-        simples=tuple(_vec_from_json(s) for s in data["ordering"]["simples"]),
+        simples=tuple(RootVector(s) for s in data["ordering"]["simples"]),
         metric=_coeffs_from_json(data["metric"]),
         balanced_verdict=data["balanced_verdict"],
         pluriclosed=data["pluriclosed_certificate"],
@@ -220,10 +217,10 @@ def load(path: str) -> AnalysisCertificate:
 # Independent verification (root-system and catalog primitives only)
 #
 # Every root is named by its doubled ambient vector, a tuple of integers
-# (root coordinates lie in (1/2)Z).  The verifier reads the root set, the
-# standard base and the painted nodes, but neither the integer coordinate
-# tables of `rootsys` nor RootVector arithmetic, so the fast core and the
-# checker share no arithmetic.
+# (coordinates lie in (1/2)Z; a catalog root's is its `RootVector.coords`).
+# The verifier reads the root set, the standard base and the painted nodes,
+# but neither the integer coordinate tables of `rootsys` nor RootVector
+# arithmetic, so the fast core and the checker share no arithmetic.
 # ---------------------------------------------------------------------------
 
 # A rational in a certificate is a JSON string "-?digits" or
@@ -287,11 +284,6 @@ class _Reader:
 
     def coefficients(self, value) -> dict:
         return {self.vector(item["root"]): _rational(item["c"]) for item in _array(value)}
-
-
-def _doubled(v: RootVector) -> tuple[int, ...]:
-    """2v as integers, for a catalog root."""
-    return tuple(2 * c.numerator // c.denominator for c in v.coords)
 
 
 def _scaled_inverse(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -516,7 +508,7 @@ def verify_data(data: dict) -> VerificationResult:
 
     rs = pair.system
     try:
-        coords = _claimed_coordinates([_doubled(v) for v in rs.sorted_roots], rs.rank, simples)
+        coords = _claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if mode not in ("partner_property", "so_1_2n_special"):
@@ -527,7 +519,7 @@ def verify_data(data: dict) -> VerificationResult:
     # The grading is parity over the painted nodes of the standard base; it is
     # additive, so a root's parity follows from its claimed coordinates and
     # the parities of the claimed simples.
-    standard = _AmbientBase([_doubled(s) for s in rs.base.simples])
+    standard = _AmbientBase([s.coords for s in rs.base.simples])
     simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
                      for s in simples]
     positive = {v for v, c in coords.items() if min(c) >= 0}

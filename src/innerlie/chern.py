@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Mapping
 
 from .balanced import BalancedMetric
@@ -29,19 +31,7 @@ class ChernReport:
 
 def weyl_delta(ordering: AdmissibleOrdering) -> RootVector:
     """Coordinate sum of the ordering's positive roots."""
-    return _weighted_sum(ordering, lambda root: 1)
-
-
-def _weighted_sum(ordering: AdmissibleOrdering, weight) -> RootVector:
-    """sum of weight(r) * r over the positive roots r, accumulated in integer
-    coordinates over the ordering's simple roots."""
-    total = [0] * ordering.system.rank
-    for root in ordering.positives:
-        w = weight(root)
-        for k, c in enumerate(ordering.system.decompose(root)):
-            if c:
-                total[k] += w * c
-    return ordering.system.combine(total)
+    return reduce(add, ordering.positives)
 
 
 def ricci_value(alpha: RootVector, ordering: AdmissibleOrdering) -> Fraction:
@@ -55,18 +45,23 @@ def chern_scalar(metric: BalancedMetric | Mapping[RootVector, Fraction],
                  ordering: AdmissibleOrdering, pair: InnerPair) -> Fraction:
     """Twice the pairing of the weighted noncompact-minus-compact root sum
     against the positive-root sum; exactly zero for balanced metrics."""
+    return chern_report(metric, ordering, pair).scalar_curvature
+
+
+def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],
+                 ordering: AdmissibleOrdering, pair: InnerPair) -> ChernReport:
+    """delta and the scalar 2 * sum over positive roots a of +-g_a <a, delta>
+    (+ for noncompact a); each doubled pairing is 4 <a, delta>, an integer."""
     g = metric.g if isinstance(metric, BalancedMetric) else metric
-    imbalance = _weighted_sum(
-        ordering, lambda root: -g[root] if pair.grading.is_compact(root) else g[root])
-    return 2 * imbalance.dot(weyl_delta(ordering))
-
-
-def chern_report(metric: BalancedMetric, ordering: AdmissibleOrdering,
-                 pair: InnerPair) -> ChernReport:
     delta = weyl_delta(ordering)
+    total = 0
+    for root in ordering.positives:
+        pairing = sum(map(mul, root.coords, delta.coords))
+        if pairing:
+            total += (-pairing if pair.grading.is_compact(root) else pairing) * g[root]
     nonzero = not delta.is_zero()
     return ChernReport(
         delta=delta,
-        scalar_curvature=chern_scalar(metric, ordering, pair),
+        scalar_curvature=Fraction(total, 2),
         delta_nonzero=nonzero,
         kodaira_flag=nonzero)

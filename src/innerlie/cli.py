@@ -96,16 +96,19 @@ def cmd_sweep(args) -> int:
     for pair in pairs:
         started = time.monotonic()
         status = "ok"
+        stage = "analyze"
         try:
             cert = certkit.analyze_pair(pair)
+            stage = "save"
             path = f"{args.out}/{_safe_filename(pair.name)}.cert.json"
             certkit.save(cert, path)
+            stage = "verify"
             result = certkit.verify_file(path)
             if not result.ok:
                 status = f"verify failed: {result.reason}"
                 failures += 1
         except (RootSystemError, InvariantViolation) as exc:
-            status = f"error: {exc}"
+            status = f"error in {stage}: {exc}"
             failures += 1
         elapsed_ms = int((time.monotonic() - started) * 1000)
         rows.append({

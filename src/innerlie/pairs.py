@@ -42,13 +42,21 @@ class CompactnessGrading:
 
     system: RootSystem
     painted: tuple[int, ...]  # 0-based indices into the standard base
+    _compact: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compact", {
+            v: sum(abs(self.system.coordinates(v)[i]) for i in self.painted) % 2 == 0
+            for v in self.system.sorted_roots})
 
     def is_compact(self, root: RootVector) -> bool:
-        coeffs = self.system.coordinates(root)
-        return sum(abs(coeffs[i]) for i in self.painted) % 2 == 0
+        compact = self._compact.get(root)
+        if compact is None:
+            self.system.require_root(root)
+        return compact
 
     def compact_count(self) -> int:
-        return sum(1 for v in self.system.sorted_roots if self.is_compact(v))
+        return sum(self._compact.values())
 
 
 def compactness(grading: CompactnessGrading, root: RootVector) -> str:
@@ -105,7 +113,10 @@ def infer_grading(system: RootSystem, expected_dim_k: int,
         f"reproduces dim k = {expected_dim_k} (candidates: {matches})")
 
 
-def _make_pair(name, family, rank, params, dim_g, dim_k, painted_index, aliases=()):
+@lru_cache(maxsize=None)
+def _make_pair(name, family, rank, dim_g, dim_k, painted_index, aliases=(), **params):
+    """The pair, built once.  A rank over MAX_RANK raises before anything is
+    built or cached, so the cache holds only valid catalog pairs."""
     if rank > MAX_RANK:
         raise RootSystemError(f"{name} has rank {rank} > bound {MAX_RANK}; refusing to build it")
     system = build_root_system(family, rank)
@@ -123,16 +134,18 @@ def _su(p: int, q: int) -> InnerPair:
     n = p + q
     aliases = (f"su({q},{p})",) if q != p else ()
     return _make_pair(
-        name=f"su({p},{q})", family="A", rank=n - 1, params={"p": p, "q": q},
+        name=f"su({p},{q})", family="A", rank=n - 1, p=p, q=q,
         dim_g=n * n - 1, dim_k=p * p + q * q - 1,
         painted_index=p - 1, aliases=aliases)
 
 
-def _so_odd(p: int, q: int, aliases=()) -> InnerPair:
-    # so(2p+1, 2q): indices 1..q carry the so(2q) planes.
+def _so_odd(p: int, q: int) -> InnerPair:
+    # so(2p+1, 2q): indices 1..q carry the so(2q) planes.  The rank-2 pairs
+    # are also sp(1,1) and sp(2,R), by the B2/C2 isomorphism.
+    aliases = {(0, 2): ("sp(1,1)",), (1, 1): ("sp(2,R)", "so(2,3)")}.get((p, q), ())
     return _make_pair(
         name=f"so({2 * p + 1},{2 * q})", family="B", rank=p + q,
-        params={"p": p, "q": q},
+        p=p, q=q,
         dim_g=(p + q) * (2 * p + 2 * q + 1),
         dim_k=p * (2 * p + 1) + q * (2 * q - 1),
         painted_index=q - 1, aliases=aliases)
@@ -142,7 +155,7 @@ def _sp_split(n: int) -> InnerPair:
     # The paper's sp(2n, R) with k = u(2n); type C at rank 2n.
     r = 2 * n
     return _make_pair(
-        name=f"sp({r},R)", family="C", rank=r, params={"n": n},
+        name=f"sp({r},R)", family="C", rank=r, n=n,
         dim_g=r * (2 * r + 1), dim_k=r * r,
         painted_index=r - 1)
 
@@ -150,7 +163,7 @@ def _sp_split(n: int) -> InnerPair:
 def _sp_pq(p: int, q: int) -> InnerPair:
     aliases = (f"sp({q},{p})",) if q != p else ()
     return _make_pair(
-        name=f"sp({p},{q})", family="C", rank=p + q, params={"p": p, "q": q},
+        name=f"sp({p},{q})", family="C", rank=p + q, p=p, q=q,
         dim_g=(p + q) * (2 * p + 2 * q + 1),
         dim_k=p * (2 * p + 1) + q * (2 * q + 1),
         painted_index=q - 1, aliases=aliases)
@@ -159,7 +172,7 @@ def _sp_pq(p: int, q: int) -> InnerPair:
 def _so_star(n: int) -> InnerPair:
     r = 2 * n
     return _make_pair(
-        name=f"so({4 * n})*", family="D", rank=r, params={"n": n},
+        name=f"so({4 * n})*", family="D", rank=r, n=n,
         dim_g=r * (2 * r - 1), dim_k=r * r,
         painted_index=r - 1)
 
@@ -168,7 +181,7 @@ def _so_even(p: int, q: int) -> InnerPair:
     aliases = (f"so({2 * q},{2 * p})",) if q != p else ()
     return _make_pair(
         name=f"so({2 * p},{2 * q})", family="D", rank=p + q,
-        params={"p": p, "q": q},
+        p=p, q=q,
         dim_g=(p + q) * (2 * p + 2 * q - 1),
         dim_k=p * (2 * p - 1) + q * (2 * q - 1),
         painted_index=q - 1, aliases=aliases)
@@ -190,7 +203,7 @@ def _exceptional(name: str) -> InnerPair:
     name_, family, painted, dim_g, dim_k = next(e for e in _EXCEPTIONAL if e[0] == name)
     from .rootsys import _EXCEPTIONAL_RANK
     rank = _EXCEPTIONAL_RANK[family]
-    return _make_pair(name=name_, family=family, rank=rank, params={},
+    return _make_pair(name=name_, family=family, rank=rank,
                       dim_g=dim_g, dim_k=dim_k, painted_index=painted)
 
 
@@ -215,13 +228,7 @@ def catalog(max_rank: int) -> tuple[InnerPair, ...]:
             add(0, _su(total - q, q))
     for total in range(2, max_rank + 1, 2):  # so(2p+1, 2q), p + q even
         for q in range(1, total + 1):
-            p = total - q
-            aliases = ()
-            if (p, q) == (0, 2):
-                aliases = ("sp(1,1)",)
-            elif (p, q) == (1, 1):
-                aliases = ("sp(2,R)", "so(2,3)")
-            add(1, _so_odd(p, q, aliases=aliases))
+            add(1, _so_odd(total - q, q))
     for n in range(2, max_rank // 2 + 1):  # sp(2n, R) at rank 2n; n=1 is so(3,2)
         add(2, _sp_split(n))
     for total in range(4, max_rank + 1, 2):  # sp(p,q), p+q even; sp(1,1) is so(1,4)
@@ -273,7 +280,7 @@ def pair_by_name(name: str) -> InnerPair:
             raise RootSystemError(
                 f"sp({r},R) is not in the catalog: it appears only at even rank")
         if r == 2:
-            return _so_odd(1, 1, aliases=("sp(2,R)", "so(2,3)"))
+            return _so_odd(1, 1)
         return _sp_split(r // 2)
     if len(parts) != 2 or not all(s.isdigit() for s in parts):
         raise RootSystemError(f"cannot parse pair name {name!r}")
@@ -290,7 +297,7 @@ def pair_by_name(name: str) -> InnerPair:
         if q < 1 or (p + q) % 2 != 0:
             raise RootSystemError(f"sp({a},{b}) is not in the catalog: p+q must be even")
         if (p, q) == (1, 1):
-            return _so_odd(0, 2, aliases=("sp(1,1)",))
+            return _so_odd(0, 2)
         return _sp_pq(p, q)
     if head == "so":
         if a % 2 == 0 and b % 2 == 0:
@@ -305,12 +312,7 @@ def pair_by_name(name: str) -> InnerPair:
         p, q = (odd - 1) // 2, even // 2
         if (p + q) % 2 != 0:
             raise RootSystemError(f"so({a},{b}) is not in the catalog: p+q must be even")
-        aliases = ()
-        if (p, q) == (0, 2):
-            aliases = ("sp(1,1)",)
-        elif (p, q) == (1, 1):
-            aliases = ("sp(2,R)", "so(2,3)")
-        return _so_odd(p, q, aliases=aliases)
+        return _so_odd(p, q)
     raise RootSystemError(f"cannot parse pair name {name!r}")
 
 

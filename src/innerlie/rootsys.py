@@ -5,12 +5,13 @@ classical coordinates (E6 sits inside the E8 ambient space, spanned by the
 first six E8 simple roots).  Each root system is generated once in integer
 coordinates over its standard base, by the simple reflections written with
 the Cartan matrix, and each root is mapped once to its ambient RootVector,
-whose coordinates are `fractions.Fraction`s.  No floating point is used
-anywhere in this package.
+which holds twice each ambient coordinate (all lie in (1/2)Z) as an int.
+`Fraction` is left to ambient values read or returned (`dot`, N^2) and to
+metric, relation and curvature values.  No floating point is used anywhere.
 
 Checking a simple system, decomposing roots over it and walking root strings
-all work on those integer tuples; the ambient vectors are the names the rest
-of the package and the certificates give to roots.
+all work on integer tuples over a base; the ambient vectors are the names the
+rest of the package and the certificates give to roots.
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E8")
 
@@ -50,13 +51,26 @@ class InvariantViolation(RuntimeError):
 
 
 class RootVector:
-    """Immutable vector of exact rationals in the ambient epsilon basis."""
+    """Immutable vector of the ambient epsilon basis with coordinates in (1/2)Z.
+
+    The constructor takes ambient values (int, Fraction or "1/2"); `coords`
+    holds twice each as ints, so hash, equality and order act on int tuples."""
 
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable[Fraction | int | str]):
-        self.coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+        doubled = [2 * Fraction(c) for c in coords]
+        if any(c.denominator != 1 for c in doubled):
+            raise RootSystemError(f"coordinates {[str(c / 2) for c in doubled]} not all in (1/2)Z")
+        self.coords = tuple(c.numerator for c in doubled)
         self._hash = None
+
+    @classmethod
+    def _from_doubled(cls, doubled: Iterable[int]) -> "RootVector":
+        v = cls.__new__(cls)
+        v.coords = tuple(doubled)
+        v._hash = None
+        return v
 
     @property
     def ambient_dim(self) -> int:
@@ -65,26 +79,25 @@ class RootVector:
     def dot(self, other: "RootVector") -> Fraction:
         if len(self.coords) != len(other.coords):
             raise RootSystemError("ambient dimension mismatch")
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+        return Fraction(sum(map(mul, self.coords, other.coords)), 4)
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(a + b for a, b in zip(self.coords, other.coords))
+        return RootVector._from_doubled(map(add, self.coords, other.coords))
 
     def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(a - b for a, b in zip(self.coords, other.coords))
+        return RootVector._from_doubled(map(sub, self.coords, other.coords))
 
     def __neg__(self) -> "RootVector":
-        return RootVector(-c for c in self.coords)
+        return RootVector._from_doubled(-c for c in self.coords)
 
     def __rmul__(self, scalar) -> "RootVector":
-        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
-        return RootVector(s * c for c in self.coords)
+        return RootVector(Fraction(scalar) * c / 2 for c in self.coords)
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, RootVector) and self.coords == other.coords)
@@ -98,7 +111,7 @@ class RootVector:
         return self.coords < other.coords
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(str(Fraction(c, 2)) for c in self.coords) + ")"
 
 
 def root_vector(*coords) -> RootVector:
@@ -110,12 +123,16 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
     """Reflect v in the hyperplane orthogonal to mirror.
 
     Involutive, and maps the root system to itself whenever both arguments
-    are roots of the same system.
+    are roots of the same system; an image outside (1/2)Z raises.
     """
-    nsq = mirror.norm_sq()
+    nsq = sum(c * c for c in mirror.coords)
     if nsq == 0:
         raise RootSystemError("cannot reflect in the zero vector")
-    return v - (2 * v.dot(mirror) / nsq) * mirror
+    twice_dot = 2 * sum(map(mul, v.coords, mirror.coords))
+    scaled = [nsq * a - twice_dot * b for a, b in zip(v.coords, mirror.coords)]
+    if any(c % nsq for c in scaled):
+        raise RootSystemError(f"the reflection of {v!r} in {mirror!r} leaves (1/2)Z")
+    return RootVector._from_doubled(c // nsq for c in scaled)
 
 
 def _unimodular_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -186,12 +203,6 @@ class SimpleSystem:
     def is_positive(self, root: RootVector) -> bool:
         return all(c >= 0 for c in self.decompose(root))
 
-    def combine(self, coeffs: Sequence[Fraction | int]) -> RootVector:
-        """The ambient vector sum_k coeffs[k] * simples[k]."""
-        terms = [(c, s.coords) for c, s in zip(coeffs, self.simples) if c]
-        return RootVector(sum((c * v[d] for c, v in terms), Fraction(0))
-                          for d in range(self.simples[0].ambient_dim))
-
     def key(self) -> frozenset[RootVector]:
         return frozenset(self.simples)
 
@@ -205,10 +216,11 @@ def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
     for a in simples:
         row = []
         for b in simples:
-            value = 2 * a.dot(b) / b.norm_sq()
-            if value.denominator != 1:
+            value, remainder = divmod(2 * sum(map(mul, a.coords, b.coords)),
+                                      sum(c * c for c in b.coords))
+            if remainder:
                 raise InvariantViolation("non-integral Cartan pairing")
-            row.append(int(value))
+            row.append(value)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -225,7 +237,9 @@ class RootSystem:
         self.rank = rank
         self.base = base
         self.cartan = _cartan(base.simples)
-        by_root = {base.combine(c): c for c in _closure(self.cartan)}
+        columns = tuple(zip(*(s.coords for s in base.simples)))
+        by_root = {RootVector._from_doubled(sum(map(mul, c, column)) for column in columns): c
+                   for c in _closure(self.cartan)}
         self.sorted_roots = tuple(sorted(by_root))
         self.roots = frozenset(self.sorted_roots)
         self.ambient_dim = self.sorted_roots[0].ambient_dim
@@ -278,12 +292,13 @@ class RootSystem:
         return p, q
 
     def n_squared(self, alpha: RootVector, beta: RootVector) -> Fraction:
-        """Squared structure constant N_{alpha,beta}^2 = q(1-p)/2 * |alpha|^2.
+        """Squared structure constant N_{alpha,beta}^2 = q(1-p)/2 * |alpha|^2,
+        which is q(1-p) * |2 alpha|^2 / 8 on the doubled coordinates.
 
         Vanishes exactly when alpha + beta is not a root.
         """
         p, q = self.root_string(alpha, beta)
-        return Fraction(q * (1 - p), 2) * alpha.norm_sq()
+        return Fraction(q * (1 - p) * sum(c * c for c in alpha.coords), 8)
 
     def cartan_matrix(self, base: SimpleSystem | None = None) -> tuple[tuple[int, ...], ...]:
         """C[i][j] = 2<a_i, a_j> / <a_j, a_j> over the given (default standard) base."""
@@ -316,13 +331,12 @@ class RootSystem:
 
 
 def _base_coords(family: str, rank: int) -> list[RootVector]:
-    F = Fraction
     if family == "A":
-        dim = rank + 1
-        return [RootVector([F(int(j == i)) - F(int(j == i + 1)) for j in range(dim)]) for i in range(rank)]
+        return [RootVector([int(j == i) - int(j == i + 1) for j in range(rank + 1)])
+                for i in range(rank)]
     if family in ("B", "C", "D"):
         def unit(i):
-            return [F(int(j == i)) for j in range(rank)]
+            return [int(j == i) for j in range(rank)]
         chain = [RootVector([a - b for a, b in zip(unit(i), unit(i + 1))]) for i in range(rank - 1)]
         if family == "B":
             return chain + [RootVector(unit(rank - 1))]
@@ -337,11 +351,10 @@ def _base_coords(family: str, rank: int) -> list[RootVector]:
             root_vector(0, 1, -1, 0),
             root_vector(0, 0, 1, -1),
             root_vector(0, 0, 0, 1),
-            RootVector([F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)]),
+            root_vector("1/2", "-1/2", "-1/2", "-1/2"),
         ]
     # E8 base; E6 takes its first six simple roots in the same ambient space.
-    half = Fraction(1, 2)
-    e8 = [RootVector([half, -half, -half, -half, -half, -half, -half, half]),
+    e8 = [root_vector("1/2", "-1/2", "-1/2", "-1/2", "-1/2", "-1/2", "-1/2", "1/2"),
           root_vector(1, 1, 0, 0, 0, 0, 0, 0)]
     for j in range(3, 9):
         coords = [0] * 8

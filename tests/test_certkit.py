@@ -8,6 +8,7 @@ import pytest
 
 import innerlie.certkit as certkit
 from innerlie.cli import main
+from innerlie.rootsys import InvariantViolation
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +352,19 @@ def test_cli_sweep_reports_a_certificate_that_fails_verification(
     status = {row["pair"]: row["status"] for row in rows}
     assert status.pop("g2(2)") == "verify failed: positivity violated"
     assert set(status.values()) == {"ok"}
+
+
+@pytest.mark.parametrize("stage,name", [
+    ("analyze", "analyze_pair"), ("save", "save"), ("verify", "verify_file")])
+def test_cli_sweep_error_rows_name_the_stage(tmp_path, capsys, monkeypatch, stage, name):
+    def failing(*args):
+        raise InvariantViolation(f"injected failure in {name}")
+
+    monkeypatch.setattr(certkit, name, failing)
+    assert main(["sweep", "--max-rank", "2", "--out", str(tmp_path), "--format", "json"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 4
+    assert {row["status"] for row in rows} == {f"error in {stage}: injected failure in {name}"}
 
 
 def test_cli_verify_tampered_exit_code(tmp_path, capsys):

@@ -4,7 +4,8 @@ own ambient check and a Fraction Gram-inverse reference.
 The reference is the decomposition the package used before the integer
 core: solve against the Gram matrix of the simple roots in exact rationals,
 recompose to check span membership, then require integral one-sign
-coordinates.
+coordinates.  It works on ambient Fraction tuples of its own, read from
+`RootVector.coords` (twice each ambient coordinate) by `_ambient`.
 """
 
 from fractions import Fraction
@@ -25,9 +26,17 @@ from innerlie import (
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]
 
 
+def _ambient(v):
+    return tuple(Fraction(c, 2) for c in v.coords)
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def _gram_inverse(simples):
     n = len(simples)
-    gram = [[simples[i].dot(simples[j]) for j in range(n)] for i in range(n)]
+    gram = [[_dot(simples[i], simples[j]) for j in range(n)] for i in range(n)]
     aug = [gram[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -47,21 +56,23 @@ def reference_decomposition(rs, simples):
     """Every root's coordinates over `simples`; RootSystemError if not a base."""
     if len(simples) != rs.rank or not all(rs.is_root(s) for s in simples):
         raise RootSystemError("not rank-many roots")
+    simples = [_ambient(s) for s in simples]
     inverse = _gram_inverse(simples)
     table = {}
-    for v in rs.sorted_roots:
-        rhs = [v.dot(s) for s in simples]
+    for root in rs.sorted_roots:
+        v = _ambient(root)
+        rhs = [_dot(v, s) for s in simples]
         coeffs = [sum((row[j] * rhs[j] for j in range(len(simples))), Fraction(0))
                   for row in inverse]
-        recomposed = [sum((c * s.coords[d] for c, s in zip(coeffs, simples)), Fraction(0))
-                      for d in range(v.ambient_dim)]
-        if recomposed != list(v.coords):
+        recomposed = [sum((c * s[d] for c, s in zip(coeffs, simples)), Fraction(0))
+                      for d in range(len(v))]
+        if recomposed != list(v):
             raise RootSystemError("outside the span")
         if any(c.denominator != 1 for c in coeffs):
             raise RootSystemError("non-integral")
         if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
             raise RootSystemError("mixed-sign")
-        table[v] = tuple(int(c) for c in coeffs)
+        table[root] = tuple(int(c) for c in coeffs)
     return table
 
 
@@ -74,7 +85,7 @@ def integer_decomposition(rs, simples):
 @lru_cache(maxsize=None)
 def _doubled_roots(rs):
     """2v as integers, for every root v of rs."""
-    return {v: tuple(int(2 * c) for c in v.coords) for v in rs.sorted_roots}
+    return {v: tuple(int(2 * c) for c in _ambient(v)) for v in rs.sorted_roots}
 
 
 def verifier_decomposition(rs, simples):

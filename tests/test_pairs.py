@@ -177,6 +177,23 @@ def test_pair_by_name_rank_bound():
             pair_by_name(name)
 
 
+def test_pair_by_name_returns_the_catalog_pair(catalog8):
+    """Pairs are built once: a name or alias resolves to the catalog's object."""
+    for pair in catalog8:
+        assert pair_by_name(pair.name) is pair
+        for alias in pair.aliases:
+            assert pair_by_name(alias) is pair
+
+
+def test_names_over_the_rank_bound_are_not_cached():
+    from innerlie import pairs
+    before = pairs._make_pair.cache_info().currsize
+    for name in ("su(10,9)", "su(21,20)", "su(1000,999)"):
+        with pytest.raises(RootSystemError, match="bound 16"):
+            pair_by_name(name)
+    assert pairs._make_pair.cache_info().currsize == before
+
+
 def test_so_1_2n_flag(catalog8):
     special = {pair.name for pair in catalog8 if pair.is_so_1_2n}
     assert special == {"so(1,4)", "so(1,8)", "so(1,12)", "so(1,16)"}

@@ -247,3 +247,48 @@ def test_vector_arithmetic_exact():
     assert 2 * v == root_vector(1, -1, 0)
     assert v.dot(w) == 0
     assert (v - v).is_zero()
+
+
+@pytest.mark.parametrize("value", [0, 3, -3, F(1, 2), F(-7, 2), F(6, 2), "1/2", "-5/2", "4/2", "-0"])
+def test_root_vector_round_trips_values_in_half_integers(value):
+    v = RootVector([value, 0])
+    assert v.coords == (int(2 * F(value)), 0)
+    assert all(isinstance(c, int) for c in v.coords)
+    assert v == RootVector([F(value), 0]) == RootVector([str(F(value)), "0"])
+
+
+@pytest.mark.parametrize("value", ["1/3", F(1, 3), F(5, 4), "1/4"])
+def test_root_vector_refuses_values_outside_half_integers(value):
+    with pytest.raises(RootSystemError):
+        RootVector([0, value])
+
+
+def test_vec_to_json_writes_lowest_terms():
+    from innerlie.certkit import _vec_to_json
+    for c in range(-40, 41):
+        v = RootVector([F(c, 2)])
+        assert _vec_to_json(v) == [str(F(c, 2))]
+    assert _vec_to_json(RootVector([1, "-1/2", 0])) == ["1", "-1/2", "0"]
+
+
+def test_dot_and_norm_return_ambient_values():
+    assert {v.norm_sq() for v in build_root_system("E8", 8).roots} == {F(2)}
+    half = RootVector(["1/2"] * 8)
+    assert half.dot(root_vector(1, 1, 0, 0, 0, 0, 0, 0)) == 1
+    assert half.norm_sq() == 2
+    assert isinstance(half.dot(half), F)
+
+
+def test_repr_shows_ambient_coordinates():
+    assert repr(RootVector(["1/2", -1, 0, "-3/2"])) == "(1/2, -1, 0, -3/2)"
+    assert repr(root_vector(2, 0)) == "(2, 0)"
+
+
+def test_reflect_stays_integral_and_refuses_to_leave_half_integers():
+    rs = build_root_system("F4", 4)
+    for v in rs.roots:
+        for mirror in rs.base.simples:
+            image = reflect(v, mirror)
+            assert image in rs.roots and reflect(image, mirror) == v
+    with pytest.raises(RootSystemError):
+        reflect(root_vector(1, 0), root_vector(2, 1))

@@ -1,24 +1,28 @@
 """The certificate verifier against a Fraction reference.
 
 The reference below is the verifier the package used before it switched to
-doubled integer coordinates: it parses every coordinate into a `Fraction`
-RootVector, decomposes roots over the claimed base by a Bareiss-inverted
-Gram matrix, and recomputes root strings, the elimination matrix, the
-balanced sums and the Chern data in Fraction arithmetic.  The verifier in
-`certkit` must give the same (ok, reason) on every catalog certificate and
-on a fixed set of tampered copies of each.
+doubled integer coordinates: it parses every coordinate into a `Fraction`,
+holds every vector as a tuple of ambient Fractions of its own (catalog roots
+are read as Fraction(c, 2) of `RootVector.coords`), decomposes roots over
+the claimed base by a Bareiss-inverted Gram matrix, and recomputes root
+strings, the elimination matrix, the balanced sums and the Chern data in
+Fraction arithmetic.  The verifier in `certkit` must give the same
+(ok, reason) on every catalog certificate and on a fixed set of tampered
+copies of each.
 """
 
 import copy
 import json
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
 import innerlie.certkit as certkit
 from innerlie import catalog, pair_by_name
-from innerlie.rootsys import RootSystemError, RootVector
+from innerlie.rootsys import RootSystemError
 
 
 # ---------------------------------------------------------------------------
@@ -29,16 +33,64 @@ def _fail(reason):
     return certkit.VerificationResult(False, reason)
 
 
+class _Vec(tuple):
+    """An ambient vector of Fractions that keeps its hash once computed."""
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 def _vec(data):
-    return RootVector([Fraction(c) for c in data])
+    return _Vec(Fraction(c) for c in data)
 
 
 def _coeffs(data):
     return {_vec(item["root"]): Fraction(item["c"]) for item in data}
 
 
+def _ambient(v):
+    """A catalog root as ambient Fractions; `RootVector.coords` holds twice each."""
+    return _Vec(Fraction(c, 2) for c in v.coords)
+
+
+@lru_cache(maxsize=None)
+def _ambient_roots(rs):
+    return [_ambient(v) for v in rs.sorted_roots]
+
+
+def _add(a, b):
+    return _Vec(x + y for x, y in zip(a, b))
+
+
+def _scaled(n, a):
+    return _Vec(n * x for x in a)
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def _doubled(v):
-    return tuple(2 * c.numerator // c.denominator for c in v.coords)
+    return tuple(2 * c.numerator // c.denominator for c in v)
+
+
+def _read(data):
+    """The certificate's fields, with every vector an ambient Fraction tuple."""
+    pair = data["pair"]
+    return SimpleNamespace(
+        pair_name=pair["name"], family=pair["family"], rank=pair["rank"],
+        painted_node=pair["painted_node"], dim_g=pair["dim_g"], dim_k=pair["dim_k"],
+        ordering_mode=data["ordering"]["mode"],
+        simples=tuple(_vec(s) for s in data["ordering"]["simples"]),
+        metric=_coeffs(data["metric"]),
+        balanced_verdict=data["balanced_verdict"],
+        pluriclosed=data["pluriclosed_certificate"],
+        chern=data["chern_report"],
+        provenance=data["provenance"])
 
 
 def _scaled_inverse(matrix):
@@ -77,27 +129,28 @@ class _AmbientBase:
         return coeffs
 
 
-def _claimed_coordinates(rs, simples):
-    if len(simples) != rs.rank:
+def _claimed_coordinates(roots, rank, simples):
+    if len(simples) != rank:
         raise RootSystemError("wrong number of simple roots")
+    known = set(roots)
     for s in simples:
-        if not rs.is_root(s):
+        if s not in known:
             raise RootSystemError("not a root")
     base = _AmbientBase(simples)
-    return {v: base.coordinates(v) for v in rs.sorted_roots}
+    return {v: base.coordinates(v) for v in roots}
 
 
 def _n_squared(roots, alpha, beta):
     q = 0
-    while beta + (q + 1) * alpha in roots:
+    while _add(beta, _scaled(q + 1, alpha)) in roots:
         q += 1
     p = 0
-    while beta + (p - 1) * alpha in roots:
+    while _add(beta, _scaled(p - 1, alpha)) in roots:
         p -= 1
-    return Fraction(q * (1 - p), 2) * alpha.norm_sq()
+    return Fraction(q * (1 - p), 2) * _dot(alpha, alpha)
 
 
-def _reference_pluriclosed(payload, pair, is_positive, is_compact):
+def _reference_pluriclosed(payload, pair, roots, is_positive, is_compact):
     rs = pair.system
     try:
         branch = payload["branch"]
@@ -123,7 +176,7 @@ def _reference_pluriclosed(payload, pair, is_positive, is_compact):
             stored = _coeffs(item["coeffs"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return _fail("malformed certificate")
-        if not (rs.is_root(alpha) and rs.is_root(beta)):
+        if not (alpha in roots and beta in roots):
             return _fail("relation roots invalid")
         if not (is_positive(alpha) and is_positive(beta)):
             return _fail("relation roots invalid")
@@ -134,33 +187,33 @@ def _reference_pluriclosed(payload, pair, is_positive, is_compact):
             if derived[root] == 0:
                 del derived[root]
 
-        if rs.is_root(alpha + beta):
-            n2 = _n_squared(rs.roots, alpha, beta)
-            accumulate(alpha + beta, n2)
+        if _add(alpha, beta) in roots:
+            n2 = _n_squared(roots, alpha, beta)
+            accumulate(_add(alpha, beta), n2)
             accumulate(alpha, -n2)
             accumulate(beta, -n2)
-        if rs.is_root(alpha - beta):
-            n2 = _n_squared(rs.roots, alpha, -beta)
-            sign = 1 if is_positive(alpha - beta) else -1
-            accumulate(alpha - beta if sign > 0 else beta - alpha, n2)
+        difference = _add(alpha, _scaled(-1, beta))
+        if difference in roots:
+            n2 = _n_squared(roots, alpha, _scaled(-1, beta))
+            sign = 1 if is_positive(difference) else -1
+            accumulate(difference if sign > 0 else _scaled(-1, difference), n2)
             accumulate(beta, sign * n2)
             accumulate(alpha, -sign * n2)
         if derived != stored:
             return _fail("relation mismatch")
         for i in range(dim):
             for j in range(dim):
-                combined_matrix[i][j] += weight * (
-                    alpha.coords[i] * beta.coords[j] + alpha.coords[j] * beta.coords[i])
+                combined_matrix[i][j] += weight * (alpha[i] * beta[j] + alpha[j] * beta[i])
         for root, value in stored.items():
             combined[root] = combined.get(root, Fraction(0)) + weight * value
             if combined[root] == 0:
                 del combined[root]
 
-    if not rs.is_root(conclusion_root):
+    if conclusion_root not in roots:
         return _fail("relation roots invalid")
     for i in range(dim):
         for j in range(dim):
-            target = 2 * conclusion_root.coords[i] * conclusion_root.coords[j]
+            target = 2 * conclusion_root[i] * conclusion_root[j]
             if combined_matrix[i][j] != target:
                 return _fail("elimination failed")
     if combined != conclusion_coeffs:
@@ -168,7 +221,7 @@ def _reference_pluriclosed(payload, pair, is_positive, is_compact):
     if not combined:
         return _fail("sign pattern violated")
     for root, sign in signs.items():
-        if not rs.is_root(root):
+        if root not in roots:
             return _fail("relation roots invalid")
         if sign != (-1 if is_compact(root) else 1):
             return _fail("sign pattern violated")
@@ -193,7 +246,7 @@ def reference_verify(data):
     if data["schema_version"] != certkit.SCHEMA_VERSION:
         return _fail("schema mismatch")
     try:
-        cert = certkit.from_dict(data)
+        cert = _read(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return _fail("malformed certificate")
     if not _pair_block_typed(cert):
@@ -207,8 +260,9 @@ def reference_verify(data):
         return _fail("pair mismatch")
 
     rs = pair.system
+    roots = _ambient_roots(rs)
     try:
-        coords = _claimed_coordinates(rs, cert.simples)
+        coords = _claimed_coordinates(roots, rs.rank, cert.simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if cert.ordering_mode not in ("partner_property", "so_1_2n_special"):
@@ -216,7 +270,7 @@ def reference_verify(data):
     if (cert.ordering_mode == "so_1_2n_special") != pair.is_so_1_2n:
         return _fail("ordering invalid")
 
-    standard = _AmbientBase(rs.base.simples)
+    standard = _AmbientBase([_ambient(s) for s in rs.base.simples])
     simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
                      for s in cert.simples]
 
@@ -226,7 +280,7 @@ def reference_verify(data):
     def is_positive(root):
         return all(c >= 0 for c in coords[root])
 
-    positives = [root for root in rs.sorted_roots if is_positive(root)]
+    positives = [root for root in roots if is_positive(root)]
     if set(cert.metric) != set(positives):
         return _fail("metric domain mismatch")
     if any(value <= 0 for value in cert.metric.values()):
@@ -239,14 +293,14 @@ def reference_verify(data):
     for root in positives:
         target = compact_sum if is_compact(root) else noncompact_sum
         weight = cert.metric[root]
-        for i, c in enumerate(root.coords):
+        for i, c in enumerate(root):
             if c:
                 target[i] += weight * c
                 delta[i] += c
     if compact_sum != noncompact_sum or not cert.balanced_verdict:
         return _fail("balanced identity failed")
 
-    result = _reference_pluriclosed(cert.pluriclosed, pair, is_positive, is_compact)
+    result = _reference_pluriclosed(cert.pluriclosed, pair, set(roots), is_positive, is_compact)
     if not result.ok:
         return result
 
@@ -255,7 +309,7 @@ def reference_verify(data):
         scalar_stored = Fraction(cert.chern["scalar_curvature"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return _fail("malformed certificate")
-    if RootVector(delta) != delta_stored:
+    if tuple(delta) != delta_stored:
         return _fail("delta mismatch")
     if not any(delta) or not cert.chern.get("delta_nonzero", False):
         return _fail("delta zero")
