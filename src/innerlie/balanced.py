@@ -23,7 +23,6 @@ from fractions import Fraction
 from .ordering import (
     MODE_SPECIAL,
     AdmissibleOrdering,
-    decompose_over,
     find_admissible_ordering,
     noncompact_witness,
     make_ordering,
@@ -73,11 +72,10 @@ class BalancedMetric:
 def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSystem:
     simples = set(ordering.system.simples)
     spanned_compact, unspanned_compact, nc_nonsimple = [], [], []
-    for root in ordering.positives:
+    for root, (n, _) in ordering.split.items():
         if root in simples:
             continue
         if pair.grading.is_compact(root):
-            n, _ = decompose_over(ordering, root)
             # in the span of the noncompact simples iff zero on the compact ones
             if any(n):
                 unspanned_compact.append(root)
@@ -94,28 +92,26 @@ def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSy
 def _relation_values(system: BalancedSystem, g: dict[RootVector, Fraction | int]):
     """Evaluate the right-hand sides: one value per compact and noncompact simple.
 
-    Exact for integer and Fraction values of g alike.
+    Each noncompact root adds g times its compact-simple coefficients to the
+    first and subtracts g times its noncompact-simple ones from the second;
+    each compact root does the opposite.  Exact for integer and Fraction
+    values of g alike.
     """
     ordering = system.ordering
-    k, l = len(ordering.compact_simples), len(ordering.noncompact_simples)
-    g_vals = [0] * k
-    h_vals = [0] * l
-    for root in system.nc_nonsimple:
-        n, m = decompose_over(ordering, root)
-        for j in range(k):
-            g_vals[j] += g[root] * n[j]
-        for j in range(l):
-            h_vals[j] -= g[root] * m[j]
-    for root in system.unspanned_compact:
-        n, m = decompose_over(ordering, root)
-        for j in range(k):
-            g_vals[j] -= g[root] * n[j]
-        for j in range(l):
-            h_vals[j] += g[root] * m[j]
-    for root in system.spanned_compact:
-        _, m = decompose_over(ordering, root)
-        for j in range(l):
-            h_vals[j] += g[root] * m[j]
+    split = ordering.split
+    g_vals = [0] * len(ordering.compact_simples)
+    h_vals = [0] * len(ordering.noncompact_simples)
+    for roots, sign in ((system.nc_nonsimple, 1),
+                        (system.unspanned_compact + system.spanned_compact, -1)):
+        for root in roots:
+            value = sign * g[root]
+            n, m = split[root]
+            for j, c in enumerate(n):
+                if c:
+                    g_vals[j] += value * c
+            for j, c in enumerate(m):
+                if c:
+                    h_vals[j] -= value * c
     return g_vals, h_vals
 
 
@@ -128,24 +124,23 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
     """
     ordering = system.ordering
     pair = system.pair
+    split = ordering.split
+    compact = system.spanned_compact + system.unspanned_compact
 
     # Diagnostic: a noncompact simple with no compact positive carrying its
     # coordinate forces the corresponding value <= 0 for every positive choice.
     for j, psi in enumerate(ordering.noncompact_simples):
-        witnesses = [root for root in system.spanned_compact + system.unspanned_compact
-                     if decompose_over(ordering, root)[1][j] != 0]
-        if not witnesses:
+        if not any(split[root][1][j] for root in compact):
             raise InfeasibleOrdering(
                 psi,
                 f"{pair.name}: the relation for noncompact simple {psi!r} has a "
                 "non-positive right-hand side (no compact positive root outside "
                 "the base carries its coordinate)")
 
-    for j in range(len(ordering.compact_simples)):
-        noncompact_witness(ordering, pair, j)  # hard failure if absent
+    witnesses = [noncompact_witness(ordering, pair, j)  # hard failure if absent
+                 for j in range(len(ordering.compact_simples))]
 
-    free = system.nc_nonsimple + system.spanned_compact + system.unspanned_compact
-    g = {root: 1 for root in free}  # integers until the metric is packaged
+    g = {root: 1 for root in system.nc_nonsimple + compact}  # integers until the metric is packaged
 
     def bump(root: RootVector, coefficient: int, deficit: int) -> None:
         steps = -((-deficit) // coefficient)  # ceil for positive coefficient
@@ -158,23 +153,19 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
     g_vals, _ = _relation_values(system, g)
     for j, value in enumerate(g_vals):
         if value < 1:
-            witness = noncompact_witness(ordering, pair, j)
-            n, _ = decompose_over(ordering, witness)
-            bump(witness, n[j], 1 - value)
+            bump(witnesses[j], split[witnesses[j]][0][j], 1 - value)
 
     _, h_vals = _relation_values(system, g)
     for j, value in enumerate(h_vals):
         if value < 1:
             witness = next(
-                (root for root in system.spanned_compact
-                 if decompose_over(ordering, root)[1][j] != 0), None)
+                (root for root in system.spanned_compact if split[root][1][j]), None)
             if witness is None:
                 raise InfeasibleOrdering(
                     ordering.noncompact_simples[j],
                     f"{pair.name}: the constructive scheme has no witness in the "
                     f"span of the noncompact simples for {ordering.noncompact_simples[j]!r}")
-            _, m = decompose_over(ordering, witness)
-            bump(witness, m[j], 1 - value)
+            bump(witness, split[witness][1][j], 1 - value)
 
     g_vals, h_vals = _relation_values(system, g)
     metric = {root: Fraction(value) for root, value in g.items()}

@@ -12,9 +12,15 @@ A strict reader takes each rational from a string "-?digits(/digits)?" of
 bounded length; every root becomes its doubled ambient vector, a tuple of
 integers, and every check is integer tuple arithmetic on those, with metric
 values, relation coefficients and weights kept exact (an int when integral,
-else a Fraction).  The verifier shares no code path with the solvers or the
-integer root core, so it stays an independent check of the same
-mathematics.
+else a Fraction).  The claimed simple roots are checked, and every root's
+coordinates over them found, by a height walk: starting from the simples,
+add each simple to every root reached so far and record each new root with
+its parent's coordinates plus one unit.  The claim is a base exactly when it
+has `rank` members and the roots reached, with their negatives, are the
+whole root set (see `_claimed_coordinates`).  The compact roots come from
+the same walk over the standard base and the parity of the painted nodes.
+The verifier shares no code path with the solvers or the integer root core,
+so it stays an independent check of the same mathematics.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from . import __version__
 from .pairs import InnerPair, pair_by_name
@@ -227,6 +233,9 @@ def load(path: str) -> AnalysisCertificate:
 # "-?digits/digits" with at most MAX_DIGITS digits on each side of the bar,
 # which bounds the size of the numbers a file can feed the arithmetic.
 MAX_DIGITS = 64
+# `verify_file` reads at most this many bytes; a larger file is refused
+# before it is parsed.  The largest rank-16 certificate is about 78 KB.
+MAX_BYTES = 1 << 20
 _RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
@@ -286,52 +295,8 @@ class _Reader:
         return {self.vector(item["root"]): _rational(item["c"]) for item in _array(value)}
 
 
-def _scaled_inverse(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(d, A) with matrix^-1 = A / d, by fraction-free Gauss-Jordan elimination.
-
-    Every division is exact (Bareiss); raises RootSystemError if singular.
-    """
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    previous = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if aug[r][k]), None)
-        if pivot is None:
-            raise RootSystemError("simple roots are linearly dependent")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        head = aug[k]
-        for i in range(n):
-            if i != k:
-                f = aug[i][k]
-                aug[i] = [(head[k] * a - f * b) // previous for a, b in zip(aug[i], head)]
-        previous = head[k]
-    return previous, [row[n:] for row in aug]
-
-
-class _AmbientBase:
-    """Decomposition over claimed simple roots, all doubled ambient vectors.
-
-    The Gram matrix of the simples is inverted once, as an integer matrix
-    over a common denominator, and multiplied into the simples, so that
-    each coordinate of a root is one integer product and a division.  The
-    rounded coordinates must recompose to the root exactly, which holds
-    only when the true ones are integers, and must be of one sign.
-    """
-
-    def __init__(self, simples):
-        gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
-        self.scale, solve = _scaled_inverse(gram)
-        self.columns = list(zip(*simples))
-        self.rows = [tuple(sum(map(mul, row, column)) for column in self.columns)
-                     for row in solve]
-
-    def coordinates(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        coeffs = tuple(sum(map(mul, v, row)) // self.scale for row in self.rows)
-        if tuple(sum(map(mul, coeffs, column)) for column in self.columns) != v:
-            raise RootSystemError(f"{v} (doubled) has no integral coordinates over the base")
-        if min(coeffs) < 0 < max(coeffs):
-            raise RootSystemError(f"{v} (doubled) has mixed-sign coordinates over the base")
-        return coeffs
+def _negated(v: tuple) -> tuple:
+    return tuple(map(neg, v))
 
 
 def _claimed_coordinates(roots: list[tuple[int, ...]], rank: int,
@@ -339,21 +304,37 @@ def _claimed_coordinates(roots: list[tuple[int, ...]], rank: int,
     """Coordinates of every root over claimed simple roots; the roots of the
     system and the claimed simples are doubled vectors.
 
-    Raises RootSystemError unless the claim is a genuine base: rank-many
-    roots, independent, with every root decomposing integrally, exactly and
-    with one sign.
+    A height walk: the simples get the unit vectors, and adding a simple to a
+    root already reached gives, when the sum is a root not yet reached, that
+    root with the parent's coordinates plus one unit.  The claim is accepted
+    only when it has `rank` members, all roots, and the reached set R together
+    with -R is every root.  Then the `rank` claimed simples span the span of
+    the roots, of dimension `rank`, so they are distinct and independent:
+    each root's coordinates are unique, and each root, in R or in -R, has
+    coordinates of one sign.  That is the definition of a base.  A genuine
+    base always passes, since each of its positive roots is a simple root
+    plus a positive root of smaller height.  Raises RootSystemError otherwise.
     """
     if len(simples) != rank:
         raise RootSystemError(f"expected {rank} simple roots, got {len(simples)}")
     known = set(roots)
     if any(s not in known for s in simples):
         raise RootSystemError("a claimed simple root is not a root")
-    base = _AmbientBase(simples)
-    return {v: base.coordinates(v) for v in roots}
-
-
-def _negated(v: tuple) -> tuple:
-    return tuple(-x for x in v)
+    steps = [(s, tuple(int(i == j) for j in range(rank))) for i, s in enumerate(simples)]
+    coords = dict(steps)
+    reached = list(coords)
+    for v in reached:  # grows as the walk goes, one height after another
+        c = coords[v]
+        for s, unit in steps:
+            w = tuple(map(add, v, s))
+            if w in known and w not in coords:
+                coords[w] = tuple(map(add, c, unit))
+                reached.append(w)
+    for v in reached:
+        coords[_negated(v)] = _negated(coords[v])
+    if len(coords) != len(known):
+        raise RootSystemError("the claimed simple roots do not reach every root up to sign")
+    return coords
 
 
 def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
@@ -507,8 +488,9 @@ def verify_data(data: dict) -> VerificationResult:
         return _fail("pair mismatch")
 
     rs = pair.system
+    roots = [v.coords for v in rs.sorted_roots]
     try:
-        coords = _claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
+        coords = _claimed_coordinates(roots, rs.rank, simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if mode not in ("partner_property", "so_1_2n_special"):
@@ -516,14 +498,12 @@ def verify_data(data: dict) -> VerificationResult:
     if (mode == "so_1_2n_special") != pair.is_so_1_2n:
         return _fail("ordering invalid")
 
-    # The grading is parity over the painted nodes of the standard base; it is
-    # additive, so a root's parity follows from its claimed coordinates and
-    # the parities of the claimed simples.
-    standard = _AmbientBase([s.coords for s in rs.base.simples])
-    simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
-                     for s in simples]
+    # The grading is parity over the painted nodes of the standard base, read
+    # from the same walk over the standard base.
+    standard = _claimed_coordinates(roots, rs.rank, [s.coords for s in rs.base.simples])
+    painted = pair.grading.painted
     positive = {v for v, c in coords.items() if min(c) >= 0}
-    compact = {v for v, c in coords.items() if sum(map(mul, c, simple_parity)) % 2 == 0}
+    compact = {v for v, c in standard.items() if sum(c[i] for i in painted) % 2 == 0}
     if set(metric) != positive:
         return _fail("metric domain mismatch")
     if any(value <= 0 for value in metric.values()):
@@ -566,14 +546,17 @@ def verify_data(data: dict) -> VerificationResult:
 
 
 def verify_file(path: str) -> VerificationResult:
-    """Verify a certificate file; unreadable bytes, text that is not UTF-8
-    and anything the JSON reader refuses, including nesting too deep and
-    integers too long, give "parse error"."""
+    """Verify a certificate file; a file over MAX_BYTES gives "file too
+    large", and unreadable bytes, text that is not UTF-8 and anything the
+    JSON reader refuses, including nesting too deep and integers too long,
+    give "parse error"."""
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            raw = handle.read(MAX_BYTES + 1)
     except OSError:
         return _fail("parse error")
+    if len(raw) > MAX_BYTES:
+        return _fail("file too large")
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors

@@ -14,6 +14,7 @@ catalog pair outside so(1,2n); if it fails, the grading is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pairs import InnerPair
 from .rootsys import (
@@ -38,10 +39,19 @@ class AdmissibleOrdering:
     noncompact_simples: tuple[RootVector, ...]
     mode: str
 
-    def __post_init__(self):
+    @cached_property
+    def split(self) -> dict[RootVector, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each positive root's coefficients split along (compact simples,
+        noncompact simples), computed once per ordering on first use."""
         index = {s: i for i, s in enumerate(self.system.simples)}
-        self.compact_index = tuple(index[s] for s in self.compact_simples)
-        self.noncompact_index = tuple(index[s] for s in self.noncompact_simples)
+        compact = [index[s] for s in self.compact_simples]
+        noncompact = [index[s] for s in self.noncompact_simples]
+        table = {}
+        for root in self.positives:
+            coeffs = self.system.decompose(root)
+            table[root] = (tuple(coeffs[i] for i in compact),
+                           tuple(coeffs[i] for i in noncompact))
+        return table
 
 
 def make_ordering(pair: InnerPair, system: SimpleSystem, mode: str | None = None) -> AdmissibleOrdering:
@@ -111,23 +121,20 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
 
 
 def decompose_over(ordering: AdmissibleOrdering, root: RootVector):
-    """Coefficients of a root split along (compact simples, noncompact simples)."""
-    coeffs = ordering.system.decompose(root)
-    n = tuple(coeffs[i] for i in ordering.compact_index)
-    m = tuple(coeffs[i] for i in ordering.noncompact_index)
-    return n, m
+    """Coefficients of a positive root split along (compact simples, noncompact simples)."""
+    try:
+        return ordering.split[root]
+    except KeyError:
+        raise RootSystemError(f"{root!r} is not a positive root of this ordering") from None
 
 
 def noncompact_witness(ordering: AdmissibleOrdering, pair: InnerPair, j: int) -> RootVector:
     """Smallest noncompact positive non-simple root with a nonzero coefficient
     along the j-th compact simple."""
     phi = ordering.compact_simples[j]
-    column = ordering.compact_index[j]
     simples = set(ordering.system.simples)
-    for root in ordering.positives:  # lexicographic order
-        if root in simples or pair.grading.is_compact(root):
-            continue
-        if ordering.system.decompose(root)[column] != 0:
+    for root, (n, _) in ordering.split.items():  # lexicographic order
+        if n[j] and root not in simples and not pair.grading.is_compact(root):
             return root
     raise InvariantViolation(
         f"{pair.name}: no noncompact witness for compact simple {phi!r}; "

@@ -235,6 +235,28 @@ def test_verify_file_total_over_bytes(tmp_path, capsys, content):
     assert "FAILED (parse error)" in capsys.readouterr().out
 
 
+def test_verify_file_byte_limit(tmp_path, capsys, g2_cert):
+    """A valid certificate padded with trailing whitespace to MAX_BYTES is
+    read; one more byte and the file is refused before it is parsed."""
+    text = certkit.serialize(g2_cert).encode()
+    path = tmp_path / "padded.cert.json"
+    path.write_bytes(text.ljust(certkit.MAX_BYTES))
+    assert certkit.verify_file(str(path)).ok
+    path.write_bytes(text.ljust(certkit.MAX_BYTES + 1))
+    result = certkit.verify_file(str(path))
+    assert not result.ok and result.reason == "file too large"
+    assert main(["verify", str(path)]) == 1
+    assert "FAILED (file too large)" in capsys.readouterr().out
+
+
+def test_verify_file_reads_the_largest_rank16_certificate(tmp_path):
+    """so(1,32) writes the largest certificate of rank at most 16, about 78 KB."""
+    path = tmp_path / "so_1_32.cert.json"
+    certkit.save(certkit.analyze_pair("so(1,32)"), str(path))
+    assert 70_000 < path.stat().st_size < certkit.MAX_BYTES
+    assert certkit.verify_file(str(path)).ok
+
+
 def test_verifier_module_independent_of_solvers():
     """The verification code path may use only root-system and catalog
     primitives; solver modules are imported lazily by the analysis pipeline."""

@@ -1,5 +1,5 @@
 """Chamber-by-chamber equivalence of the integer root core, the verifier's
-own ambient check and a Fraction Gram-inverse reference.
+height walk over the claimed base and a Fraction Gram-inverse reference.
 
 The reference is the decomposition the package used before the integer
 core: solve against the Gram matrix of the simple roots in exact rationals,
@@ -13,6 +13,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
 from innerlie import (
@@ -22,6 +24,7 @@ from innerlie import (
     build_root_system,
     root_vector,
 )
+from innerlie.rootsys import reflect
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]
 
@@ -148,3 +151,85 @@ def test_non_bases_rejected_by_every_path(case, path):
     rs = build_root_system("B", 2)
     with pytest.raises(RootSystemError):
         PATHS[path](rs, B2_NEGATIVES[case])
+
+
+# ---------------------------------------------------------------------------
+# The height walk beyond the exhaustive small ranks
+# ---------------------------------------------------------------------------
+
+def _reached(rs, simples):
+    """The roots reached from `simples` by adding claimed simples, as the
+    verifier's walk reaches them before its covering test."""
+    reached = set(simples)
+    frontier = list(simples)
+    while frontier:
+        v = frontier.pop()
+        for s in simples:
+            w = v + s
+            if rs.is_root(w) and w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
+def _b4_claims():
+    e = [root_vector(*(int(i == j) for j in range(4))) for i in range(4)]
+    a1, a2, a3, a4 = build_root_system("B", 4).base.simples
+    return {
+        "B3 base plus -e1": [e[0] - e[1], e[1] - e[2], e[2], -e[0]],
+        "duplicated simple": [a1, a1, a3, a4],
+        "alpha and -alpha, padded": [a1, -a1, a3, a4],
+    }
+
+
+def test_b3_base_plus_minus_e1_reaches_half_the_roots_of_b4():
+    """This claim reaches 18 of the 32 roots, each with its negative, so a
+    test of "reached at least half the roots" alone would accept it."""
+    rs = build_root_system("B", 4)
+    reached = _reached(rs, _b4_claims()["B3 base plus -e1"])
+    assert len(reached) == 18 and 2 * len(reached) >= len(rs.roots)
+    assert all(-v in reached for v in reached)
+
+
+@pytest.mark.parametrize("case", sorted(_b4_claims()))
+def test_b4_non_bases_rejected(case):
+    simples = _b4_claims()[case]
+    rs = build_root_system("B", 4)
+    for path in PATHS:
+        assert not accepted(path, rs, simples)
+    data = certkit.to_dict(certkit.analyze_pair("so(5,4)"))
+    data["ordering"]["simples"] = [certkit._vec_to_json(s) for s in simples]
+    assert certkit.verify_data(data).reason == "ordering invalid"
+
+
+PROPERTY_SYSTEMS = [("B", 5), ("D", 5), ("F4", 4), ("E6", 6), ("E8", 8)]
+WORDS = st.lists(st.integers(0, 7), max_size=12)
+
+
+def _reflected_base(rs, word):
+    """The standard base moved by the simple reflections named in `word`."""
+    simples = list(rs.base.simples)
+    for i in word:
+        mirror = rs.base.simples[i % rs.rank]
+        simples = [reflect(s, mirror) for s in simples]
+    return simples
+
+
+@pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(word=WORDS)
+def test_reflected_bases_decompose_as_the_reference(family, rank, word):
+    rs = build_root_system(family, rank)
+    simples = _reflected_base(rs, word)
+    assert verifier_decomposition(rs, simples) == reference_decomposition(rs, simples)
+
+
+@pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(word=WORDS, position=st.integers(0, 7), replacement=st.integers(0, 239))
+def test_swapped_simple_accepted_exactly_when_the_reference_accepts(
+        family, rank, word, position, replacement):
+    rs = build_root_system(family, rank)
+    simples = _reflected_base(rs, word)
+    simples[position % rank] = rs.sorted_roots[replacement % len(rs.sorted_roots)]
+    assert accepted("verifier", rs, simples) == accepted("reference", rs, simples)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from innerlie import (
+    RootSystemError,
     RootVector,
     all_simple_systems,
     decompose_over,
@@ -104,6 +105,13 @@ def test_decompose_over_simple_root():
     phi = ordering.compact_simples[0]
     n, m = decompose_over(ordering, phi)
     assert n == (1,) and m == (0,)
+
+
+def test_decompose_over_refuses_a_negative_root():
+    pair = pair_by_name("su(2,1)")
+    ordering = standard_ordering(pair)
+    with pytest.raises(RootSystemError):
+        decompose_over(ordering, -ordering.compact_simples[0])
 
 
 def test_decompose_over_g2_compact_root():
