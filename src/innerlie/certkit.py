@@ -17,8 +17,11 @@ coordinates over them found, by a height walk: starting from the simples,
 add each simple to every root reached so far and record each new root with
 its parent's coordinates plus one unit.  The claim is a base exactly when it
 has `rank` members and the roots reached, with their negatives, are the
-whole root set (see `_claimed_coordinates`).  The compact roots come from
-the same walk over the standard base and the parity of the painted nodes.
+whole root set (see `_claimed_coordinates`).  Compactness is the Z2
+character of the root lattice that the painted nodes define, so a root is
+compact when its coordinates over the claimed simples pair evenly with the
+painted parities of those simples; a walk over the standard base reads the
+parities and stops once every claimed simple is reached up to sign.
 The verifier shares no code path with the solvers or the integer root core,
 so it stays an independent check of the same mathematics.
 """
@@ -270,21 +273,26 @@ def _array(value) -> list:
 
 
 class _Reader:
-    """Reads the vectors and coefficients of one certificate.
+    """Reads the vectors and coefficients of one certificate, whose vectors
+    all have the pair's ambient length `dim`.
 
     Each distinct coordinate string is parsed once, into its double; the
     memo lives as long as the reader.  A coordinate outside (1/2)Z stays a
     Fraction, so a vector holding one equals no doubled root.
     """
 
-    def __init__(self):
+    def __init__(self, dim: int):
+        self.dim = dim
         self._doubled: dict[str, int | Fraction] = {}
 
     def vector(self, value) -> tuple:
-        """2v for a JSON list of coordinate strings."""
+        """2v for a JSON list of `dim` coordinate strings; ValueError for
+        another length, before any entry is read."""
+        if len(_array(value)) != self.dim:
+            raise ValueError("vector of the wrong length")
         memo = self._doubled
         out = []
-        for c in _array(value):
+        for c in value:
             doubled = memo.get(c)  # TypeError for a list or an object
             if doubled is None:
                 doubled = memo[c] = _rational(c, 2)
@@ -299,42 +307,58 @@ def _negated(v: tuple) -> tuple:
     return tuple(map(neg, v))
 
 
+def _height_walk(known, simples):
+    """Yield (root, coordinates over `simples`) by height: the simples, then
+    each new root of `known` that is a reached root plus a simple (one unit)."""
+    steps = [(s, tuple(int(i == j) for j in range(len(simples)))) for i, s in enumerate(simples)]
+    reached, seen = list(steps), set(simples)
+    for v, c in reached:  # grows as the walk goes, one height after another
+        yield v, c
+        for s, unit in steps:
+            w = tuple(map(add, v, s))
+            if w in known and w not in seen:
+                seen.add(w)
+                reached.append((w, tuple(map(add, c, unit))))
+
+
 def _claimed_coordinates(roots: list[tuple[int, ...]], rank: int,
                          simples) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Coordinates of every root over claimed simple roots; the roots of the
     system and the claimed simples are doubled vectors.
 
-    A height walk: the simples get the unit vectors, and adding a simple to a
-    root already reached gives, when the sum is a root not yet reached, that
-    root with the parent's coordinates plus one unit.  The claim is accepted
-    only when it has `rank` members, all roots, and the reached set R together
-    with -R is every root.  Then the `rank` claimed simples span the span of
-    the roots, of dimension `rank`, so they are distinct and independent:
-    each root's coordinates are unique, and each root, in R or in -R, has
-    coordinates of one sign.  That is the definition of a base.  A genuine
-    base always passes, since each of its positive roots is a simple root
-    plus a positive root of smaller height.  Raises RootSystemError otherwise.
+    The whole `_height_walk` from the claimed simples, plus the negatives.
+    The claim is accepted only when it has `rank` members, all roots, and the
+    reached set R together with -R is every root.  Then the `rank` claimed
+    simples span the span of the roots, of dimension `rank`, so they are
+    distinct and independent: each root's coordinates are unique, and each
+    root, in R or in -R, has coordinates of one sign.  That is the definition
+    of a base; anything else raises RootSystemError.  A genuine base always
+    passes, since each of its positive roots is a simple root plus a positive
+    root of smaller height.  With the painted parities of the claimed simples
+    these coordinates also give every root's compactness.
     """
     if len(simples) != rank:
         raise RootSystemError(f"expected {rank} simple roots, got {len(simples)}")
     known = set(roots)
     if any(s not in known for s in simples):
         raise RootSystemError("a claimed simple root is not a root")
-    steps = [(s, tuple(int(i == j) for j in range(rank))) for i, s in enumerate(simples)]
-    coords = dict(steps)
-    reached = list(coords)
-    for v in reached:  # grows as the walk goes, one height after another
-        c = coords[v]
-        for s, unit in steps:
-            w = tuple(map(add, v, s))
-            if w in known and w not in coords:
-                coords[w] = tuple(map(add, c, unit))
-                reached.append(w)
-    for v in reached:
-        coords[_negated(v)] = _negated(coords[v])
+    coords = dict(_height_walk(known, simples))
+    coords.update({_negated(v): _negated(c) for v, c in coords.items()})
     if len(coords) != len(known):
         raise RootSystemError("the claimed simple roots do not reach every root up to sign")
     return coords
+
+
+def _compact_roots(coords: dict, pair: InnerPair, simples) -> set:
+    """The compact roots, from the painted parities of the claimed simples."""
+    wanted = {w: i for i, s in enumerate(simples) for w in (s, _negated(s))}
+    parity = [None] * len(simples)
+    for v, c in _height_walk(coords, [s.coords for s in pair.system.base.simples]):
+        if v in wanted:
+            parity[wanted[v]] = sum(c[i] for i in pair.grading.painted) % 2
+            if None not in parity:  # each claimed simple reached up to sign
+                break
+    return {v for v, c in coords.items() if sum(map(mul, c, parity)) % 2 == 0}
 
 
 def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
@@ -391,8 +415,6 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
         return _fail("malformed certificate")
     if (branch == "so_1_2n") != pair.is_so_1_2n:
         return _fail("branch mismatch")
-    if len(relations) != len(combination):
-        return _fail("malformed certificate")
 
     # Both sides of the elimination carry the factor 4 of doubled vectors.
     matrix: dict[tuple[int, int], int | Fraction] = {}
@@ -466,12 +488,11 @@ def verify_data(data: dict) -> VerificationResult:
         return _fail("schema mismatch")
     if data["schema_version"] != SCHEMA_VERSION:
         return _fail("schema mismatch")
-    read = _Reader()
     try:
         name, family, *counts = _pair_block(data["pair"])
         mode = data["ordering"]["mode"]
-        simples = [read.vector(s) for s in _array(data["ordering"]["simples"])]
-        metric = read.coefficients(data["metric"])
+        simples = _array(data["ordering"]["simples"])
+        metric = _array(data["metric"])
         balanced_verdict = data["balanced_verdict"]
         payload = data["pluriclosed_certificate"]
         chern = data["chern_report"]
@@ -487,10 +508,21 @@ def verify_data(data: dict) -> VerificationResult:
     if [pair.family, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k] != [family, *counts]:
         return _fail("pair mismatch")
 
+    # Bounds before any arithmetic: one metric entry per positive root, two
+    # relations, and every vector of the ambient length (checked as read).
     rs = pair.system
-    roots = [v.coords for v in rs.sorted_roots]
+    if len(metric) != len(rs.roots) // 2:
+        return _fail("metric domain mismatch")
+    read = _Reader(rs.ambient_dim)
     try:
-        coords = _claimed_coordinates(roots, rs.rank, simples)
+        if len(_array(payload["relations"])) != 2 or len(_array(payload["combination"])) != 2:
+            raise ValueError("a certificate combines exactly two relations")
+        simples = [read.vector(s) for s in simples]
+        metric = read.coefficients(metric)
+    except _MALFORMED:
+        return _fail("malformed certificate")
+    try:
+        coords = _claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if mode not in ("partner_property", "so_1_2n_special"):
@@ -498,12 +530,8 @@ def verify_data(data: dict) -> VerificationResult:
     if (mode == "so_1_2n_special") != pair.is_so_1_2n:
         return _fail("ordering invalid")
 
-    # The grading is parity over the painted nodes of the standard base, read
-    # from the same walk over the standard base.
-    standard = _claimed_coordinates(roots, rs.rank, [s.coords for s in rs.base.simples])
-    painted = pair.grading.painted
     positive = {v for v, c in coords.items() if min(c) >= 0}
-    compact = {v for v, c in standard.items() if sum(c[i] for i in painted) % 2 == 0}
+    compact = _compact_roots(coords, pair, simples)
     if set(metric) != positive:
         return _fail("metric domain mismatch")
     if any(value <= 0 for value in metric.values()):

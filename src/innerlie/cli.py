@@ -69,13 +69,21 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    pair = pair_by_name(args.pair)
-    cert = certkit.analyze_pair(pair)
-    result = certkit.verify_data(certkit.to_dict(cert))
-    if not result.ok:
-        raise InvariantViolation(f"{pair.name}: certificate failed verification: {result.reason}")
-    out = args.out or f"{_safe_filename(pair.name)}.cert.json"
-    certkit.save(cert, out)
+    name, stage = args.pair, "analyze"
+    try:
+        pair = pair_by_name(args.pair)
+        name = pair.name
+        cert = certkit.analyze_pair(pair)
+        stage = "verify"
+        result = certkit.verify_data(certkit.to_dict(cert))
+        if not result.ok:
+            raise InvariantViolation(f"certificate failed verification: {result.reason}")
+        stage = "save"
+        out = args.out or f"{_safe_filename(pair.name)}.cert.json"
+        certkit.save(cert, out)
+    except (RootSystemError, InvariantViolation) as exc:
+        print(f"{name}: error in {stage}: {exc}", file=sys.stderr)
+        return certkit.EXIT_USAGE if isinstance(exc, RootSystemError) else certkit.EXIT_INTERNAL
     print(f"{pair.name}: balanced=ok pluriclosed-obstruction=ok chern-scalar=0 -> {out}")
     return certkit.EXIT_OK
 

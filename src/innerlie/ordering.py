@@ -57,6 +57,11 @@ class AdmissibleOrdering:
 def make_ordering(pair: InnerPair, system: SimpleSystem, mode: str | None = None) -> AdmissibleOrdering:
     """Wrap a simple system for a pair, classifying or validating its mode."""
     pair.system.validate_base(system)
+    return _classify(pair, system, mode)
+
+
+def _classify(pair: InnerPair, system: SimpleSystem, mode: str | None = None) -> AdmissibleOrdering:
+    """`make_ordering` for a system whose coordinate table is already filled."""
     positives = pair.system.positives(system)
     compact_simples = tuple(s for s in system.simples if pair.grading.is_compact(s))
     noncompact_simples = tuple(s for s in system.simples if not pair.grading.is_compact(s))
@@ -100,19 +105,10 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base for so(1,2n); otherwise the standard base reflected
     about its noncompact simple root, which must have the partner property.
     """
-    rs = pair.system
-    if pair.is_so_1_2n:
-        return make_ordering(pair, rs.base, mode=MODE_SPECIAL)
-    for p, psi in enumerate(rs.base.simples):
-        if pair.grading.is_compact(psi):
-            continue
-        reflected = []
-        for i in range(rs.rank):  # s_p(a_i) = a_i - C[i][p] a_p
-            coords = [0] * rs.rank
-            coords[i] += 1
-            coords[p] -= rs.cartan[i][p]
-            reflected.append(rs.root_at(coords))
-        ordering = make_ordering(pair, SimpleSystem(sorted(reflected)))
+    if pair.is_so_1_2n:  # build_root_system validated the standard base
+        return _classify(pair, pair.system.base, MODE_SPECIAL)
+    for p in pair.grading.painted:  # the noncompact simples of the standard base
+        ordering = _classify(pair, pair.system.reflected_base(p))
         if ordering.mode == MODE_PARTNER:
             return ordering
     raise InvariantViolation(

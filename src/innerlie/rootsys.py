@@ -201,7 +201,7 @@ class SimpleSystem:
                 f"{root!r} is not a root of a system this base was validated for") from None
 
     def is_positive(self, root: RootVector) -> bool:
-        return all(c >= 0 for c in self.decompose(root))
+        return min(self.decompose(root)) >= 0
 
     def key(self) -> frozenset[RootVector]:
         return frozenset(self.simples)
@@ -325,6 +325,19 @@ class RootSystem:
                 raise RootSystemError(f"{v!r} has mixed-sign coordinates over the base")
             table[v] = coeffs
         system._coords = table
+
+    def reflected_base(self, p: int) -> SimpleSystem:
+        """The standard base reflected in its p-th simple root, sorted, with its table."""
+        column = [row[p] for row in self.cartan]
+        images = [reflect(a, self.base.simples[p]) for a in self.base.simples]
+        order = sorted(range(self.rank), key=images.__getitem__)
+        system, table = SimpleSystem([images[i] for i in order]), {}
+        for v, c in self._coords.items():  # v over s_p(base) is s_p(v) over the base
+            image = list(c)
+            image[p] -= sum(map(mul, c, column))  # s_p(v) = v - sum_i c_i C[i][p] a_p
+            table[v] = tuple(map(image.__getitem__, order))
+        system._coords = table
+        return system
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}, rank={self.rank}, roots={len(self.roots)})"

@@ -8,7 +8,7 @@ import pytest
 
 import innerlie.certkit as certkit
 from innerlie.cli import main
-from innerlie.rootsys import InvariantViolation
+from innerlie.rootsys import InvariantViolation, RootSystemError
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,57 @@ def test_verify_reads_rationals_up_to_the_digit_limit(g2_data):
     assert not result.ok and result.reason == "balanced identity failed"
 
 
+VECTOR_SITES = {
+    "simple": lambda d: d["ordering"]["simples"][0],
+    "metric root": lambda d: d["metric"][0]["root"],
+    "relation root": lambda d: d["pluriclosed_certificate"]["relations"][0]["alpha"],
+    "conclusion root": lambda d: d["pluriclosed_certificate"]["conclusion_root"],
+    "delta": lambda d: d["chern_report"]["delta"],
+}
+
+
+@pytest.mark.parametrize("change", ["drop", "append"])
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_verify_bounds_every_vector_to_the_ambient_length(g2_data, site, change):
+    def mutate(d):
+        vector = VECTOR_SITES[site](d)
+        if change == "drop":
+            vector.pop()
+        else:
+            vector.append("0")
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "malformed certificate"
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 1000])
+def test_verify_bounds_relations_and_combination_to_two_entries(g2_data, count):
+    """Extra relations with weight 0 change no sum, yet a certificate with
+    any number of relations but two is refused before it is read."""
+    def mutate(d):
+        payload = d["pluriclosed_certificate"]
+        relations, weights = payload["relations"], payload["combination"]
+        payload["relations"] = [relations[i % 2] for i in range(count)]
+        payload["combination"] = [weights[i] if i < 2 else "0" for i in range(count)]
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "malformed certificate"
+
+
+@pytest.mark.parametrize("change", ["drop", "duplicate", "pad"])
+def test_verify_bounds_the_metric_to_one_entry_per_positive_root(g2_data, change):
+    """A metric with any number of entries but |positive roots| is refused
+    before it is read, even when its roots are positive and its values
+    right (a duplicated entry)."""
+    def mutate(d):
+        if change == "drop":
+            d["metric"].pop()
+        elif change == "duplicate":
+            d["metric"].append(d["metric"][0])
+        else:
+            d["metric"].extend([{"root": "x", "c": "x"}] * 10_000)
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "metric domain mismatch"
+
+
 UNPARSABLE = {
     "not utf-8": b'{"schema_version": 1, "pair": "\xff\xfe"}',
     "deep nesting": b"[" * 200_000,
@@ -387,6 +438,33 @@ def test_cli_sweep_error_rows_name_the_stage(tmp_path, capsys, monkeypatch, stag
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 4
     assert {row["status"] for row in rows} == {f"error in {stage}: injected failure in {name}"}
+
+
+@pytest.mark.parametrize("error,code", [(InvariantViolation, 3), (RootSystemError, 2)])
+@pytest.mark.parametrize("stage,name", [
+    ("analyze", "analyze_pair"), ("verify", "verify_data"), ("save", "save")])
+def test_cli_analyze_errors_name_the_pair_and_the_stage(
+        tmp_path, capsys, monkeypatch, stage, name, error, code):
+    def failing(*args):
+        raise error(f"injected failure in {name}")
+
+    monkeypatch.setattr(certkit, name, failing)
+    assert main(["analyze", "sp(1,1)", "--out", str(tmp_path / "so14.cert.json")]) == code
+    assert capsys.readouterr().err == f"so(1,4): error in {stage}: injected failure in {name}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_analyze_failed_verification_names_the_verify_stage(
+        tmp_path, capsys, monkeypatch, g2_cert):
+    monkeypatch.setattr(certkit, "analyze_pair", lambda pair: _negated_metric(g2_cert))
+    assert main(["analyze", "g2(2)", "--out", str(tmp_path / "g2.cert.json")]) == 3
+    assert capsys.readouterr().err == (
+        "g2(2): error in verify: certificate failed verification: positivity violated\n")
+
+
+def test_cli_analyze_unknown_pair_names_the_analyze_stage(capsys):
+    assert main(["analyze", "su(2,2)"]) == 2
+    assert capsys.readouterr().err.startswith("su(2,2): error in analyze: ")
 
 
 def test_cli_verify_tampered_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ coordinates.  It works on ambient Fraction tuples of its own, read from
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -215,13 +216,43 @@ def _reflected_base(rs, word):
     return simples
 
 
+def verifier_compact(rs, simples, nodes):
+    """For the grading painted at each single node, the verifier's compact
+    roots, from the painted parities of `simples`, keyed back by root."""
+    doubled = _doubled_roots(rs)
+    claimed = [doubled[s] for s in simples]
+    coords = certkit._claimed_coordinates(list(doubled.values()), rs.rank, claimed)
+    found = []
+    for node in nodes:
+        pair = SimpleNamespace(system=rs, grading=SimpleNamespace(painted=(node,)))
+        compact = certkit._compact_roots(coords, pair, claimed)
+        found.append({v for v, w in doubled.items() if w in compact})
+    return found
+
+
+@lru_cache(maxsize=None)
+def _reference_standard(rs):
+    return reference_decomposition(rs, rs.base.simples)
+
+
+def reference_compact(rs, nodes):
+    """For each single painted node, the roots whose Fraction coordinates
+    over the standard base are even there."""
+    standard = _reference_standard(rs)
+    return [{v for v, c in standard.items() if c[node] % 2 == 0} for node in nodes]
+
+
 @pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)
 @settings(derandomize=True, max_examples=5, deadline=None)
 @given(word=WORDS)
 def test_reflected_bases_decompose_as_the_reference(family, rank, word):
+    """Coordinates over a moved base, and the compact roots of the grading
+    painted at each single node, agree with the Fraction reference."""
     rs = build_root_system(family, rank)
     simples = _reflected_base(rs, word)
     assert verifier_decomposition(rs, simples) == reference_decomposition(rs, simples)
+    nodes = range(rank)
+    assert verifier_compact(rs, simples, nodes) == reference_compact(rs, nodes)
 
 
 @pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)

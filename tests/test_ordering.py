@@ -5,7 +5,10 @@ import pytest
 from innerlie import (
     RootSystemError,
     RootVector,
+    SimpleSystem,
     all_simple_systems,
+    build_root_system,
+    catalog,
     decompose_over,
     find_admissible_ordering,
     noncompact_witness,
@@ -82,6 +85,38 @@ def test_reflected_systems_are_genuine(catalog8):
         assert len(ordering.positives) == len(pair.system.roots) // 2
         assert set(ordering.compact_simples) | set(ordering.noncompact_simples) == set(ordering.system.simples)
         assert not set(ordering.compact_simples) & set(ordering.noncompact_simples)
+
+
+def test_reflected_base_table_equals_validate_base():
+    """The ordering search takes the reflected base with its table built in
+    one pass; for every pair of rank at most 16 outside so(1,2n), and each
+    reflection the search tries, the table and the positive roots equal
+    what validate_base stores for the same simples."""
+    for pair in catalog(16):
+        if pair.is_so_1_2n:
+            continue
+        rs = pair.system
+        for p in pair.grading.painted:
+            fast = rs.reflected_base(p)
+            assert list(fast.simples) == sorted(fast.simples)
+            slow = SimpleSystem(fast.simples)
+            rs.validate_base(slow)
+            assert {v: fast.decompose(v) for v in rs.sorted_roots} == \
+                {v: slow.decompose(v) for v in rs.sorted_roots}, (pair.name, p)
+            assert rs.positives(fast) == rs.positives(slow), (pair.name, p)
+
+
+def test_reflected_base_of_every_simple_root_small_ranks():
+    """Each simple reflection of the standard base, painted or not, gives a
+    table equal to validate_base's, in every family at small rank."""
+    for family, rank in [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)]:
+        rs = build_root_system(family, rank)
+        for p in range(rank):
+            fast = rs.reflected_base(p)
+            slow = SimpleSystem(fast.simples)
+            rs.validate_base(slow)
+            assert {v: fast.decompose(v) for v in rs.sorted_roots} == \
+                {v: slow.decompose(v) for v in rs.sorted_roots}, (family, rank, p)
 
 
 def brute_force_partner_property(system, pair):

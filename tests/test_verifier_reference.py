@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import innerlie.certkit as certkit
-from innerlie import catalog, pair_by_name
+from innerlie import catalog, find_admissible_ordering, pair_by_name
 from innerlie.rootsys import RootSystemError
 
 
@@ -409,3 +409,30 @@ def test_every_tampered_copy_agrees_with_reference(certificates, kind):
         expected = reference_verify(tampered)
         assert not expected.ok, (name, kind)
         assert certkit.verify_data(tampered) == expected, (name, kind)
+
+
+# ---------------------------------------------------------------------------
+# Compactness from the claimed base against the full standard-base walk
+# ---------------------------------------------------------------------------
+
+def _standard_walk_compact(pair):
+    """The compact roots as the verifier used to read them: the whole height
+    walk over the standard base, then the parity at the painted nodes."""
+    rs = pair.system
+    standard = certkit._claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank,
+                                            [s.coords for s in rs.base.simples])
+    return {v for v, c in standard.items() if sum(c[i] for i in pair.grading.painted) % 2 == 0}
+
+
+def test_compact_roots_from_claimed_parities_equal_the_full_walk():
+    """For every pair of rank at most 16, the verifier's compact set, from
+    the painted parities of the certificate's simple roots, equals the one
+    read from a full walk over the standard base and the solver's table."""
+    for pair in catalog(16):
+        rs = pair.system
+        simples = [s.coords for s in find_admissible_ordering(pair).system.simples]
+        coords = certkit._claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
+        compact = certkit._compact_roots(coords, pair, simples)
+        assert compact == _standard_walk_compact(pair), pair.name
+        assert compact == {v.coords for v in rs.sorted_roots if pair.grading.is_compact(v)}
+
