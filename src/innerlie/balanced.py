@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import certkit
 from .ordering import (
     MODE_SPECIAL,
     AdmissibleOrdering,
@@ -201,11 +202,15 @@ def solve_so1_2n(n: int, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
     """
     if n < 2:
         raise RootSystemError("so(1,2n) needs n >= 2")
+    return _so1_2n_metric(find_admissible_ordering(so_1_2n_pair(n)), x, y)
+
+
+def _so1_2n_metric(ordering: AdmissibleOrdering, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
+    """`solve_so1_2n` over the standard ordering of an so(1,2n) pair."""
     x, y = Fraction(x), Fraction(y)
     if x <= 0 or y <= 0:
         raise RootSystemError("coefficients x, y must be positive")
-    pair = so_1_2n_pair(n)
-    ordering = find_admissible_ordering(pair)
+    n = ordering.system.rank
     z = [(x + y) * (n - i) + (y - x) * (i - 1) for i in range(1, n + 1)]
     for i, value in enumerate(z, start=1):
         if value <= 0:
@@ -224,69 +229,37 @@ def solve_so1_2n(n: int, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
 
 
 def verify_balanced(metric: BalancedMetric, pair: InnerPair) -> bool:
-    """Exact equality of the two weighted root sums; solver-independent.
-
-    The sums are taken in integer coordinates over the standard base, whose
-    map to the ambient space is injective, so equality there is equality of
-    the ambient vectors.
-    """
-    positives = metric.ordering.positives
-    if set(metric.g) != set(positives):
-        raise RootSystemError("metric domain does not match the positive roots")
-    rs = pair.system
-    compact_sum = [0] * rs.rank
-    noncompact_sum = [0] * rs.rank
-    for root in positives:
-        target = compact_sum if pair.grading.is_compact(root) else noncompact_sum
-        value = metric.g[root]
-        for i, c in enumerate(rs.coordinates(root)):
-            if c:
-                target[i] += value * c
-    return compact_sum == noncompact_sum
+    """Exact equality of the two weighted root sums, checked by the
+    verifier's own arithmetic (`certkit.check_balanced`); raises
+    RootSystemError when the metric's domain is not the positive roots."""
+    return certkit.check_balanced(pair, metric.ordering.system.simples, metric.g)
 
 
-def family_metric(system: BalancedSystem, metric: BalancedMetric, t) -> BalancedMetric:
-    """Scale the span-of-noncompact_simples compact coefficients by t >= 1 and recompute the
-    noncompact-simple values; solutions come in families."""
-    t = Fraction(t)
-    if t < 1:
-        raise RootSystemError("family scaling requires t >= 1")
-    g = dict(metric.g)
-    for root in system.spanned_compact:
-        g[root] = metric.g[root] * t
-    probe = {root: g[root] for root in
-             system.nc_nonsimple + system.spanned_compact + system.unspanned_compact}
-    g_vals, h_vals = _relation_values(system, probe)
-    for phi, value in zip(system.ordering.compact_simples, g_vals):
-        g[phi] = value
-    for psi, value in zip(system.ordering.noncompact_simples, h_vals):
-        g[psi] = value
-    return BalancedMetric(g=g, ordering=metric.ordering)
-
-
-def solve_for_pair(pair: InnerPair, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
+def solve_for_pair(pair: InnerPair) -> BalancedMetric:
     """Route a catalog pair through the appropriate solver."""
     ordering = find_admissible_ordering(pair)
     if ordering.mode == MODE_SPECIAL:
-        return solve_so1_2n(pair.rank, x, y)
+        return _so1_2n_metric(ordering)
     return solve_constructive(assemble_system(ordering, pair))
 
 
-def scan_binvariant(pair: InnerPair, exhaustive_rank_bound: int = 4):
-    """All orderings for which the unit metric g = 1 is balanced.
+# `scan_binvariant` enumerates every Weyl chamber, so it refuses pairs of
+# larger rank instead of sampling.
+SCAN_RANK_BOUND = 4
 
-    Enumerates every Weyl chamber, so it refuses pairs whose rank exceeds
-    the bound instead of sampling.
-    """
-    if pair.rank > exhaustive_rank_bound:
+
+def scan_binvariant(pair: InnerPair):
+    """All orderings for which the unit metric g = 1 is balanced, that is,
+    every compact and noncompact simple root gets the value 1."""
+    if pair.rank > SCAN_RANK_BOUND:
         raise RootSystemError(
-            f"{pair.name} has rank {pair.rank} > bound {exhaustive_rank_bound}; "
+            f"{pair.name} has rank {pair.rank} > bound {SCAN_RANK_BOUND}; "
             "refusing a non-exhaustive scan")
     found = []
     for system in all_simple_systems(pair.system):
         ordering = make_ordering(pair, system)
-        unit = BalancedMetric(
-            g={root: Fraction(1) for root in ordering.positives}, ordering=ordering)
-        if verify_balanced(unit, pair):
+        unit = dict.fromkeys(ordering.positives, 1)
+        g_vals, h_vals = _relation_values(assemble_system(ordering, pair), unit)
+        if all(value == 1 for value in g_vals + h_vals):
             found.append(ordering)
     return found

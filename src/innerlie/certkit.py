@@ -87,27 +87,9 @@ def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
             for root, value in sorted(coeffs.items())]
 
 
-def _coeffs_from_json(data) -> dict[RootVector, Fraction]:
-    return {RootVector(item["root"]): Fraction(item["c"]) for item in data}
-
-
-def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertificate:
-    """Run the full pipeline on one catalog pair and package the results.
-
-    Nothing here checks the result: callers check the certificate with
-    `verify_data` (on `to_dict` of it) or `verify_file` (on the saved file).
-    """
-    from .balanced import solve_for_pair
-    from .chern import chern_report
-    from .pluriclosed import build_certificate
-
-    pair = pair_or_name if isinstance(pair_or_name, InnerPair) else pair_by_name(pair_or_name)
-    metric = solve_for_pair(pair, x, y)
-    ordering = metric.ordering
-    pluri = build_certificate(ordering, pair)
-    chern = chern_report(metric, ordering, pair)
-
-    pluri_payload = {
+def pluriclosed_payload(pluri) -> dict:
+    """The pluriclosed block of a certificate, from `build_certificate`."""
+    return {
         "branch": pluri.branch,
         "roots": {label: _vec_to_json(root) for label, root in sorted(pluri.roots.items())},
         "relations": [
@@ -123,6 +105,22 @@ def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertific
             for root, sign in sorted(pluri.variable_signs.items())
         ],
     }
+
+
+def analyze_pair(pair_or_name) -> AnalysisCertificate:
+    """Run the full pipeline on one catalog pair and package the results.
+
+    Nothing here checks the result: callers check the certificate with
+    `verify_data` (on `to_dict` of it) or `verify_file` (on the saved file).
+    """
+    from .balanced import solve_for_pair
+    from .chern import chern_report
+    from .pluriclosed import build_certificate
+
+    pair = pair_or_name if isinstance(pair_or_name, InnerPair) else pair_by_name(pair_or_name)
+    metric = solve_for_pair(pair)
+    ordering = metric.ordering
+    chern = chern_report(metric, ordering, pair)
     chern_payload = {
         "delta": _vec_to_json(chern.delta),
         "scalar_curvature": str(chern.scalar_curvature),
@@ -141,7 +139,7 @@ def analyze_pair(pair_or_name, x=Fraction(1), y=Fraction(2)) -> AnalysisCertific
         simples=ordering.system.simples,
         metric=dict(metric.g),
         balanced_verdict=True,
-        pluriclosed=pluri_payload,
+        pluriclosed=pluriclosed_payload(build_certificate(ordering, pair)),
         chern=chern_payload,
         provenance={
             "tool": TOOL_NAME,
@@ -174,32 +172,8 @@ def to_dict(cert: AnalysisCertificate) -> dict:
     }
 
 
-def from_dict(data: dict) -> AnalysisCertificate:
-    pair = data["pair"]
-    return AnalysisCertificate(
-        schema_version=data["schema_version"],
-        pair_name=pair["name"],
-        family=pair["family"],
-        rank=pair["rank"],
-        painted_node=pair["painted_node"],
-        dim_g=pair["dim_g"],
-        dim_k=pair["dim_k"],
-        ordering_mode=data["ordering"]["mode"],
-        simples=tuple(RootVector(s) for s in data["ordering"]["simples"]),
-        metric=_coeffs_from_json(data["metric"]),
-        balanced_verdict=data["balanced_verdict"],
-        pluriclosed=data["pluriclosed_certificate"],
-        chern=data["chern_report"],
-        provenance=data["provenance"],
-    )
-
-
 def serialize(cert: AnalysisCertificate) -> str:
     return json.dumps(to_dict(cert), sort_keys=True, indent=2) + "\n"
-
-
-def parse(text: str) -> AnalysisCertificate:
-    return from_dict(json.loads(text))
 
 
 def save(cert: AnalysisCertificate, path: str) -> None:
@@ -215,11 +189,6 @@ def save(cert: AnalysisCertificate, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def load(path: str) -> AnalysisCertificate:
-    with open(path) as handle:
-        return parse(handle.read())
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +238,13 @@ def _rational(text, scale: int = 1) -> int | Fraction:
 def _array(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a JSON array")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer; TypeError for anything else, a boolean included."""
+    if type(value) is not int:
+        raise TypeError("expected a JSON integer")
     return value
 
 
@@ -361,6 +337,31 @@ def _compact_roots(coords: dict, pair: InnerPair, simples) -> set:
     return {v for v, c in coords.items() if sum(map(mul, c, parity)) % 2 == 0}
 
 
+def _claimed_roots(pair: InnerPair, simples) -> tuple[dict, set, set]:
+    """(coordinates of every root, positive roots, compact roots) over the
+    claimed simple roots, all doubled vectors; RootSystemError unless the
+    claim is a base (see `_claimed_coordinates`)."""
+    rs = pair.system
+    coords = _claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
+    positive = {v for v, c in coords.items() if min(c) >= 0}
+    return coords, positive, _compact_roots(coords, pair, simples)
+
+
+def _weighted_sums(metric: dict, compact: set, dim: int) -> tuple[list, list, list]:
+    """The compact and the noncompact sum of metric[a] * a over the roots a
+    of `metric`, and delta, the plain sum of those roots."""
+    compact_sum = [0] * dim
+    noncompact_sum = [0] * dim
+    delta = [0] * dim
+    for root, weight in metric.items():
+        target = compact_sum if root in compact else noncompact_sum
+        for i, c in enumerate(root):
+            if c:
+                target[i] += weight * c
+                delta[i] += c
+    return compact_sum, noncompact_sum, delta
+
+
 def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
     """N^2 = q(1-p)/2 * |alpha|^2 from the alpha-string p..q through beta.
 
@@ -402,23 +403,31 @@ def _add_symmetric(matrix: dict, weight, a: tuple, b: tuple) -> None:
 def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords: dict,
                                 positive: set, compact: set) -> VerificationResult:
     """Check the sign contradiction on doubled roots: `coords` holds every
-    root, `positive` and `compact` the positive and the compact ones."""
+    root, `positive` and `compact` the positive and the compact ones.  The
+    block combines exactly two relations, counted before either is read,
+    and its `roots` name their roots as `build_certificate` does."""
     try:
         branch = payload["branch"]
         relations = _array(payload["relations"])
-        combination = [_rational(c) for c in _array(payload["combination"])]
+        if len(relations) != 2 or len(_array(payload["combination"])) != 2:
+            raise ValueError("a certificate combines exactly two relations")
+        combination = [_rational(c) for c in payload["combination"]]
+        if not isinstance(payload["roots"], dict):
+            raise TypeError("expected a JSON object")
+        labels = {label: read.vector(v) for label, v in payload["roots"].items()}
         conclusion_root = read.vector(payload["conclusion_root"])
         conclusion_coeffs = read.coefficients(payload["conclusion_coeffs"])
-        signs = {read.vector(item["root"]): item["sign"]
+        signs = {read.vector(item["root"]): _integer(item["sign"])
                  for item in _array(payload["variable_signs"])}
     except _MALFORMED:
         return _fail("malformed certificate")
-    if (branch == "so_1_2n") != pair.is_so_1_2n:
+    if branch != ("so_1_2n" if pair.is_so_1_2n else "generic"):
         return _fail("branch mismatch")
 
     # Both sides of the elimination carry the factor 4 of doubled vectors.
     matrix: dict[tuple[int, int], int | Fraction] = {}
     combined: dict[tuple, int | Fraction] = {}
+    named = []
     for weight, item in zip(combination, relations):
         try:
             alpha = read.vector(item["alpha"])
@@ -447,6 +456,7 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
         _add_symmetric(matrix, weight, alpha, beta)
         for root, value in stored.items():
             _accumulate(combined, root, weight * value)
+        named.append((alpha, beta))
 
     if conclusion_root not in coords:
         return _fail("relation roots invalid")
@@ -467,18 +477,51 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
         true_sign = -1 if root in compact else 1
         if signs.get(root) != true_sign or (value > 0) != (true_sign > 0):
             return _fail("sign pattern violated")
+
+    # psi1 and psi2 are the first relation's roots, phi (phi1) is the second
+    # one's alpha, paired with psi1, and psi1 is the conclusion root.
+    (psi1, psi2), (phi, partner) = named
+    expected = {"psi1": psi1, "psi2": psi2}
+    if pair.is_so_1_2n:
+        expected.update(phi1=phi, phi2=tuple(map(sub, psi1, psi2)))
+    else:
+        expected["phi"] = phi
+    if labels != expected or partner != psi1 or conclusion_root != psi1:
+        return _fail("relation roots invalid")
     return VerificationResult(True)
+
+
+def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
+    """Whether the metric `g` (RootVector -> value) satisfies the balanced
+    identity over the base `simples` (RootVectors), by `verify_data`'s
+    arithmetic; RootSystemError when `simples` is not a base or the domain
+    of `g` is not its positive roots."""
+    _, positive, compact = _claimed_roots(pair, [s.coords for s in simples])
+    metric = {root.coords: value for root, value in g.items()}
+    if set(metric) != positive:
+        raise RootSystemError("metric domain does not match the positive roots")
+    compact_sum, noncompact_sum, _ = _weighted_sums(metric, compact, pair.system.ambient_dim)
+    return compact_sum == noncompact_sum
+
+
+def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
+    """`verify_data`'s check of a pluriclosed block (`pluriclosed_payload`)
+    over the base `simples` (RootVectors)."""
+    try:
+        coords, positive, compact = _claimed_roots(pair, [s.coords for s in simples])
+    except RootSystemError:
+        return _fail("ordering invalid")
+    return _verify_pluriclosed_payload(payload, _Reader(pair.system.ambient_dim), pair,
+                                       coords, positive, compact)
 
 
 def _pair_block(block) -> tuple:
     """(name, family, rank, painted node, dim g, dim k); raises TypeError
-    unless name and family are strings and the four counts are integers,
-    not booleans."""
-    fields = (block["name"], block["family"], block["rank"], block["painted_node"],
-              block["dim_g"], block["dim_k"])
-    if not (all(isinstance(v, str) for v in fields[:2])
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in fields[2:])):
-        raise TypeError("pair block has the wrong types")
+    unless name and family are strings and the four counts are integers."""
+    fields = (block["name"], block["family"],
+              *map(_integer, (block["rank"], block["painted_node"], block["dim_g"], block["dim_k"])))
+    if not all(isinstance(v, str) for v in fields[:2]):
+        raise TypeError("pair name and family must be strings")
     return fields
 
 
@@ -486,6 +529,8 @@ def verify_data(data: dict) -> VerificationResult:
     """Recompute every verdict of a parsed certificate from its raw payload."""
     if not isinstance(data, dict) or "schema_version" not in data:
         return _fail("schema mismatch")
+    if type(data["schema_version"]) is not int:
+        return _fail("malformed certificate")
     if data["schema_version"] != SCHEMA_VERSION:
         return _fail("schema mismatch")
     try:
@@ -508,47 +553,30 @@ def verify_data(data: dict) -> VerificationResult:
     if [pair.family, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k] != [family, *counts]:
         return _fail("pair mismatch")
 
-    # Bounds before any arithmetic: one metric entry per positive root, two
-    # relations, and every vector of the ambient length (checked as read).
+    # Bounds before any arithmetic: one metric entry per positive root, and
+    # every vector of the ambient length (checked as read).
     rs = pair.system
     if len(metric) != len(rs.roots) // 2:
         return _fail("metric domain mismatch")
     read = _Reader(rs.ambient_dim)
     try:
-        if len(_array(payload["relations"])) != 2 or len(_array(payload["combination"])) != 2:
-            raise ValueError("a certificate combines exactly two relations")
         simples = [read.vector(s) for s in simples]
         metric = read.coefficients(metric)
     except _MALFORMED:
         return _fail("malformed certificate")
     try:
-        coords = _claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
+        coords, positive, compact = _claimed_roots(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
-    if mode not in ("partner_property", "so_1_2n_special"):
-        return _fail("ordering invalid")
-    if (mode == "so_1_2n_special") != pair.is_so_1_2n:
+    if mode != ("so_1_2n_special" if pair.is_so_1_2n else "partner_property"):
         return _fail("ordering invalid")
 
-    positive = {v for v, c in coords.items() if min(c) >= 0}
-    compact = _compact_roots(coords, pair, simples)
     if set(metric) != positive:
         return _fail("metric domain mismatch")
     if any(value <= 0 for value in metric.values()):
         return _fail("positivity violated")
-
-    dim = rs.ambient_dim
-    compact_sum = [0] * dim
-    noncompact_sum = [0] * dim
-    delta = [0] * dim
-    for root in positive:
-        target = compact_sum if root in compact else noncompact_sum
-        weight = metric[root]
-        for i, c in enumerate(root):
-            if c:
-                target[i] += weight * c
-                delta[i] += c
-    if compact_sum != noncompact_sum or not balanced_verdict:
+    compact_sum, noncompact_sum, delta = _weighted_sums(metric, compact, rs.ambient_dim)
+    if compact_sum != noncompact_sum or balanced_verdict is not True:
         return _fail("balanced identity failed")
 
     result = _verify_pluriclosed_payload(payload, read, pair, coords, positive, compact)
@@ -562,7 +590,7 @@ def verify_data(data: dict) -> VerificationResult:
         return _fail("malformed certificate")
     if tuple(delta) != delta_stored:
         return _fail("delta mismatch")
-    if not any(delta) or not chern.get("delta_nonzero", False):
+    if not any(delta) or chern.get("delta_nonzero") is not True:
         return _fail("delta zero")
     # On doubled vectors this sum is twice the scalar 2 * sum (n - c) * delta.
     twice_scalar = sum((n - c) * d for n, c, d in zip(noncompact_sum, compact_sum, delta))

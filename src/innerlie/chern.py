@@ -34,20 +34,6 @@ def weyl_delta(ordering: AdmissibleOrdering) -> RootVector:
     return reduce(add, ordering.positives)
 
 
-def ricci_value(alpha: RootVector, ordering: AdmissibleOrdering) -> Fraction:
-    """Ricci pairing of a root against the positive-root sum."""
-    if alpha not in ordering.positives and -alpha not in ordering.positives:
-        raise ValueError(f"{alpha!r} is not a root of the ordering's system")
-    return alpha.dot(weyl_delta(ordering))
-
-
-def chern_scalar(metric: BalancedMetric | Mapping[RootVector, Fraction],
-                 ordering: AdmissibleOrdering, pair: InnerPair) -> Fraction:
-    """Twice the pairing of the weighted noncompact-minus-compact root sum
-    against the positive-root sum; exactly zero for balanced metrics."""
-    return chern_report(metric, ordering, pair).scalar_curvature
-
-
 def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],
                  ordering: AdmissibleOrdering, pair: InnerPair) -> ChernReport:
     """delta and the scalar 2 * sum over positive roots a of +-g_a <a, delta>

@@ -95,12 +95,6 @@ def _has_partners(noncompact_simples, pair: InnerPair) -> bool:
     )
 
 
-def satisfies_partner_property(system: SimpleSystem, pair: InnerPair) -> bool:
-    """True iff every noncompact simple has a noncompact partner summing to a root."""
-    pair.system.validate_base(system)
-    return _has_partners([s for s in system.simples if not pair.grading.is_compact(s)], pair)
-
-
 def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base for so(1,2n); otherwise the standard base reflected
     about its noncompact simple root, which must have the partner property.
@@ -114,14 +108,6 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     raise InvariantViolation(
         f"{pair.name}: no single reflection of the standard base about a noncompact "
         "simple root has the partner property; this indicates a grading bug")
-
-
-def decompose_over(ordering: AdmissibleOrdering, root: RootVector):
-    """Coefficients of a positive root split along (compact simples, noncompact simples)."""
-    try:
-        return ordering.split[root]
-    except KeyError:
-        raise RootSystemError(f"{root!r} is not a positive root of this ordering") from None
 
 
 def noncompact_witness(ordering: AdmissibleOrdering, pair: InnerPair, j: int) -> RootVector:

@@ -22,7 +22,6 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     RootVector,
-    SimpleSystem,
     build_root_system,
 )
 
@@ -57,10 +56,6 @@ class CompactnessGrading:
 
     def compact_count(self) -> int:
         return sum(self._compact.values())
-
-
-def compactness(grading: CompactnessGrading, root: RootVector) -> str:
-    return "compact" if grading.is_compact(root) else "noncompact"
 
 
 @dataclass(eq=False)
@@ -314,12 +309,3 @@ def pair_by_name(name: str) -> InnerPair:
             raise RootSystemError(f"so({a},{b}) is not in the catalog: p+q must be even")
         return _so_odd(p, q)
     raise RootSystemError(f"cannot parse pair name {name!r}")
-
-
-def split_positive(pair: InnerPair, system: SimpleSystem):
-    """Partition the positive roots of an ordering by compactness."""
-    pair.system.validate_base(system)
-    positives = pair.system.positives(system)
-    compact = tuple(v for v in positives if pair.grading.is_compact(v))
-    noncompact = tuple(v for v in positives if not pair.grading.is_compact(v))
-    return compact, noncompact

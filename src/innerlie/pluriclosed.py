@@ -15,9 +15,10 @@ diagonal value T(c, c) (constrained negative) while every variable on the
 right side appears with a coefficient matching its sign constraint (so the
 right side is strictly positive): a literal infeasibility witness.
 
-Verification re-derives every coefficient from root strings and the stored
-ordering, checks the exact elimination of off-diagonal terms and checks the
-sign pattern; it never trusts the builder.
+`verify_certificate` checks a certificate with the verifier of
+`certkit.verify_data`, which re-derives every coefficient from root strings
+and the stored ordering, checks the exact elimination of off-diagonal terms
+and checks the sign pattern; it never trusts the builder.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import certkit
 from .ordering import MODE_PARTNER, MODE_SPECIAL, AdmissibleOrdering
 from .pairs import InnerPair
 from .rootsys import (
@@ -36,12 +38,6 @@ from .rootsys import (
 
 BRANCH_GENERIC = "generic"
 BRANCH_SPECIAL = "so_1_2n"
-
-REASON_RELATION = "relation mismatch"
-REASON_ELIMINATION = "elimination failed"
-REASON_SIGNS = "sign pattern violated"
-REASON_CONCLUSION = "conclusion mismatch"
-REASON_SHAPE = "malformed certificate"
 
 
 @dataclass
@@ -171,79 +167,17 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
         variable_signs=signs)
 
 
-def _sym_outer(a: RootVector, b: RootVector):
-    dim = a.ambient_dim
-    return tuple(
-        tuple(a.coords[i] * b.coords[j] + a.coords[j] * b.coords[i] for j in range(dim))
-        for i in range(dim))
-
-
-def _matrix_sum(matrices, weights):
-    dim = len(matrices[0])
-    return tuple(
-        tuple(sum((w * m[i][j] for m, w in zip(matrices, weights)), Fraction(0))
-              for j in range(dim))
-        for i in range(dim))
-
-
 def verify_certificate(cert: PluriclosedCertificate, pair: InnerPair):
-    """Re-derive and check everything from the certificate plus the root system.
+    """Check a certificate against the root system alone, as `verify_data`
+    checks the pluriclosed block of a certificate file: the stored ordering
+    is a base; every relation's coefficients equal the ones re-derived from
+    root strings; the combination eliminates all off-diagonal toral terms
+    exactly, collapsing to the conclusion root's diagonal entry; the
+    combined right side carries each variable with the sign demanded by its
+    compactness, with at least one variable present.
 
-    Returns (True, None) or (False, reason).  The checks: the stored ordering
-    is a genuine simple system; every relation's coefficients equal the ones
-    re-derived from root strings; the combination eliminates all off-diagonal
-    toral terms exactly, collapsing to the conclusion root's diagonal entry;
-    the combined right side carries each variable with the sign demanded by
-    its compactness, with at least one variable present.
+    Returns (True, None) or (False, reason).
     """
-    rs = pair.system
-    try:
-        system = SimpleSystem(cert.ordering_simples)
-        rs.validate_base(system)
-    except RootSystemError:
-        return False, REASON_SHAPE
-    if len(cert.relations) != len(cert.combination):
-        return False, REASON_SHAPE
-    if (cert.branch == BRANCH_SPECIAL) != pair.is_so_1_2n:
-        return False, REASON_SHAPE
-
-    for relation in cert.relations:
-        if not (rs.is_root(relation.alpha) and rs.is_root(relation.beta)):
-            return False, REASON_SHAPE
-        if not (system.is_positive(relation.alpha) and system.is_positive(relation.beta)):
-            return False, REASON_SHAPE
-        derived = _relation_coeffs(relation.alpha, relation.beta, system, pair)
-        if derived != relation.coeffs:
-            return False, REASON_RELATION
-
-    matrices = [_sym_outer(r.alpha, r.beta) for r in cert.relations]
-    combined_left = _matrix_sum(matrices, cert.combination)
-    if not rs.is_root(cert.conclusion_root):
-        return False, REASON_SHAPE
-    target = _sym_outer(cert.conclusion_root, cert.conclusion_root)
-    if combined_left != target:
-        return False, REASON_ELIMINATION
-
-    combined: dict[RootVector, Fraction] = {}
-    for coeff, relation in zip(cert.combination, cert.relations):
-        for root, value in relation.coeffs.items():
-            combined[root] = combined.get(root, Fraction(0)) + coeff * value
-            if combined[root] == 0:
-                del combined[root]
-    if combined != cert.conclusion_coeffs:
-        return False, REASON_CONCLUSION
-
-    if not combined:
-        return False, REASON_SIGNS
-    for root, sign in cert.variable_signs.items():
-        if not rs.is_root(root):
-            return False, REASON_SHAPE
-        if sign != (-1 if pair.grading.is_compact(root) else 1):
-            return False, REASON_SIGNS
-    for root, value in combined.items():
-        true_sign = -1 if pair.grading.is_compact(root) else 1
-        if cert.variable_signs.get(root) != true_sign:
-            return False, REASON_SIGNS
-        if (value > 0) != (true_sign > 0):
-            return False, REASON_SIGNS
-    return True, None
+    result = certkit.check_obstruction(pair, cert.ordering_simples,
+                                       certkit.pluriclosed_payload(cert))
+    return result.ok, result.reason

@@ -300,10 +300,6 @@ class RootSystem:
         p, q = self.root_string(alpha, beta)
         return Fraction(q * (1 - p) * sum(c * c for c in alpha.coords), 8)
 
-    def cartan_matrix(self, base: SimpleSystem | None = None) -> tuple[tuple[int, ...], ...]:
-        """C[i][j] = 2<a_i, a_j> / <a_j, a_j> over the given (default standard) base."""
-        return self.cartan if base is None else _cartan(base.simples)
-
     def validate_base(self, system: SimpleSystem) -> None:
         """Check that `system` is a genuine simple system for this root system,
         and store in it the coordinates of every root over it.
@@ -433,10 +429,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return system
 
 
-def all_simple_systems(rs: RootSystem, max_count: int | None = None) -> list[SimpleSystem]:
+def all_simple_systems(rs: RootSystem) -> list[SimpleSystem]:
     """Every simple system of rs (one per Weyl chamber), by reflection BFS.
 
-    Bounded searches only: `max_count`, when given, aborts once exceeded.
     Intended for small ranks; enumerating E8 chambers is out of scope.
     """
     start = frozenset(rs.base.simples)
@@ -451,6 +446,4 @@ def all_simple_systems(rs: RootSystem, max_count: int | None = None) -> list[Sim
                 seen.add(image)
                 order.append(image)
                 queue.append(image)
-                if max_count is not None and len(seen) > max_count:
-                    raise RootSystemError("simple-system enumeration exceeded its bound")
     return [SimpleSystem(sorted(s)) for s in order]

@@ -3,19 +3,11 @@ from fractions import Fraction
 import pytest
 
 from innerlie import (
-    BalancedMetric,
-    CompactnessGrading,
     InfeasibleOrdering,
-    InnerPair,
     RootSystemError,
-    SimpleSystem,
     assemble_system,
-    build_root_system,
-    family_metric,
     find_admissible_ordering,
-    make_ordering,
     pair_by_name,
-    root_vector,
     scan_binvariant,
     solve_constructive,
     solve_for_pair,
@@ -23,6 +15,10 @@ from innerlie import (
     standard_ordering,
     verify_balanced,
 )
+from innerlie.balanced import BalancedMetric
+from innerlie.ordering import make_ordering
+from innerlie.pairs import CompactnessGrading, InnerPair
+from innerlie.rootsys import SimpleSystem, build_root_system, root_vector
 
 F = Fraction
 
@@ -203,29 +199,4 @@ def test_scan_so32_and_g2_empty():
 
 def test_scan_refuses_above_bound():
     with pytest.raises(RootSystemError, match="refusing"):
-        scan_binvariant(pair_by_name("f4(4)"), exhaustive_rank_bound=2)
-
-
-@pytest.mark.parametrize("name", ["g2(2)", "f4(4)"])
-@pytest.mark.parametrize("t", [2, 3, 5])
-def test_family_scaling(name, t):
-    pair = pair_by_name(name)
-    ordering = find_admissible_ordering(pair)
-    system = assemble_system(ordering, pair)
-    base = solve_constructive(system)
-    scaled = family_metric(system, base, t)
-    assert verify_balanced(scaled, pair)
-    assert all(v > 0 for v in scaled.g.values())
-    for root in system.spanned_compact:
-        assert scaled.g[root] == base.g[root] * t
-    for root in system.nc_nonsimple + system.unspanned_compact:
-        assert scaled.g[root] == base.g[root]
-
-
-def test_family_scaling_requires_t_at_least_one():
-    pair = pair_by_name("g2(2)")
-    ordering = find_admissible_ordering(pair)
-    system = assemble_system(ordering, pair)
-    base = solve_constructive(system)
-    with pytest.raises(RootSystemError):
-        family_metric(system, base, F(1, 2))
+        scan_binvariant(pair_by_name("su(4,3)"))

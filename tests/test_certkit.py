@@ -3,6 +3,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -40,16 +41,21 @@ def test_analyze_accepts_alias():
     assert cert.pair_name == "so(1,4)"
 
 
+def _canonical(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_round_trip_bit_exact(g2_cert):
     text = certkit.serialize(g2_cert)
-    again = certkit.serialize(certkit.parse(text))
-    assert again == text
+    assert _canonical(text) == text
 
 
 def test_save_load_round_trip(tmp_path, g2_cert):
     path = tmp_path / "g2.cert.json"
     certkit.save(g2_cert, str(path))
-    assert certkit.serialize(certkit.load(str(path))) == certkit.serialize(g2_cert)
+    text = path.read_text()
+    assert text == certkit.serialize(g2_cert)
+    assert _canonical(text) == text
 
 
 def test_determinism_modulo_timestamp():
@@ -156,6 +162,133 @@ def test_cli_verify_retyped_pair_name_exit_code(tmp_path, capsys, g2_data):
     path.write_text(json.dumps(_tampered(g2_data, lambda d: d["pair"].update(name=5))))
     assert main(["verify", str(path)]) == 1
     assert "malformed certificate" in capsys.readouterr().out
+
+
+def _relabelled(label, value):
+    def mutate(d):
+        d["pluriclosed_certificate"]["roots"][label] = value
+    return mutate
+
+
+FIELD_CASES = {
+    "roots dropped": (lambda d: d["pluriclosed_certificate"].pop("roots"), "malformed certificate"),
+    "roots retyped": (lambda d: d["pluriclosed_certificate"].update(roots=[]),
+                      "malformed certificate"),
+    "label dropped": (lambda d: d["pluriclosed_certificate"]["roots"].pop("phi"),
+                      "relation roots invalid"),
+    "label renamed": (lambda d: d["pluriclosed_certificate"]["roots"].update(
+        phi1=d["pluriclosed_certificate"]["roots"].pop("phi")), "relation roots invalid"),
+    "labels swapped": (lambda d: d["pluriclosed_certificate"]["roots"].update(
+        psi1=d["pluriclosed_certificate"]["roots"]["psi2"],
+        psi2=d["pluriclosed_certificate"]["roots"]["psi1"]), "relation roots invalid"),
+    "label retyped": (_relabelled("psi1", 5), "malformed certificate"),
+    "extra label": (_relabelled("chi", ["0", "0", "0"]), "relation roots invalid"),
+    "branch suffixed": (lambda d: d["pluriclosed_certificate"].update(branch="genericx"),
+                        "branch mismatch"),
+    "branch a number": (lambda d: d["pluriclosed_certificate"].update(branch=5),
+                        "branch mismatch"),
+    "branch null": (lambda d: d["pluriclosed_certificate"].update(branch=None),
+                    "branch mismatch"),
+    "balanced verdict 5": (lambda d: d.update(balanced_verdict=5), "balanced identity failed"),
+    "balanced verdict 5.5": (lambda d: d.update(balanced_verdict=5.5),
+                             "balanced identity failed"),
+    "balanced verdict x": (lambda d: d.update(balanced_verdict="x"), "balanced identity failed"),
+    "delta flag 5": (lambda d: d["chern_report"].update(delta_nonzero=5), "delta zero"),
+    "delta flag x": (lambda d: d["chern_report"].update(delta_nonzero="x"), "delta zero"),
+    "sign true": (lambda d: d["pluriclosed_certificate"]["variable_signs"][-1].update(sign=True),
+                  "malformed certificate"),
+    "sign 1.0": (lambda d: d["pluriclosed_certificate"]["variable_signs"][-1].update(sign=1.0),
+                 "malformed certificate"),
+    "schema version true": (lambda d: d.update(schema_version=True), "malformed certificate"),
+    "schema version 1.0": (lambda d: d.update(schema_version=1.0), "malformed certificate"),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_verify_reads_every_field(g2_data, case):
+    """Each of these certificates passed when the verifier left `roots`
+    unread, compared `branch` with one value only, tested the flags for
+    truth alone and compared signs and the schema version with `!=`."""
+    mutate, reason = FIELD_CASES[case]
+    assert certkit.verify_data(g2_data).ok
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == reason
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["pluriclosed_certificate"]["roots"].pop("phi2"),
+    lambda d: d["pluriclosed_certificate"]["roots"].update(
+        phi=d["pluriclosed_certificate"]["roots"].pop("phi1")),
+    _relabelled("phi2", ["0", "1"]),
+], ids=["phi2 dropped", "phi1 renamed", "phi2 changed"])
+def test_verify_reads_the_so_1_2n_labels(mutate):
+    data = json.loads(certkit.serialize(certkit.analyze_pair("so(1,4)")))
+    assert certkit.verify_data(data).ok
+    assert not certkit.verify_data(_tampered(data, mutate)).ok
+
+
+RETYPES = [5, 5.5, None, True, [], {}, "x"]
+
+
+def _changed_leaf(value):
+    """A bool negated, an int plus one, a rational string plus one, any
+    other string with "x" appended; None for a list or an object."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        try:
+            return str(Fraction(value) + 1)
+        except ValueError:
+            return value + "x"
+    return None
+
+
+def _mutations(data):
+    """(description, mutated copy) for each changed leaf, each retype to a
+    value of another type and each dropped object key, at every node of the
+    certificate outside `provenance`."""
+    def nodes(value, path):
+        yield path, value
+        children = value.items() if isinstance(value, dict) else enumerate(
+            value if isinstance(value, list) else ())
+        for key, item in children:
+            if path or key != "provenance":
+                yield from nodes(item, path + (key,))
+
+    def replaced(path, new):
+        if not path:
+            return new
+        clone = copy.deepcopy(data)
+        parent = clone
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+        return clone
+
+    for path, value in list(nodes(data, ())):
+        changed = _changed_leaf(value)
+        if changed is not None:
+            yield f"{path} changed", replaced(path, changed)
+        for new in RETYPES:
+            if type(new) is not type(value):
+                yield f"{path} retyped to {new!r}", replaced(path, copy.deepcopy(new))
+        if isinstance(value, dict):
+            for key in value:
+                yield f"{path} without {key!r}", replaced(
+                    path, {k: v for k, v in value.items() if k != key})
+
+
+@pytest.mark.parametrize("name", ["g2(2)", "su(2,1)", "so(1,4)", "so(3,2)"])
+def test_verify_rejects_every_mutation(name):
+    """Every single change to a valid certificate outside its provenance is
+    rejected with a reason, and none makes the verifier raise."""
+    data = json.loads(certkit.serialize(certkit.analyze_pair(name)))
+    assert certkit.verify_data(data).ok
+    accepted = [what for what, mutated in _mutations(data)
+                if certkit.verify_data(mutated).ok]
+    assert accepted == []
 
 
 def test_verify_file_parse_error(tmp_path):

@@ -18,14 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
-from innerlie import (
+from innerlie.rootsys import (
     RootSystemError,
     SimpleSystem,
     all_simple_systems,
     build_root_system,
+    reflect,
     root_vector,
 )
-from innerlie.rootsys import reflect
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]
 

@@ -1,21 +1,16 @@
 from fractions import Fraction
 
-import pytest
-
 from innerlie import (
-    BalancedMetric,
-    SimpleSystem,
     chern_report,
-    chern_scalar,
     find_admissible_ordering,
-    make_ordering,
     pair_by_name,
-    ricci_value,
-    root_vector,
     solve_for_pair,
     standard_ordering,
     weyl_delta,
 )
+from innerlie.balanced import BalancedMetric
+from innerlie.ordering import make_ordering
+from innerlie.rootsys import SimpleSystem, root_vector
 
 F = Fraction
 
@@ -39,36 +34,18 @@ def test_weyl_delta_nonzero_for_g2_reflected():
     assert not weyl_delta(ordering).is_zero()
 
 
-def test_ricci_value_a2():
-    ordering = standard_ordering(pair_by_name("su(2,1)"))
-    assert ricci_value(root_vector(1, 0, -1), ordering) == 4
-
-
-def test_ricci_value_antisymmetric():
-    pair = pair_by_name("so(3,2)")
-    ordering = standard_ordering(pair)
-    for root in pair.system.roots:
-        assert ricci_value(-root, ordering) == -ricci_value(root, ordering)
-
-
-def test_ricci_value_rejects_non_root():
-    ordering = standard_ordering(pair_by_name("su(2,1)"))
-    with pytest.raises(ValueError):
-        ricci_value(root_vector(1, 1, -2), ordering)
-
-
 def test_chern_scalar_vanishes_on_balanced():
     for name in ["g2(2)", "so(1,4)", "f4(4)", "su(3,2)"]:
         pair = pair_by_name(name)
         metric = solve_for_pair(pair)
-        assert chern_scalar(metric, metric.ordering, pair) == 0
+        assert chern_report(metric, metric.ordering, pair).scalar_curvature == 0
 
 
 def test_chern_scalar_nonzero_on_unbalanced():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
     unit = BalancedMetric(g={r: F(1) for r in ordering.positives}, ordering=ordering)
-    value = chern_scalar(unit, ordering, pair)
+    value = chern_report(unit, ordering, pair).scalar_curvature
     # imbalance (0,2,-2) against delta (2,0,-2), doubled
     assert value == 2 * root_vector(0, 2, -2).dot(root_vector(2, 0, -2)) == 8
 
@@ -78,7 +55,8 @@ def test_chern_scalar_linear_in_metric():
     ordering = standard_ordering(pair)
     unit = BalancedMetric(g={r: F(1) for r in ordering.positives}, ordering=ordering)
     scaled = BalancedMetric(g={r: F(7, 3) for r in ordering.positives}, ordering=ordering)
-    assert chern_scalar(scaled, ordering, pair) == F(7, 3) * chern_scalar(unit, ordering, pair)
+    assert chern_report(scaled, ordering, pair).scalar_curvature == \
+        F(7, 3) * chern_report(unit, ordering, pair).scalar_curvature
 
 
 def test_chern_report_flags():

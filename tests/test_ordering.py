@@ -3,20 +3,18 @@ from fractions import Fraction
 import pytest
 
 from innerlie import (
-    RootSystemError,
+    find_admissible_ordering,
+    pair_by_name,
+    standard_ordering,
+)
+from innerlie.ordering import make_ordering, noncompact_witness
+from innerlie.pairs import catalog
+from innerlie.rootsys import (
     RootVector,
     SimpleSystem,
     all_simple_systems,
     build_root_system,
-    catalog,
-    decompose_over,
-    find_admissible_ordering,
-    noncompact_witness,
-    make_ordering,
-    pair_by_name,
     root_vector,
-    satisfies_partner_property,
-    standard_ordering,
 )
 
 H = Fraction(1, 2)
@@ -24,7 +22,6 @@ H = Fraction(1, 2)
 
 def test_standard_su21_fails_partner_property():
     pair = pair_by_name("su(2,1)")
-    assert not satisfies_partner_property(pair.system.base, pair)
     assert standard_ordering(pair).mode == "diagnostic"
 
 
@@ -34,7 +31,6 @@ def test_g2_reflected_system_satisfies_property():
     assert ordering.mode == "partner_property"
     alpha, beta = pair.system.base.simples
     assert set(ordering.system.simples) == {-beta, alpha + beta}
-    assert satisfies_partner_property(ordering.system, pair)
 
 
 def test_so14_special_mode():
@@ -131,36 +127,36 @@ def brute_force_partner_property(system, pair):
 def test_rank2_chamber_exhaustive_agreement(name):
     pair = pair_by_name(name)
     for system in all_simple_systems(pair.system):
-        assert satisfies_partner_property(system, pair) == brute_force_partner_property(system, pair)
+        assert (make_ordering(pair, system).mode == "partner_property") == \
+            brute_force_partner_property(system, pair)
 
 
 def test_decompose_over_simple_root():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
     phi = ordering.compact_simples[0]
-    n, m = decompose_over(ordering, phi)
+    n, m = ordering.split[phi]
     assert n == (1,) and m == (0,)
 
 
 def test_decompose_over_refuses_a_negative_root():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
-    with pytest.raises(RootSystemError):
-        decompose_over(ordering, -ordering.compact_simples[0])
+    assert -ordering.compact_simples[0] not in ordering.split
 
 
 def test_decompose_over_g2_compact_root():
     pair = pair_by_name("g2(2)")
     ordering = find_admissible_ordering(pair)
     alpha = root_vector(1, -1, 0)  # equals psi1 + psi2 over the reflected base
-    n, m = decompose_over(ordering, alpha)
+    n, m = ordering.split[alpha]
     assert n == () and m == (1, 1)
 
 
 def test_decompose_over_su21_highest_root():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
-    n, m = decompose_over(ordering, root_vector(1, 0, -1))
+    n, m = ordering.split[root_vector(1, 0, -1)]
     assert n == (1,) and m == (1,)
 
 

@@ -3,17 +3,14 @@ from itertools import product
 import pytest
 
 from innerlie import (
-    CatalogError,
     RootSystemError,
-    build_root_system,
     catalog,
-    compactness,
-    infer_grading,
     pair_by_name,
-    root_vector,
-    split_positive,
     standard_ordering,
 )
+from innerlie.ordering import make_ordering
+from innerlie.pairs import CatalogError, infer_grading
+from innerlie.rootsys import all_simple_systems, build_root_system, root_vector
 from innerlie.pairs import MAX_RANK
 
 
@@ -71,10 +68,10 @@ def test_dimensions_exact(catalog8):
 def test_su21_compactness_examples():
     pair = pair_by_name("su(2,1)")
     assert pair.painted_node == 2
-    assert compactness(pair.grading, root_vector(1, -1, 0)) == "compact"
-    assert compactness(pair.grading, root_vector(1, 0, -1)) == "noncompact"
+    assert pair.grading.is_compact(root_vector(1, -1, 0))
+    assert not pair.grading.is_compact(root_vector(1, 0, -1))
     with pytest.raises(RootSystemError):
-        compactness(pair.grading, root_vector(2, -2, 0))
+        pair.grading.is_compact(root_vector(2, -2, 0))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G2", 2), ("F4", 4)])
@@ -120,6 +117,13 @@ def test_grading_never_mutates_with_ordering():
     assert [pair.grading.is_compact(v) for v in pair.system.sorted_roots] == fixed
 
 
+def split_positive(pair, system):
+    """The positive roots of a chamber, split into compact and noncompact."""
+    positives = make_ordering(pair, system).positives
+    return ([v for v in positives if pair.grading.is_compact(v)],
+            [v for v in positives if not pair.grading.is_compact(v)])
+
+
 def test_split_positive_su21():
     pair = pair_by_name("su(2,1)")
     compact, noncompact = split_positive(pair, pair.system.base)
@@ -135,7 +139,6 @@ def test_split_positive_so14():
 
 
 def test_split_counts_ordering_independent():
-    from innerlie import all_simple_systems
     pair = pair_by_name("so(3,2)")
     sizes = {
         (len(c), len(n))

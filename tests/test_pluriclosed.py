@@ -7,15 +7,13 @@ import pytest
 from innerlie import (
     RootSystemError,
     build_certificate,
-    epsilon,
     find_admissible_ordering,
-    find_noncompact_interacting_pair,
-    instantiate_relation,
     pair_by_name,
-    root_vector,
     standard_ordering,
     verify_certificate,
 )
+from innerlie.pluriclosed import epsilon, find_noncompact_interacting_pair, instantiate_relation
+from innerlie.rootsys import root_vector
 
 F = Fraction
 

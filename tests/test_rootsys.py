@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from innerlie import (
+from innerlie.rootsys import (
     RootSystemError,
     RootVector,
     all_simple_systems,
@@ -94,7 +94,7 @@ def _expected_cartan(family, rank):
 ])
 def test_cartan_matrices_standard(family, rank):
     rs = build_root_system(family, rank)
-    assert rs.cartan_matrix() == _expected_cartan(family, rank)
+    assert rs.cartan == _expected_cartan(family, rank)
 
 
 def test_reflect_defining_properties():
