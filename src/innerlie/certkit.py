@@ -248,6 +248,14 @@ def _integer(value) -> int:
     return value
 
 
+def _fields(value, *keys) -> list:
+    """The values at `keys`, in order, of a JSON object with exactly those keys:
+    TypeError for another value or key count, KeyError for a missing key."""
+    if not isinstance(value, dict) or len(value) != len(keys):
+        raise TypeError("expected a JSON object with its schema's keys")
+    return [value[key] for key in keys]
+
+
 class _Reader:
     """Reads the vectors and coefficients of one certificate, whose vectors
     all have the pair's ambient length `dim`.
@@ -275,8 +283,15 @@ class _Reader:
             out.append(doubled)
         return tuple(out)
 
-    def coefficients(self, value) -> dict:
-        return {self.vector(item["root"]): _rational(item["c"]) for item in _array(value)}
+    def coefficients(self, value, field: str = "c", parse=_rational) -> dict:
+        """{2 * root: parse(value)} for a JSON array of objects whose keys are
+        "root" and `field` alone; ValueError for an extra key or a repeated root."""
+        items = _array(value)
+        out = {self.vector(item["root"]): parse(item[field]) for item in items}
+        # Each item has both keys by now, so a total of 2 per item means no other.
+        if len(out) != len(items) or sum(map(len, items)) != 2 * len(items):
+            raise ValueError("a repeated root, or a key outside the schema")
+        return out
 
 
 def _negated(v: tuple) -> tuple:
@@ -407,18 +422,18 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
     block combines exactly two relations, counted before either is read,
     and its `roots` name their roots as `build_certificate` does."""
     try:
-        branch = payload["branch"]
-        relations = _array(payload["relations"])
-        if len(relations) != 2 or len(_array(payload["combination"])) != 2:
+        branch, labels, relations, combination, conclusion_root, conclusion_coeffs, signs = \
+            _fields(payload, "branch", "roots", "relations", "combination", "conclusion_root",
+                    "conclusion_coeffs", "variable_signs")
+        if len(_array(relations)) != 2 or len(_array(combination)) != 2:
             raise ValueError("a certificate combines exactly two relations")
-        combination = [_rational(c) for c in payload["combination"]]
-        if not isinstance(payload["roots"], dict):
+        combination = [_rational(c) for c in combination]
+        if not isinstance(labels, dict):
             raise TypeError("expected a JSON object")
-        labels = {label: read.vector(v) for label, v in payload["roots"].items()}
-        conclusion_root = read.vector(payload["conclusion_root"])
-        conclusion_coeffs = read.coefficients(payload["conclusion_coeffs"])
-        signs = {read.vector(item["root"]): _integer(item["sign"])
-                 for item in _array(payload["variable_signs"])}
+        labels = {label: read.vector(v) for label, v in labels.items()}
+        conclusion_root = read.vector(conclusion_root)
+        conclusion_coeffs = read.coefficients(conclusion_coeffs)
+        signs = read.coefficients(signs, "sign", _integer)
     except _MALFORMED:
         return _fail("malformed certificate")
     if branch != ("so_1_2n" if pair.is_so_1_2n else "generic"):
@@ -427,12 +442,11 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
     # Both sides of the elimination carry the factor 4 of doubled vectors.
     matrix: dict[tuple[int, int], int | Fraction] = {}
     combined: dict[tuple, int | Fraction] = {}
-    named = []
+    named, touched = [], set()
     for weight, item in zip(combination, relations):
         try:
-            alpha = read.vector(item["alpha"])
-            beta = read.vector(item["beta"])
-            stored = read.coefficients(item["coeffs"])
+            alpha, beta, stored = _fields(item, "alpha", "beta", "coeffs")
+            alpha, beta, stored = read.vector(alpha), read.vector(beta), read.coefficients(stored)
         except _MALFORMED:
             return _fail("malformed certificate")
         if not (alpha in positive and beta in positive):
@@ -456,6 +470,7 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
         _add_symmetric(matrix, weight, alpha, beta)
         for root, value in stored.items():
             _accumulate(combined, root, weight * value)
+        touched.update(stored)
         named.append((alpha, beta))
 
     if conclusion_root not in coords:
@@ -468,9 +483,9 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
         return _fail("conclusion mismatch")
     if not combined:
         return _fail("sign pattern violated")
+    if signs.keys() != touched:  # one sign for each root the relations touch
+        return _fail("relation roots invalid")
     for root, sign in signs.items():
-        if root not in coords:
-            return _fail("relation roots invalid")
         if sign != (-1 if root in compact else 1):
             return _fail("sign pattern violated")
     for root, value in combined.items():
@@ -518,8 +533,8 @@ def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
 def _pair_block(block) -> tuple:
     """(name, family, rank, painted node, dim g, dim k); raises TypeError
     unless name and family are strings and the four counts are integers."""
-    fields = (block["name"], block["family"],
-              *map(_integer, (block["rank"], block["painted_node"], block["dim_g"], block["dim_k"])))
+    fields = _fields(block, "name", "family", "rank", "painted_node", "dim_g", "dim_k")
+    fields[2:] = map(_integer, fields[2:])
     if not all(isinstance(v, str) for v in fields[:2]):
         raise TypeError("pair name and family must be strings")
     return fields
@@ -534,15 +549,12 @@ def verify_data(data: dict) -> VerificationResult:
     if data["schema_version"] != SCHEMA_VERSION:
         return _fail("schema mismatch")
     try:
-        name, family, *counts = _pair_block(data["pair"])
-        mode = data["ordering"]["mode"]
-        simples = _array(data["ordering"]["simples"])
-        metric = _array(data["metric"])
-        balanced_verdict = data["balanced_verdict"]
-        payload = data["pluriclosed_certificate"]
-        chern = data["chern_report"]
-        if "provenance" not in data:
-            raise KeyError("provenance")
+        _, block, ordering, metric, balanced_verdict, payload, chern, _ = _fields(
+            data, "schema_version", "pair", "ordering", "metric", "balanced_verdict",
+            "pluriclosed_certificate", "chern_report", "provenance")
+        name, family, *counts = _pair_block(block)
+        mode, simples = _fields(ordering, "mode", "simples")
+        simples, metric = _array(simples), _array(metric)
     except _MALFORMED:
         return _fail("malformed certificate")
 
@@ -584,19 +596,19 @@ def verify_data(data: dict) -> VerificationResult:
         return result
 
     try:
-        delta_stored = read.vector(chern["delta"])
-        scalar_stored = _rational(chern["scalar_curvature"])
+        delta_stored, scalar_stored, delta_nonzero, kodaira_flag = _fields(
+            chern, "delta", "scalar_curvature", "delta_nonzero", "kodaira_flag")
+        delta_stored, scalar_stored = read.vector(delta_stored), _rational(scalar_stored)
     except _MALFORMED:
         return _fail("malformed certificate")
     if tuple(delta) != delta_stored:
         return _fail("delta mismatch")
-    if not any(delta) or chern.get("delta_nonzero") is not True:
+    if not any(delta) or delta_nonzero is not True:
         return _fail("delta zero")
-    # On doubled vectors this sum is twice the scalar 2 * sum (n - c) * delta.
-    twice_scalar = sum((n - c) * d for n, c, d in zip(noncompact_sum, compact_sum, delta))
-    if twice_scalar != 0 or 2 * scalar_stored != twice_scalar:
+    # The scalar, 2 * sum (n - c) * delta, vanishes since the sums n and c are equal.
+    if scalar_stored != 0:
         return _fail("chern scalar nonzero")
-    if chern.get("kodaira_flag") is not True:
+    if kodaira_flag is not True:
         return _fail("flag mismatch")
     return VerificationResult(True)
 

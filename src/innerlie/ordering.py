@@ -83,7 +83,7 @@ def _classify(pair: InnerPair, system: SimpleSystem, mode: str | None = None) ->
 
 def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base of the pair, classified (possibly diagnostic)."""
-    return make_ordering(pair, pair.system.base)
+    return _classify(pair, pair.system.base)
 
 
 def _has_partners(noncompact_simples, pair: InnerPair) -> bool:
@@ -99,7 +99,7 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base for so(1,2n); otherwise the standard base reflected
     about its noncompact simple root, which must have the partner property.
     """
-    if pair.is_so_1_2n:  # build_root_system validated the standard base
+    if pair.is_so_1_2n:  # the standard base holds its table from the root system
         return _classify(pair, pair.system.base, MODE_SPECIAL)
     for p in pair.grading.painted:  # the noncompact simples of the standard base
         ordering = _classify(pair, pair.system.reflected_base(p))

@@ -7,9 +7,9 @@ of its coefficient sum over the painted simple roots is odd.  The grading is
 stated once, relative to the standard base, and is never mutated when the
 choice of positive roots changes.
 
-Every catalog entry is validated against the known dimensions of the
-subalgebra pair: rank + |R| must equal dim g and rank + |R_compact| must
-equal dim k, both exactly.
+Every catalog entry paints its conventional node and is validated against the
+known dimensions of the subalgebra pair: rank + |R| must equal dim g and
+rank + |R_compact| must equal dim k, both exactly; no other node is tried.
 """
 
 from __future__ import annotations
@@ -87,25 +87,15 @@ class InnerPair:
 
 def infer_grading(system: RootSystem, expected_dim_k: int,
                   conventional_index: int) -> CompactnessGrading:
-    """Single-painted-node grading reproducing the expected dim k.
-
-    The conventional node (from the family's block structure, or from the
-    known data for the exceptional pairs) is tried first and must pass the
-    dimension test; otherwise all nodes are searched and any ambiguity or
-    failure is reported loudly as a catalog bug.
+    """The grading painted at the conventional node (0-based index), which
+    must reproduce the expected dim k; a mismatch is a catalog bug and
+    raises CatalogError naming the node (1-based, as `painted_node`).
     """
-    candidate = CompactnessGrading(system, (conventional_index,))
-    if system.rank + candidate.compact_count() == expected_dim_k:
-        return candidate
-    matches = [
-        i for i in range(system.rank)
-        if system.rank + CompactnessGrading(system, (i,)).compact_count() == expected_dim_k
-    ]
-    if len(matches) == 1:
-        return CompactnessGrading(system, (matches[0],))
-    raise CatalogError(
-        f"no single painted node of {system.family}{system.rank} "
-        f"reproduces dim k = {expected_dim_k} (candidates: {matches})")
+    grading = CompactnessGrading(system, (conventional_index,))
+    if system.rank + grading.compact_count() != expected_dim_k:
+        raise CatalogError(f"painted node {conventional_index + 1} of {system.family}"
+                           f"{system.rank} does not give dim k = {expected_dim_k}")
+    return grading
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,9 @@ which holds twice each ambient coordinate (all lie in (1/2)Z) as an int.
 `Fraction` is left to ambient values read or returned (`dot`, N^2) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
-Checking a simple system, decomposing roots over it and walking root strings
-all work on integer tuples over a base; the ambient vectors are the names the
-rest of the package and the certificates give to roots.
+Decomposing roots over a base and walking root strings work on integer tuples
+over a base; the ambient vectors are the names the rest of the package and the
+certificates give to roots.  Only `validate_base` checks a base (see there).
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -135,50 +135,12 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
     return RootVector._from_doubled(c // nsq for c in scaled)
 
 
-def _unimodular_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix of determinant +-1, by integer row operations.
-
-    Each column is reduced by Euclid's algorithm, so the pivots left are the
-    gcds of the remaining column entries and their product is +-det.  Raises
-    RootSystemError when the rows are dependent or the determinant is not
-    +-1 (the inverse would not be integral).
-    """
-    n = len(matrix)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        while True:
-            live = [r for r in range(col, n) if rows[r][col]]
-            if not live:
-                raise RootSystemError("simple roots are linearly dependent")
-            pivot = min(live, key=lambda r: abs(rows[r][col]))
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            head = rows[col]
-            reduced = True
-            for r in range(col + 1, n):
-                if rows[r][col]:
-                    q = rows[r][col] // head[col]
-                    rows[r] = [a - q * b for a, b in zip(rows[r], head)]
-                    reduced = reduced and not rows[r][col]
-            if reduced:
-                break
-        if abs(rows[col][col]) != 1:
-            raise RootSystemError("roots have non-integral coordinates over the base")
-    for col in reversed(range(n)):
-        head = rows[col] = [rows[col][col] * a for a in rows[col]]  # pivot -1 becomes 1
-        for r in range(col):
-            if rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], head)]
-    return [row[n:] for row in rows]
-
-
 class SimpleSystem:
-    """An ordered choice of simple roots.
-
-    `RootSystem.validate_base` checks it and stores in it the integer
-    coordinates of every root over it, which `decompose` and `is_positive`
-    then read.  The stored table is replaced whole, never changed in place,
-    so sharing a SimpleSystem across threads stays safe.
+    """An ordered choice of simple roots, holding the integer coordinates of
+    every root over it for `decompose` and `is_positive`: the standard base
+    and `RootSystem.reflected_base` get them by construction, any other base
+    from `RootSystem.validate_base`.  The table is replaced whole, never
+    changed in place, so sharing a SimpleSystem across threads stays safe.
     """
 
     def __init__(self, simples: Sequence[RootVector]):
@@ -191,8 +153,8 @@ class SimpleSystem:
     def decompose(self, root: RootVector) -> tuple[int, ...]:
         """Integer coordinates of a root over the simple roots, all of one sign.
 
-        Defined for the roots of the last root system that validated this
-        base; any other vector raises RootSystemError.
+        Defined for the roots of the last root system that stored a table in
+        this base; any other vector raises RootSystemError.
         """
         try:
             return self._coords[root]
@@ -245,6 +207,7 @@ class RootSystem:
         self.ambient_dim = self.sorted_roots[0].ambient_dim
         self._coords = {v: by_root[v] for v in self.sorted_roots}
         self._roots_at = {c: v for v, c in self._coords.items()}
+        base._coords = self._coords  # the roots were generated over this base
 
     def is_root(self, v: RootVector) -> bool:
         return v in self.roots
@@ -270,7 +233,7 @@ class RootSystem:
         return self.positives(self.base)
 
     def positives(self, system: SimpleSystem) -> tuple[RootVector, ...]:
-        """Positive roots with respect to a validated simple system."""
+        """Positive roots with respect to a simple system that holds its table."""
         return tuple(v for v in self.sorted_roots if system.is_positive(v))
 
     def root_string(self, alpha: RootVector, beta: RootVector) -> tuple[int, int]:
@@ -304,23 +267,13 @@ class RootSystem:
         """Check that `system` is a genuine simple system for this root system,
         and store in it the coordinates of every root over it.
 
-        Requires rank-many roots whose standard-base coordinate matrix has an
-        integral inverse (a genuine base is unimodular; a singular matrix
-        means dependent roots), and a one-sign decomposition of every root.
+        The check is the verifier's height walk, `certkit._claimed_coordinates`;
+        anything but a base raises RootSystemError.
         """
-        if system.rank != self.rank:
-            raise RootSystemError(f"expected {self.rank} simple roots, got {system.rank}")
-        for s in system.simples:
-            self.require_root(s)
-        inverse = _unimodular_inverse([self._coords[s] for s in system.simples])
-        columns = tuple(zip(*inverse))
-        table = {}
-        for v, c in self._coords.items():
-            coeffs = tuple(sum(map(mul, c, column)) for column in columns)
-            if min(coeffs) < 0 < max(coeffs):
-                raise RootSystemError(f"{v!r} has mixed-sign coordinates over the base")
-            table[v] = coeffs
-        system._coords = table
+        from .certkit import _claimed_coordinates  # certkit imports rootsys
+        table = _claimed_coordinates([v.coords for v in self.sorted_roots], self.rank,
+                                     [s.coords for s in system.simples])
+        system._coords = {v: table[v.coords] for v in self.sorted_roots}
 
     def reflected_base(self, p: int) -> SimpleSystem:
         """The standard base reflected in its p-th simple root, sorted, with its table."""
@@ -378,6 +331,8 @@ def _closure(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
     coordinates over the base (equals the root set).
 
     s_j(v) = v - <v, a_j^vee> a_j, where <v, a_j^vee> = sum_i v_i C[i][j].
+    The orbit holds -w(a_j) = w(s_j(a_j)) with each w(a_j), so it is closed
+    under negation by construction.
     """
     rank = len(cartan)
     columns = tuple(zip(*cartan))
@@ -423,9 +378,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if len(system.roots) != expected:
         raise InvariantViolation(
             f"{family}{rank}: generated {len(system.roots)} roots, expected {expected}")
-    if any(system.root_at([-c for c in system.coordinates(v)]) is None for v in system.sorted_roots):
-        raise InvariantViolation(f"{family}{rank}: root set not closed under negation")
-    system.validate_base(system.base)
     return system
 
 

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import innerlie.certkit as certkit
 from innerlie import (
     InfeasibleOrdering,
     RootSystemError,
@@ -18,7 +21,7 @@ from innerlie import (
 from innerlie.balanced import BalancedMetric
 from innerlie.ordering import make_ordering
 from innerlie.pairs import CompactnessGrading, InnerPair
-from innerlie.rootsys import SimpleSystem, build_root_system, root_vector
+from innerlie.rootsys import InvariantViolation, SimpleSystem, build_root_system, root_vector
 
 F = Fraction
 
@@ -200,3 +203,35 @@ def test_scan_so32_and_g2_empty():
 def test_scan_refuses_above_bound():
     with pytest.raises(RootSystemError, match="refusing"):
         scan_binvariant(pair_by_name("su(4,3)"))
+
+
+# ---------------------------------------------------------------------------
+# Negative control: the compact form, where every root is compact, admits no
+# balanced metric (the paper's contrast with compact Lie groups)
+# ---------------------------------------------------------------------------
+
+def compact_g2():
+    system = build_root_system("G2", 2)
+    return InnerPair(name="g2 compact", family="G2", rank=2, system=system,
+                     grading=CompactnessGrading(system, ()), dim_g=14, dim_k=14)
+
+
+def test_compact_form_unit_metric_not_balanced():
+    pair = compact_g2()
+    unit = {root: F(1) for root in pair.system.positive_roots}
+    assert not certkit.check_balanced(pair, pair.system.base.simples, unit)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(weights=st.lists(st.fractions(min_value=F(1, 100), max_value=100), min_size=6, max_size=6))
+def test_compact_form_no_positive_metric_balanced(weights):
+    """With every root compact the identity reads sum g_a a = 0, whose pairing
+    with delta is a sum of positive terms."""
+    pair = compact_g2()
+    g = dict(zip(pair.system.positive_roots, weights))
+    assert not certkit.check_balanced(pair, pair.system.base.simples, g)
+
+
+def test_compact_form_pipeline_raises():
+    with pytest.raises(InvariantViolation):
+        solve_for_pair(compact_g2())

@@ -215,6 +215,39 @@ def test_verify_reads_every_field(g2_data, case):
     assert not result.ok and result.reason == reason
 
 
+def _sign_for_an_untouched_root(d):
+    """Append the true sign of a positive root that no relation touches."""
+    signs = d["pluriclosed_certificate"]["variable_signs"]
+    listed = [entry["root"] for entry in signs]
+    root = next(e["root"] for e in d["metric"] if e["root"] not in listed)
+    signs.append({"root": root, "sign": 1})
+
+
+ADDITIONS = {
+    "sign entry duplicated": (lambda d: d["pluriclosed_certificate"]["variable_signs"].append(
+        copy.deepcopy(d["pluriclosed_certificate"]["variable_signs"][0])),
+        "malformed certificate"),
+    "sign for an untouched root": (_sign_for_an_untouched_root, "relation roots invalid"),
+    "top-level key": (lambda d: d.update(note="x"), "malformed certificate"),
+    "pair key": (lambda d: d["pair"].update(note="x"), "malformed certificate"),
+    "metric entry key": (lambda d: d["metric"][0].update(note="x"), "malformed certificate"),
+    "chern key": (lambda d: d["chern_report"].update(note="x"), "malformed certificate"),
+    "relation key": (lambda d: d["pluriclosed_certificate"]["relations"][0].update(note="x"),
+                     "malformed certificate"),
+    "provenance key": (lambda d: d["provenance"].update(note="x"), None),
+}
+
+
+@pytest.mark.parametrize("case", ADDITIONS)
+def test_verify_closed_to_additions(g2_data, case):
+    """Every object but `provenance` has exactly its schema's keys, and
+    `variable_signs` one entry for each root the relations touch.  The
+    verifier accepted each of these additions, provenance aside, when it
+    read objects by key and signs into a dict."""
+    mutate, reason = ADDITIONS[case]
+    assert certkit.verify_data(_tampered(g2_data, mutate)).reason == reason
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d["pluriclosed_certificate"]["roots"].pop("phi2"),
     lambda d: d["pluriclosed_certificate"]["roots"].update(
@@ -247,8 +280,9 @@ def _changed_leaf(value):
 
 def _mutations(data):
     """(description, mutated copy) for each changed leaf, each retype to a
-    value of another type and each dropped object key, at every node of the
-    certificate outside `provenance`."""
+    value of another type, each dropped and one added object key and each
+    duplicated list entry, at every node of the certificate outside
+    `provenance`."""
     def nodes(value, path):
         yield path, value
         children = value.items() if isinstance(value, dict) else enumerate(
@@ -278,6 +312,11 @@ def _mutations(data):
             for key in value:
                 yield f"{path} without {key!r}", replaced(
                     path, {k: v for k, v in value.items() if k != key})
+            yield f"{path} with an added key", replaced(path, {**value, "note": "x"})
+        if isinstance(value, list):
+            for i in range(len(value)):
+                yield f"{path} with entry {i} duplicated", replaced(
+                    path, copy.deepcopy(value[:i + 1] + value[i:]))
 
 
 @pytest.mark.parametrize("name", ["g2(2)", "su(2,1)", "so(1,4)", "so(3,2)"])

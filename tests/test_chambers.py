@@ -1,5 +1,7 @@
-"""Chamber-by-chamber equivalence of the integer root core, the verifier's
-height walk over the claimed base and a Fraction Gram-inverse reference.
+"""Chamber-by-chamber equivalence of the root core's base check, the
+verifier's height walk over the claimed base and a Fraction Gram-inverse
+reference.  The core's check, `RootSystem.validate_base` (the "integer"
+path), runs the verifier's walk and keeps the table keyed by RootVector.
 
 The reference is the decomposition the package used before the integer
 core: solve against the Gram matrix of the simple roots in exact rationals,

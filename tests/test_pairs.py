@@ -110,6 +110,32 @@ def test_infer_grading_rejects_impossible_dim():
         infer_grading(rs, expected_dim_k=7, conventional_index=0)
 
 
+def test_infer_grading_checks_only_the_conventional_node():
+    """B3 painted at node 1 gives dim k = 11.  Node 3 would give the 15 asked
+    for, but a wrong conventional node is a catalog bug, not a fallback."""
+    with pytest.raises(CatalogError, match="painted node 1 "):
+        infer_grading(build_root_system("B", 3), 15, 0)
+
+
+def test_so8_star_is_so_6_2():
+    """so(8)* and so(6,2) are both catalog entries, D4 painted at nodes 4 and
+    1 with dim k = 16: the diagram automorphism swapping those nodes keeps the
+    Cartan matrix and carries the compact roots of one onto the other's."""
+    star, split = pair_by_name("so(8)*"), pair_by_name("so(6,2)")
+    rs = star.system
+    assert split.system is rs and rs.family == "D" and rs.rank == 4
+    assert (star.painted_node, split.painted_node, star.dim_k, split.dim_k) == (4, 1, 16, 16)
+    swap = [3, 1, 2, 0]
+    assert [[rs.cartan[i][j] for j in swap] for i in swap] == [list(row) for row in rs.cartan]
+
+    def image(v):
+        c = rs.coordinates(v)
+        return rs.root_at([c[i] for i in swap])
+
+    assert {image(v) for v in rs.roots if star.grading.is_compact(v)} == \
+        {v for v in rs.roots if split.grading.is_compact(v)}
+
+
 def test_grading_never_mutates_with_ordering():
     pair = pair_by_name("su(2,1)")
     fixed = [pair.grading.is_compact(v) for v in pair.system.sorted_roots]

@@ -6,6 +6,7 @@ import pytest
 from innerlie.rootsys import (
     RootSystemError,
     RootVector,
+    SimpleSystem,
     all_simple_systems,
     build_root_system,
     reflect,
@@ -224,6 +225,17 @@ def test_base_decomposition_one_signed():
         for root in rs.roots:
             coeffs = rs.base.decompose(root)
             assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+
+
+def test_standard_base_table_equals_validate_base(catalog8):
+    """The standard base takes its table from the root system generated over
+    it; for every root system of the rank-8 catalog that table equals what
+    validate_base stores for the same simples."""
+    for rs in {id(pair.system): pair.system for pair in catalog8}.values():
+        checked = SimpleSystem(rs.base.simples)
+        rs.validate_base(checked)
+        assert {v: rs.base.decompose(v) for v in rs.sorted_roots} == \
+            {v: checked.decompose(v) for v in rs.sorted_roots}, rs
 
 
 def test_simple_system_rejects_outside_span():
