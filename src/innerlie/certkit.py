@@ -8,7 +8,7 @@ bytes apart from the provenance timestamp.
 
 Verification re-derives every verdict straight from the parsed JSON, using
 only the root set, the standard base and the painted nodes of the catalog.
-A strict reader takes each rational from a string "-?digits(/digits)?" of
+A strict reader takes each rational only in the form str(Fraction) writes, of
 bounded length; every root becomes its doubled ambient vector, a tuple of
 integers, and every check is integer tuple arithmetic on those, with metric
 values, relation coefficients and weights kept exact (an int when integral,
@@ -35,6 +35,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, neg, sub
 
 from . import __version__
@@ -57,24 +58,6 @@ class VerificationResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass
-class AnalysisCertificate:
-    schema_version: int
-    pair_name: str
-    family: str
-    rank: int
-    painted_node: int
-    dim_g: int
-    dim_k: int
-    ordering_mode: str
-    simples: tuple[RootVector, ...]
-    metric: dict[RootVector, Fraction]
-    balanced_verdict: bool
-    pluriclosed: dict
-    chern: dict
-    provenance: dict
 
 
 def _vec_to_json(v: RootVector) -> list[str]:
@@ -107,11 +90,12 @@ def pluriclosed_payload(pluri) -> dict:
     }
 
 
-def analyze_pair(pair_or_name) -> AnalysisCertificate:
-    """Run the full pipeline on one catalog pair and package the results.
+def analyze_pair(pair_or_name) -> dict:
+    """Run the full pipeline on one catalog pair and return its certificate,
+    the JSON document that `serialize` writes and `verify_data` reads.
 
     Nothing here checks the result: callers check the certificate with
-    `verify_data` (on `to_dict` of it) or `verify_file` (on the saved file).
+    `verify_data` (on this document) or `verify_file` (on the saved file).
     """
     from .balanced import solve_for_pair
     from .chern import chern_report
@@ -121,62 +105,43 @@ def analyze_pair(pair_or_name) -> AnalysisCertificate:
     metric = solve_for_pair(pair)
     ordering = metric.ordering
     chern = chern_report(metric, ordering, pair)
-    chern_payload = {
-        "delta": _vec_to_json(chern.delta),
-        "scalar_curvature": str(chern.scalar_curvature),
-        "delta_nonzero": chern.delta_nonzero,
-        "kodaira_flag": chern.kodaira_flag,
-    }
-    return AnalysisCertificate(
-        schema_version=SCHEMA_VERSION,
-        pair_name=pair.name,
-        family=pair.family,
-        rank=pair.rank,
-        painted_node=pair.painted_node,
-        dim_g=pair.dim_g,
-        dim_k=pair.dim_k,
-        ordering_mode=ordering.mode,
-        simples=ordering.system.simples,
-        metric=dict(metric.g),
-        balanced_verdict=True,
-        pluriclosed=pluriclosed_payload(build_certificate(ordering, pair)),
-        chern=chern_payload,
-        provenance={
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "pair": {
+            "name": pair.name,
+            "family": pair.family,
+            "rank": pair.rank,
+            "painted_node": pair.painted_node,
+            "dim_g": pair.dim_g,
+            "dim_k": pair.dim_k,
+        },
+        "ordering": {
+            "mode": ordering.mode,
+            "simples": [_vec_to_json(s) for s in ordering.system.simples],
+        },
+        "metric": _coeffs_to_json(metric.g),
+        "balanced_verdict": True,
+        "pluriclosed_certificate": pluriclosed_payload(build_certificate(ordering, pair)),
+        "chern_report": {
+            "delta": _vec_to_json(chern.delta),
+            "scalar_curvature": str(chern.scalar_curvature),
+            "delta_nonzero": chern.delta_nonzero,
+            "kodaira_flag": chern.kodaira_flag,
+        },
+        "provenance": {
             "tool": TOOL_NAME,
             "version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         },
-    )
-
-
-def to_dict(cert: AnalysisCertificate) -> dict:
-    return {
-        "schema_version": cert.schema_version,
-        "pair": {
-            "name": cert.pair_name,
-            "family": cert.family,
-            "rank": cert.rank,
-            "painted_node": cert.painted_node,
-            "dim_g": cert.dim_g,
-            "dim_k": cert.dim_k,
-        },
-        "ordering": {
-            "mode": cert.ordering_mode,
-            "simples": [_vec_to_json(s) for s in cert.simples],
-        },
-        "metric": _coeffs_to_json(cert.metric),
-        "balanced_verdict": cert.balanced_verdict,
-        "pluriclosed_certificate": cert.pluriclosed,
-        "chern_report": cert.chern,
-        "provenance": cert.provenance,
     }
 
 
-def serialize(cert: AnalysisCertificate) -> str:
-    return json.dumps(to_dict(cert), sort_keys=True, indent=2) + "\n"
+def serialize(cert: dict) -> str:
+    """The canonical bytes of a certificate document, as `analyze_pair` returns it."""
+    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
 
 
-def save(cert: AnalysisCertificate, path: str) -> None:
+def save(cert: dict, path: str) -> None:
     """Write atomically: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -201,15 +166,16 @@ def save(cert: AnalysisCertificate, path: str) -> None:
 # arithmetic, so the fast core and the checker share no arithmetic.
 # ---------------------------------------------------------------------------
 
-# A rational in a certificate is a JSON string "-?digits" or
-# "-?digits/digits" with at most MAX_DIGITS digits on each side of the bar,
-# which bounds the size of the numbers a file can feed the arithmetic.
+# A rational in a certificate is the JSON string str(Fraction) writes, with at
+# most MAX_DIGITS digits on each side of the bar, which bounds the size of the
+# numbers a file can feed the arithmetic.
 MAX_DIGITS = 64
 # `verify_file` reads at most this many bytes; a larger file is refused
 # before it is parsed.  The largest rank-16 certificate is about 78 KB.
 MAX_BYTES = 1 << 20
-_RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
-_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+_DIGITS = rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}"  # no leading zero
+_RATIONAL = re.compile(rf"(0|-?{_DIGITS})(?:/({_DIGITS}))?")
+_MALFORMED = (KeyError, TypeError, ValueError)
 
 
 def _fail(reason: str) -> VerificationResult:
@@ -224,15 +190,18 @@ def _exact(numerator: int, denominator: int) -> int | Fraction:
 
 
 def _rational(text, scale: int = 1) -> int | Fraction:
-    """scale times the value of a strict rational string.
+    """scale times the value of a canonical rational string.
 
-    Raises ValueError for anything else, ZeroDivisionError for "p/0".
+    Raises ValueError for anything else: "-0", "01", "p/0", "p/1" and a
+    fraction not in lowest terms included.
     """
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError("not a rational string")
-    numerator, denominator = match.groups()
-    return _exact(scale * int(numerator), 1 if denominator is None else int(denominator))
+    numerator, denominator = int(match[1]), int(match[2] or 1)
+    if match[2] == "1" or gcd(numerator, denominator) != 1:
+        raise ValueError("a fraction over 1 or not in lowest terms")
+    return _exact(scale * numerator, denominator)
 
 
 def _array(value) -> list:
@@ -415,6 +384,27 @@ def _add_symmetric(matrix: dict, weight, a: tuple, b: tuple) -> None:
                     matrix[j, i] = matrix.get((j, i), 0) + term
 
 
+def _derived_relation(coords: dict, positive: set, alpha: tuple, beta: tuple) -> dict:
+    """The right side of the relation for (alpha, beta), re-derived from root
+    strings, with the difference term folded onto its positive representative;
+    `coords` holds every root and `positive` the positive ones, all doubled."""
+    derived: dict[tuple, int | Fraction] = {}
+    total = tuple(map(add, alpha, beta))
+    if total in coords:
+        n2 = _n_squared(coords, alpha, beta)
+        _accumulate(derived, total, n2)
+        _accumulate(derived, alpha, -n2)
+        _accumulate(derived, beta, -n2)
+    difference = tuple(map(sub, alpha, beta))
+    if difference in coords:
+        n2 = _n_squared(coords, alpha, _negated(beta))
+        sign = 1 if difference in positive else -1
+        _accumulate(derived, difference if sign > 0 else _negated(difference), n2)
+        _accumulate(derived, beta, sign * n2)
+        _accumulate(derived, alpha, -sign * n2)
+    return derived
+
+
 def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords: dict,
                                 positive: set, compact: set) -> VerificationResult:
     """Check the sign contradiction on doubled roots: `coords` holds every
@@ -451,21 +441,7 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
             return _fail("malformed certificate")
         if not (alpha in positive and beta in positive):
             return _fail("relation roots invalid")
-        derived: dict[tuple, int | Fraction] = {}
-        total = tuple(map(add, alpha, beta))
-        if total in coords:
-            n2 = _n_squared(coords, alpha, beta)
-            _accumulate(derived, total, n2)
-            _accumulate(derived, alpha, -n2)
-            _accumulate(derived, beta, -n2)
-        difference = tuple(map(sub, alpha, beta))
-        if difference in coords:
-            n2 = _n_squared(coords, alpha, _negated(beta))
-            sign = 1 if difference in positive else -1
-            _accumulate(derived, difference if sign > 0 else _negated(difference), n2)
-            _accumulate(derived, beta, sign * n2)
-            _accumulate(derived, alpha, -sign * n2)
-        if derived != stored:
+        if _derived_relation(coords, positive, alpha, beta) != stored:
             return _fail("relation mismatch")
         _add_symmetric(matrix, weight, alpha, beta)
         for root, value in stored.items():

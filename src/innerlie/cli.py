@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
         name = pair.name
         cert = certkit.analyze_pair(pair)
         stage = "verify"
-        result = certkit.verify_data(certkit.to_dict(cert))
+        result = certkit.verify_data(cert)
         if not result.ok:
             raise InvariantViolation(f"certificate failed verification: {result.reason}")
         stage = "save"

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .pairs import InnerPair
-from .rootsys import (
-    InvariantViolation,
-    RootSystemError,
-    RootVector,
-    SimpleSystem,
-)
+from .rootsys import InvariantViolation, RootVector, SimpleSystem
 
 MODE_PARTNER = "partner_property"
 MODE_SPECIAL = "so_1_2n_special"
@@ -54,28 +49,23 @@ class AdmissibleOrdering:
         return table
 
 
-def make_ordering(pair: InnerPair, system: SimpleSystem, mode: str | None = None) -> AdmissibleOrdering:
-    """Wrap a simple system for a pair, classifying or validating its mode."""
+def make_ordering(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
+    """Wrap a simple system for a pair and classify its mode."""
     pair.system.validate_base(system)
-    return _classify(pair, system, mode)
+    return _classify(pair, system)
 
 
-def _classify(pair: InnerPair, system: SimpleSystem, mode: str | None = None) -> AdmissibleOrdering:
+def _classify(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
     """`make_ordering` for a system whose coordinate table is already filled."""
     positives = pair.system.positives(system)
     compact_simples = tuple(s for s in system.simples if pair.grading.is_compact(s))
     noncompact_simples = tuple(s for s in system.simples if not pair.grading.is_compact(s))
-    if mode is None:
-        if pair.is_so_1_2n and system.key() == pair.system.base.key():
-            mode = MODE_SPECIAL
-        elif _has_partners(noncompact_simples, pair):
-            mode = MODE_PARTNER
-        else:
-            mode = MODE_DIAGNOSTIC
-    elif mode == MODE_PARTNER and not _has_partners(noncompact_simples, pair):
-        raise RootSystemError("ordering does not satisfy the noncompact-partner property")
-    elif mode == MODE_SPECIAL and not pair.is_so_1_2n:
-        raise RootSystemError("the special mode is reserved for the so(1,2n) family")
+    if pair.is_so_1_2n and system.key() == pair.system.base.key():
+        mode = MODE_SPECIAL
+    elif _has_partners(noncompact_simples, pair):
+        mode = MODE_PARTNER
+    else:
+        mode = MODE_DIAGNOSTIC
     return AdmissibleOrdering(system=system, positives=positives,
                               compact_simples=compact_simples,
                               noncompact_simples=noncompact_simples, mode=mode)
@@ -99,8 +89,8 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base for so(1,2n); otherwise the standard base reflected
     about its noncompact simple root, which must have the partner property.
     """
-    if pair.is_so_1_2n:  # the standard base holds its table from the root system
-        return _classify(pair, pair.system.base, MODE_SPECIAL)
+    if pair.is_so_1_2n:  # `_classify` gives its standard base the special mode
+        return standard_ordering(pair)
     for p in pair.grading.painted:  # the noncompact simples of the standard base
         ordering = _classify(pair, pair.system.reflected_base(p))
         if ordering.mode == MODE_PARTNER:

@@ -185,11 +185,3 @@ def test_noncompact_witness_never_simple(catalog8):
             assert not pair.grading.is_compact(witness)
             assert witness in ordering.positives
 
-
-def test_make_ordering_rejects_wrong_mode():
-    from innerlie import RootSystemError
-    pair = pair_by_name("su(2,1)")
-    with pytest.raises(RootSystemError):
-        make_ordering(pair, pair.system.base, mode="partner_property")
-    with pytest.raises(RootSystemError):
-        make_ordering(pair, pair.system.base, mode="so_1_2n_special")

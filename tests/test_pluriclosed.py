@@ -1,9 +1,11 @@
 import dataclasses
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import pytest
 
+import innerlie.certkit as certkit
 from innerlie import (
     RootSystemError,
     build_certificate,
@@ -12,7 +14,12 @@ from innerlie import (
     standard_ordering,
     verify_certificate,
 )
-from innerlie.pluriclosed import epsilon, find_noncompact_interacting_pair, instantiate_relation
+from innerlie.pluriclosed import (
+    _relation_coeffs,
+    epsilon,
+    find_noncompact_interacting_pair,
+    instantiate_relation,
+)
 from innerlie.rootsys import root_vector
 
 F = Fraction
@@ -113,6 +120,43 @@ def test_at_most_one_double_sum_root(catalog8):
         rs = pair.system
         for psi1, psi2 in permutations(rs.base.simples, 2):
             assert not (rs.is_root(psi1 + 2 * psi2) and rs.is_root(psi2 + 2 * psi1))
+
+
+# The compact form as a negative control.  With every x_a = -1 (the unit
+# metric of the compact form, where every root is compact) the right side of
+# each relation equals -<a, b>, so the unit metric solves every relation and
+# no obstruction exists there.  Equivalently, the coefficients of each
+# relation sum to <a, b>.  A flipped sign e cancels at x = -1 (e^2 = 1), so
+# this identity cannot see it; it does see a wrong N^2 and a difference
+# folded onto a negative root.
+ONE_PAIR_PER_TYPE = ["su(3,2)", "so(1,8)", "sp(4,R)", "so(8)*", "g2(2)", "f4(-20)",
+                     "e6(-14)", "e8(-24)"]
+
+
+@pytest.mark.parametrize("name", ONE_PAIR_PER_TYPE)
+def test_relation_coefficients_sum_to_the_pairing(name):
+    """The builder's statement, over every ordered pair of distinct positive
+    roots of the admissible ordering."""
+    pair = pair_by_name(name)
+    ordering = find_admissible_ordering(pair)
+    positives = set(ordering.positives)
+    for alpha, beta in permutations(ordering.positives, 2):
+        coeffs = _relation_coeffs(alpha, beta, ordering.system, pair)
+        assert sum(coeffs.values()) == alpha.dot(beta), (alpha, beta)
+        assert set(coeffs) <= positives, (alpha, beta)
+
+
+@pytest.mark.parametrize("name", ONE_PAIR_PER_TYPE)
+def test_derived_relation_sums_to_the_pairing(name):
+    """The verifier's statement, on doubled vectors: the coefficients sum to
+    the doubled dot product over 4."""
+    pair = pair_by_name(name)
+    simples = [s.coords for s in find_admissible_ordering(pair).system.simples]
+    coords, positive, _ = certkit._claimed_roots(pair, simples)
+    for alpha, beta in permutations(sorted(positive), 2):
+        derived = certkit._derived_relation(coords, positive, alpha, beta)
+        assert sum(derived.values()) == Fraction(sum(map(mul, alpha, beta)), 4), (alpha, beta)
+        assert set(derived) <= positive, (alpha, beta)
 
 
 def test_certificate_g2_frozen():
