@@ -22,8 +22,12 @@ character of the root lattice that the painted nodes define, so a root is
 compact when its coordinates over the claimed simples pair evenly with the
 painted parities of those simples; a walk over the standard base reads the
 parities and stops once every claimed simple is reached up to sign.
-The verifier shares no code path with the solvers or the integer root core,
-so it stays an independent check of the same mathematics.
+The verifier uses no code of the solvers or of the integer root core.  The
+pluriclosed relation is stated once, in `_derived_relation`: the builder
+takes each relation from it, so on the builder's own output the relation
+check holds by construction, and what checks the formula itself is the
+Fraction reference in `tests/test_verifier_reference.py` and the golden
+digests.
 """
 
 from __future__ import annotations
@@ -163,7 +167,8 @@ def save(cert: dict, path: str) -> None:
 # (coordinates lie in (1/2)Z; a catalog root's is its `RootVector.coords`).
 # The verifier reads the root set, the standard base and the painted nodes,
 # but neither the integer coordinate tables of `rootsys` nor RootVector
-# arithmetic, so the fast core and the checker share no arithmetic.
+# arithmetic, so the integer core and the checker share no arithmetic; the
+# builder's relations are the checker's own (`_derived_relation`).
 # ---------------------------------------------------------------------------
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
@@ -464,10 +469,9 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
     for root, sign in signs.items():
         if sign != (-1 if root in compact else 1):
             return _fail("sign pattern violated")
-    for root, value in combined.items():
-        true_sign = -1 if root in compact else 1
-        if signs.get(root) != true_sign or (value > 0) != (true_sign > 0):
-            return _fail("sign pattern violated")
+    # Each combined value has its root's sign: > 0 noncompact, < 0 compact.
+    if any((value > 0) == (root in compact) for root, value in combined.items()):
+        return _fail("sign pattern violated")
 
     # psi1 and psi2 are the first relation's roots, phi (phi1) is the second
     # one's alpha, paired with psi1, and psi1 is the conclusion root.

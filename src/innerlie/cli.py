@@ -81,9 +81,9 @@ def cmd_analyze(args) -> int:
         stage = "save"
         out = args.out or f"{_safe_filename(pair.name)}.cert.json"
         certkit.save(cert, out)
-    except (RootSystemError, InvariantViolation) as exc:
+    except (RootSystemError, InvariantViolation, OSError) as exc:  # OSError: an unwritable --out
         print(f"{name}: error in {stage}: {exc}", file=sys.stderr)
-        return certkit.EXIT_USAGE if isinstance(exc, RootSystemError) else certkit.EXIT_INTERNAL
+        return certkit.EXIT_INTERNAL if isinstance(exc, InvariantViolation) else certkit.EXIT_USAGE
     print(f"{pair.name}: balanced=ok pluriclosed-obstruction=ok chern-scalar=0 -> {out}")
     return certkit.EXIT_OK
 
@@ -115,7 +115,7 @@ def cmd_sweep(args) -> int:
             if not result.ok:
                 status = f"verify failed: {result.reason}"
                 failures += 1
-        except (RootSystemError, InvariantViolation) as exc:
+        except (RootSystemError, InvariantViolation, OSError) as exc:
             status = f"error in {stage}: {exc}"
             failures += 1
         elapsed_ms = int((time.monotonic() - started) * 1000)

@@ -77,12 +77,9 @@ def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:
 
 
 def _has_partners(noncompact_simples, pair: InnerPair) -> bool:
-    rs = pair.system
-    coords = [rs.coordinates(s) for s in noncompact_simples]
-    return all(
-        any(rs.root_at(map(sum, zip(psi, other))) is not None for other in coords)
-        for psi in coords
-    )
+    roots = pair.system.roots
+    return all(any(psi + other in roots for other in noncompact_simples)
+               for psi in noncompact_simples)
 
 
 def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:

@@ -15,6 +15,8 @@ diagonal value T(c, c) (constrained negative) while every variable on the
 right side appears with a coefficient matching its sign constraint (so the
 right side is strictly positive): a literal infeasibility witness.
 
+The relation is stated once, by the verifier: `instantiate_relation` takes
+its coefficients from `certkit._derived_relation` on doubled roots.
 `verify_certificate` checks a certificate with the verifier of
 `certkit.verify_data`, which re-derives every coefficient from root strings
 and the stored ordering, checks the exact elimination of off-diagonal terms
@@ -29,12 +31,7 @@ from fractions import Fraction
 from . import certkit
 from .ordering import MODE_PARTNER, MODE_SPECIAL, AdmissibleOrdering
 from .pairs import InnerPair
-from .rootsys import (
-    InvariantViolation,
-    RootSystemError,
-    RootVector,
-    SimpleSystem,
-)
+from .rootsys import InvariantViolation, RootSystemError, RootVector
 
 BRANCH_GENERIC = "generic"
 BRANCH_SPECIAL = "so_1_2n"
@@ -59,53 +56,19 @@ class PluriclosedCertificate:
     variable_signs: dict[RootVector, int]  # +1 noncompact, -1 compact
 
 
-def epsilon(gamma: RootVector, ordering: AdmissibleOrdering) -> int:
-    """+1 for roots positive in the ordering, -1 otherwise."""
-    if gamma in ordering.positives:
-        return 1
-    if -gamma in ordering.positives:
-        return -1
-    raise RootSystemError(f"{gamma!r} is not a root")
-
-
-def _relation_coeffs(alpha: RootVector, beta: RootVector,
-                     system: SimpleSystem, pair: InnerPair) -> dict[RootVector, Fraction]:
-    """Right-hand side of the relation for (alpha, beta), with the difference
-    term folded onto its positive representative."""
-    rs = pair.system
-    a, b = rs.coordinates(alpha), rs.coordinates(beta)
-    coeffs: dict[RootVector, Fraction] = {}
-
-    def accumulate(root, value):
-        coeffs[root] = coeffs.get(root, Fraction(0)) + value
-        if coeffs[root] == 0:
-            del coeffs[root]
-
-    total = rs.root_at([x + y for x, y in zip(a, b)])
-    if total is not None:
-        n2 = rs.n_squared(alpha, beta)
-        accumulate(total, n2)
-        accumulate(alpha, -n2)
-        accumulate(beta, -n2)
-    d = [x - y for x, y in zip(a, b)]
-    difference = rs.root_at(d)
-    if difference is not None:
-        n2 = rs.n_squared(alpha, -beta)
-        sign = 1 if system.is_positive(difference) else -1
-        accumulate(difference if sign > 0 else rs.root_at([-x for x in d]), n2)
-        accumulate(beta, sign * n2)
-        accumulate(alpha, -sign * n2)
-    return coeffs
-
-
 def instantiate_relation(alpha: RootVector, beta: RootVector,
                          ordering: AdmissibleOrdering, pair: InnerPair) -> PluriclosedRelation:
+    """The relation for (alpha, beta), derived on doubled roots by the
+    verifier's `certkit._derived_relation`."""
+    positive = {root.coords for root in ordering.positives}
     if alpha == beta:
         raise RootSystemError("the relation requires distinct roots")
     for root in (alpha, beta):
-        if root not in ordering.positives:
+        if root.coords not in positive:
             raise RootSystemError(f"{root!r} is not a positive root of the ordering")
-    coeffs = _relation_coeffs(alpha, beta, ordering.system, pair)
+    derived = certkit._derived_relation({v.coords for v in pair.system.sorted_roots},
+                                        positive, alpha.coords, beta.coords)
+    coeffs = {RootVector._from_doubled(root): Fraction(value) for root, value in derived.items()}
     return PluriclosedRelation(alpha=alpha, beta=beta, coeffs=coeffs)
 
 
@@ -115,15 +78,11 @@ def find_noncompact_interacting_pair(ordering: AdmissibleOrdering, pair: InnerPa
     one of psi1 + 2*psi2, psi2 + 2*psi1 can be a root."""
     if ordering.mode != MODE_PARTNER:
         raise RootSystemError("an ordering with the partner property is required")
-    rs = pair.system
+    roots = pair.system.roots
     for psi1 in ordering.noncompact_simples:
-        a = rs.coordinates(psi1)
         for psi2 in ordering.noncompact_simples:
-            b = rs.coordinates(psi2)
-            phi = rs.root_at([x + y for x, y in zip(a, b)])
-            if psi1 == psi2 or phi is None:
-                continue
-            if rs.root_at([2 * x + y for x, y in zip(a, b)]) is None:
+            phi = psi1 + psi2
+            if psi1 != psi2 and phi in roots and phi + psi1 not in roots:
                 return psi1, psi2, phi
     raise InvariantViolation(
         f"{pair.name}: no interacting noncompact pair; contradicts the partner property")
@@ -155,9 +114,7 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
             conclusion[root] = conclusion.get(root, Fraction(0)) + coeff * value
             if conclusion[root] == 0:
                 del conclusion[root]
-    touched = set(conclusion)
-    for relation in relations:
-        touched.update(relation.coeffs)
+    touched = set().union(*(relation.coeffs for relation in relations))
     signs = {root: -1 if pair.grading.is_compact(root) else 1 for root in sorted(touched)}
     return PluriclosedCertificate(
         branch=branch, roots=roots,

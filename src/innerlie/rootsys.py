@@ -6,12 +6,14 @@ first six E8 simple roots).  Each root system is generated once in integer
 coordinates over its standard base, by the simple reflections written with
 the Cartan matrix, and each root is mapped once to its ambient RootVector,
 which holds twice each ambient coordinate (all lie in (1/2)Z) as an int.
-`Fraction` is left to ambient values read or returned (`dot`, N^2) and to
+`Fraction` is left to ambient values read or returned (`dot`) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
-Decomposing roots over a base and walking root strings work on integer tuples
-over a base; the ambient vectors are the names the rest of the package and the
-certificates give to roots.  Only `validate_base` checks a base (see there).
+Decomposing roots over a base works on integer tuples over that base; sums
+of roots are tested against the root set as ambient vectors, which are the
+names the rest of the package and the certificates give to roots.  Root
+strings and N^2 are the verifier's (`certkit._derived_relation`).  Only
+`validate_base` checks a base (see there).
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -191,7 +193,7 @@ class RootSystem:
     """Immutable set of roots with a distinguished (standard) base.
 
     Each root is held both as its ambient RootVector and as its integer
-    coordinates over the standard base (`coordinates`, `root_at`).
+    coordinates over the standard base (`coordinates`).
     """
 
     def __init__(self, family: str, rank: int, base: SimpleSystem):
@@ -206,7 +208,6 @@ class RootSystem:
         self.roots = frozenset(self.sorted_roots)
         self.ambient_dim = self.sorted_roots[0].ambient_dim
         self._coords = {v: by_root[v] for v in self.sorted_roots}
-        self._roots_at = {c: v for v, c in self._coords.items()}
         base._coords = self._coords  # the roots were generated over this base
 
     def is_root(self, v: RootVector) -> bool:
@@ -223,10 +224,6 @@ class RootSystem:
         except KeyError:
             raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}") from None
 
-    def root_at(self, coords: Sequence[int]) -> RootVector | None:
-        """The root with these standard-base coordinates, or None."""
-        return self._roots_at.get(tuple(coords))
-
     @property
     def positive_roots(self) -> tuple[RootVector, ...]:
         """Positive roots of the standard base, in lexicographic order."""
@@ -235,33 +232,6 @@ class RootSystem:
     def positives(self, system: SimpleSystem) -> tuple[RootVector, ...]:
         """Positive roots with respect to a simple system that holds its table."""
         return tuple(v for v in self.sorted_roots if system.is_positive(v))
-
-    def root_string(self, alpha: RootVector, beta: RootVector) -> tuple[int, int]:
-        """The alpha-string through beta: maximal p <= 0 <= q with
-        beta + n*alpha a root for all p <= n <= q."""
-        a, b = self.coordinates(alpha), self.coordinates(beta)
-        if a == b or all(x == -y for x, y in zip(a, b)):
-            raise RootSystemError("root string requires alpha != ±beta")
-
-        def is_root_at(n: int) -> bool:
-            return tuple(y + n * x for x, y in zip(a, b)) in self._roots_at
-
-        q = 0
-        while is_root_at(q + 1):
-            q += 1
-        p = 0
-        while is_root_at(p - 1):
-            p -= 1
-        return p, q
-
-    def n_squared(self, alpha: RootVector, beta: RootVector) -> Fraction:
-        """Squared structure constant N_{alpha,beta}^2 = q(1-p)/2 * |alpha|^2,
-        which is q(1-p) * |2 alpha|^2 / 8 on the doubled coordinates.
-
-        Vanishes exactly when alpha + beta is not a root.
-        """
-        p, q = self.root_string(alpha, beta)
-        return Fraction(q * (1 - p) * sum(c * c for c in alpha.coords), 8)
 
     def validate_base(self, system: SimpleSystem) -> None:
         """Check that `system` is a genuine simple system for this root system,

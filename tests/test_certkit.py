@@ -516,9 +516,8 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     def unreadable(*args, **kwargs):
         raise AssertionError("the verifier read an integer table")
 
-    for owner, name in [(RootSystem, "coordinates"), (RootSystem, "root_at"),
-                        (RootSystem, "validate_base"), (RootSystem, "positives"),
-                        (RootSystem, "root_string"), (SimpleSystem, "decompose"),
+    for owner, name in [(RootSystem, "coordinates"), (RootSystem, "validate_base"),
+                        (RootSystem, "positives"), (SimpleSystem, "decompose"),
                         (RootVector, "__add__"), (RootVector, "__sub__"),
                         (RootVector, "__rmul__"), (RootVector, "dot")]:
         monkeypatch.setattr(owner, name, unreadable)
@@ -645,6 +644,21 @@ def test_cli_analyze_failed_verification_names_the_verify_stage(
 def test_cli_analyze_unknown_pair_names_the_analyze_stage(capsys):
     assert main(["analyze", "su(2,2)"]) == 2
     assert capsys.readouterr().err.startswith("su(2,2): error in analyze: ")
+
+
+def test_cli_analyze_onto_a_directory_is_a_save_error(tmp_path, capsys):
+    assert main(["analyze", "g2(2)", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("g2(2): error in save: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sweep_into_a_file_gives_save_error_rows(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["sweep", "--max-rank", "2", "--out", str(out), "--format", "json"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 4
+    assert all(row["status"].startswith("error in save: ") for row in rows)
 
 
 def test_cli_verify_tampered_exit_code(tmp_path, capsys):

@@ -123,7 +123,6 @@ def test_every_chamber_decomposes_identically(family, rank):
     for system in all_simple_systems(rs):
         expected = reference_decomposition(rs, system.simples)
         assert integer_decomposition(rs, system.simples) == expected
-        assert verifier_decomposition(rs, system.simples) == expected
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)

@@ -44,12 +44,21 @@ class _Vec(tuple):
             return self._hash
 
 
+def _fraction(text):
+    """Fraction(text), for the one spelling str(Fraction) writes; ValueError
+    for any other ("-0", "16/4", "01", a JSON number)."""
+    value = Fraction(text)
+    if str(value) != text:
+        raise ValueError("not the canonical spelling")
+    return value
+
+
 def _vec(data):
-    return _Vec(Fraction(c) for c in data)
+    return _Vec(_fraction(c) for c in data)
 
 
 def _coeffs(data):
-    return {_vec(item["root"]): Fraction(item["c"]) for item in data}
+    return {_vec(item["root"]): _fraction(item["c"]) for item in data}
 
 
 def _ambient(v):
@@ -155,7 +164,7 @@ def _reference_pluriclosed(payload, pair, roots, is_positive, is_compact):
     try:
         branch = payload["branch"]
         relations = payload["relations"]
-        combination = [Fraction(c) for c in payload["combination"]]
+        combination = [_fraction(c) for c in payload["combination"]]
         conclusion_root = _vec(payload["conclusion_root"])
         conclusion_coeffs = _coeffs(payload["conclusion_coeffs"])
         signs = {_vec(item["root"]): item["sign"] for item in payload["variable_signs"]}
@@ -306,7 +315,7 @@ def reference_verify(data):
 
     try:
         delta_stored = _vec(cert.chern["delta"])
-        scalar_stored = Fraction(cert.chern["scalar_curvature"])
+        scalar_stored = _fraction(cert.chern["scalar_curvature"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return _fail("malformed certificate")
     if tuple(delta) != delta_stored:
@@ -362,6 +371,24 @@ def _negated_simple(d):
     simples[0] = [str(-Fraction(c)) for c in simples[0]]
 
 
+def _minus_zero_in_simple(d):
+    simples = d["ordering"]["simples"]
+    simple = next(s for s in simples if "0" in s)
+    simple[simple.index("0")] = "-0"
+
+
+def _unreduced_metric_value(d):
+    entry = _middle(d["metric"])
+    value = Fraction(entry["c"])
+    entry["c"] = f"{4 * value.numerator}/{4 * value.denominator}"
+
+
+def _leading_zero(d):
+    entry = _middle(_middle(d["pluriclosed_certificate"]["relations"])["coeffs"])
+    c = entry["c"]
+    entry["c"] = "-0" + c[1:] if c.startswith("-") else "0" + c
+
+
 TAMPERS = {
     "metric_coefficient": _metric_coefficient,
     "relation_coefficient": _relation_coefficient,
@@ -378,6 +405,9 @@ TAMPERS = {
     "negated_simple": _negated_simple,
     "unknown_pair": lambda d: d["pair"].update(name="su(2,2)"),
     "retyped_pair": lambda d: d["pair"].update(name=5),
+    "minus_zero_in_simple": _minus_zero_in_simple,
+    "unreduced_metric_value": _unreduced_metric_value,
+    "leading_zero_in_relation": _leading_zero,
 }
 
 
