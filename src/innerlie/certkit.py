@@ -4,7 +4,11 @@ A certificate packages, for one pair: the chosen ordering, the metric
 coefficients, the pluriclosed contradiction data and the Chern report,
 all as exact rational strings.  Serialization is canonical JSON (sorted
 keys, lowest-terms "p/q" payloads), so identical inputs produce identical
-bytes apart from the provenance timestamp.
+bytes apart from the provenance timestamp.  `serialize` writes them with a
+small writer of its own whose bytes equal json.dumps(cert, sort_keys=True,
+indent=2) plus a newline (json.dumps with an indent runs the pure-Python
+encoder); tests hold the two equal on generated documents and on every
+rank <= 8 certificate.
 
 Verification re-derives every verdict straight from the parsed JSON, using
 only the root set, the standard base and the painted nodes of the catalog.
@@ -39,6 +43,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import add, mul, neg, sub
 
@@ -64,14 +69,26 @@ class VerificationResult:
         return self.ok
 
 
+class _Halves(dict):
+    """Doubled coordinate -> its ambient value in lowest terms ("1/2", "-3/2",
+    "0", "-3"), each string made on first use."""
+
+    def __missing__(self, c: int) -> str:
+        text = self[c] = f"{c}/2" if c % 2 else str(c // 2)
+        return text
+
+
+_HALVES = _Halves()
+
+
 def _vec_to_json(v: RootVector) -> list[str]:
-    """The ambient coordinates in lowest terms: "1/2", "-3/2", "0", "-3"."""
-    return [f"{c}/2" if c % 2 else str(c // 2) for c in v.coords]
+    """The ambient coordinates in lowest terms."""
+    return list(map(_HALVES.__getitem__, v.coords))
 
 
 def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
     return [{"root": _vec_to_json(root), "c": str(value)}
-            for root, value in sorted(coeffs.items())]
+            for root, value in sorted(coeffs.items(), key=lambda item: item[0].coords)]
 
 
 def pluriclosed_payload(pluri) -> dict:
@@ -141,8 +158,41 @@ def analyze_pair(pair_or_name) -> dict:
 
 
 def serialize(cert: dict) -> str:
-    """The canonical bytes of a certificate document, as `analyze_pair` returns it."""
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """The canonical bytes of a certificate document, as `analyze_pair` returns it:
+    json.dumps(cert, sort_keys=True, indent=2) + "\\n", written by `_dump`."""
+    return _dump(cert, "") + "\n"
+
+
+def _dump(value, pad: str) -> str:
+    """`value`, indented by `pad`, as json.dumps(sort_keys=True, indent=2) writes it.
+
+    A certificate holds only dicts with string keys, lists, strings, ints and
+    bools; anything else raises TypeError.  Strings go through the C encoder;
+    a list of strings (a vector, a combination) is one join.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([_quote(key) + ": " + _dump(item, inner)
+                         for key, item in sorted(value.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(_quote, value))
+        except TypeError:  # not all strings
+            body = sep.join([_dump(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save(cert: dict, path: str) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import add, mul
 from typing import Mapping
 
@@ -37,17 +38,21 @@ def weyl_delta(ordering: AdmissibleOrdering) -> RootVector:
 def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],
                  ordering: AdmissibleOrdering, pair: InnerPair) -> ChernReport:
     """delta and the scalar 2 * sum over positive roots a of +-g_a <a, delta>
-    (+ for noncompact a); each doubled pairing is 4 <a, delta>, an integer."""
+    (+ for noncompact a); each doubled pairing is 4 <a, delta>, an integer.
+    The sum is taken in integers over the common denominator `den` of g."""
     g = metric.g if isinstance(metric, BalancedMetric) else metric
+    den = lcm(*(value.denominator for value in g.values()))
     delta = weyl_delta(ordering)
     total = 0
     for root in ordering.positives:
         pairing = sum(map(mul, root.coords, delta.coords))
         if pairing:
-            total += (-pairing if pair.grading.is_compact(root) else pairing) * g[root]
+            value = g[root]
+            term = pairing * value.numerator * (den // value.denominator)
+            total += -term if pair.grading.is_compact(root) else term
     nonzero = not delta.is_zero()
     return ChernReport(
         delta=delta,
-        scalar_curvature=Fraction(total, 2),
+        scalar_curvature=Fraction(total, 2 * den),
         delta_nonzero=nonzero,
         kodaira_flag=nonzero)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -97,27 +98,34 @@ def cmd_verify(args) -> int:
     return certkit.EXIT_VERIFY_FAILED
 
 
+def _sweep_status(pair, out: str) -> str:
+    """Analyze, save into `out` and verify one pair; the row's status."""
+    stage = "analyze"
+    try:
+        cert = certkit.analyze_pair(pair)
+        stage = "save"
+        path = f"{out}/{_safe_filename(pair.name)}.cert.json"
+        certkit.save(cert, path)
+        stage = "verify"
+        result = certkit.verify_file(path)
+    except (RootSystemError, InvariantViolation, OSError) as exc:
+        return f"error in {stage}: {exc}"
+    return "ok" if result.ok else f"verify failed: {result.reason}"
+
+
 def cmd_sweep(args) -> int:
     pairs = catalog(args.max_rank)
+    try:  # an --out that cannot be a directory fails every save: analyze nothing
+        os.makedirs(args.out, exist_ok=True)
+        out_error = None
+    except OSError as exc:
+        out_error = f"error in save: {exc}"
     rows = []
     failures = 0
     for pair in pairs:
         started = time.monotonic()
-        status = "ok"
-        stage = "analyze"
-        try:
-            cert = certkit.analyze_pair(pair)
-            stage = "save"
-            path = f"{args.out}/{_safe_filename(pair.name)}.cert.json"
-            certkit.save(cert, path)
-            stage = "verify"
-            result = certkit.verify_file(path)
-            if not result.ok:
-                status = f"verify failed: {result.reason}"
-                failures += 1
-        except (RootSystemError, InvariantViolation, OSError) as exc:
-            status = f"error in {stage}: {exc}"
-            failures += 1
+        status = out_error or _sweep_status(pair, args.out)
+        failures += status != "ok"
         elapsed_ms = int((time.monotonic() - started) * 1000)
         rows.append({
             "pair": pair.name,

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
 from innerlie.cli import main
@@ -55,6 +57,36 @@ def test_save_load_round_trip(tmp_path, g2_cert):
     text = path.read_text()
     assert text == certkit.serialize(g2_cert)
     assert _canonical(text) == text
+
+
+# Keys and values with quotes, backslashes, control and non-ASCII characters.
+_texts = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028'),
+                           st.characters()), max_size=6)
+_documents = st.recursive(
+    st.one_of(_texts, st.booleans(), st.integers(),
+              st.integers(min_value=2**64), st.integers(max_value=-2**64)),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(_texts, max_size=4),
+                               st.dictionaries(_texts, children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_documents)
+def test_serialize_writes_json_dumps_bytes(doc):
+    assert certkit.serialize(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_serialize_writes_json_dumps_bytes_for_every_rank8_certificate(catalog8):
+    for pair in catalog8:
+        cert = certkit.analyze_pair(pair)
+        assert certkit.serialize(cert) == json.dumps(cert, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [None, 1.5, Fraction(1, 2)])
+def test_serialize_refuses_what_a_certificate_cannot_hold(value):
+    for doc in (value, [value], ["0", value], {"c": value}):
+        with pytest.raises(TypeError):
+            certkit.serialize(doc)
 
 
 def test_determinism_modulo_timestamp():
@@ -659,6 +691,20 @@ def test_cli_sweep_into_a_file_gives_save_error_rows(tmp_path, capsys):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 4
     assert all(row["status"].startswith("error in save: ") for row in rows)
+
+
+def test_cli_sweep_into_a_file_analyzes_no_pair(tmp_path, capsys, monkeypatch):
+    def never(pair):
+        raise AssertionError(f"analyze_pair called for {pair.name}")
+
+    monkeypatch.setattr(certkit, "analyze_pair", never)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["sweep", "--max-rank", "2", "--out", str(out), "--format", "json"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 4
+    assert len({row["status"] for row in rows}) == 1
+    assert rows[0]["status"].startswith("error in save: ")
 
 
 def test_cli_verify_tampered_exit_code(tmp_path, capsys):

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from innerlie import (
     chern_report,
     find_admissible_ordering,
@@ -66,3 +69,21 @@ def test_chern_report_flags():
     assert report.scalar_curvature == 0
     assert report.delta_nonzero and report.kodaira_flag
     assert report.delta == weyl_delta(metric.ordering)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(["su(2,1)", "g2(2)", "so(3,2)", "su(3,2)", "so(1,4)"]),
+       data=st.data())
+def test_chern_scalar_equals_the_fraction_formula(name, data):
+    """The integer sum over a common denominator equals 2 sum +-g_a <a, delta>
+    summed in Fractions, on positive metrics balanced or not."""
+    pair = pair_by_name(name)
+    metric = solve_for_pair(pair)
+    ordering = metric.ordering
+    weights = st.fractions(min_value=F(1, 1000), max_value=1000)
+    g = {root: data.draw(st.one_of(weights, st.just(metric.g[root])))
+         for root in ordering.positives}
+    delta = weyl_delta(ordering)
+    expected = 2 * sum((-g[a] if pair.grading.is_compact(a) else g[a]) * a.dot(delta)
+                       for a in ordering.positives)
+    assert chern_report(g, ordering, pair).scalar_curvature == expected
