@@ -218,10 +218,10 @@ def _so1_2n_metric(ordering: AdmissibleOrdering, x=Fraction(1), y=Fraction(2)) -
                 f"coefficient z_{i} = {value} is not positive for (x, y) = ({x}, {y})")
     g: dict[RootVector, Fraction] = {}
     for root in ordering.positives:
-        support = [i for i, c in enumerate(root.coords) if c != 0]
+        support = [i for i, c in enumerate(root) if c != 0]
         if len(support) == 1:
             g[root] = z[support[0]]
-        elif root.coords[support[0]] == -root.coords[support[1]]:
+        elif root[support[0]] == -root[support[1]]:
             g[root] = x
         else:
             g[root] = y

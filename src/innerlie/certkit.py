@@ -14,9 +14,10 @@ Verification re-derives every verdict straight from the parsed JSON, using
 only the root set, the standard base and the painted nodes of the catalog.
 A strict reader takes each rational only in the form str(Fraction) writes, of
 bounded length; every root becomes its doubled ambient vector, a tuple of
-integers, and every check is integer tuple arithmetic on those, with metric
-values, relation coefficients and weights kept exact (an int when integral,
-else a Fraction).  The claimed simple roots are checked, and every root's
+integers equal to the catalog's `RootVector` for it, and every check is
+integer tuple arithmetic on those, with metric values, relation
+coefficients and weights kept exact (an int when integral, else a
+Fraction).  The claimed simple roots are checked, and every root's
 coordinates over them found, by a height walk: starting from the simples,
 add each simple to every root reached so far and record each new root with
 its parent's coordinates plus one unit.  The claim is a base exactly when it
@@ -83,12 +84,12 @@ _HALVES = _Halves()
 
 def _vec_to_json(v: RootVector) -> list[str]:
     """The ambient coordinates in lowest terms."""
-    return list(map(_HALVES.__getitem__, v.coords))
+    return list(map(_HALVES.__getitem__, v))
 
 
 def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
     return [{"root": _vec_to_json(root), "c": str(value)}
-            for root, value in sorted(coeffs.items(), key=lambda item: item[0].coords)]
+            for root, value in sorted(coeffs.items())]
 
 
 def pluriclosed_payload(pluri) -> dict:
@@ -214,11 +215,12 @@ def save(cert: dict, path: str) -> None:
 # Independent verification (root-system and catalog primitives only)
 #
 # Every root is named by its doubled ambient vector, a tuple of integers
-# (coordinates lie in (1/2)Z; a catalog root's is its `RootVector.coords`).
-# The verifier reads the root set, the standard base and the painted nodes,
-# but neither the integer coordinate tables of `rootsys` nor RootVector
-# arithmetic, so the integer core and the checker share no arithmetic; the
-# builder's relations are the checker's own (`_derived_relation`).
+# (coordinates lie in (1/2)Z); a catalog root, a RootVector, is that tuple.
+# The verifier reads the root set, the standard base and the painted nodes
+# as they are, but neither the integer coordinate tables of `rootsys` nor
+# RootVector arithmetic (its own sums are plain `map(add, ...)` tuples), so
+# the integer core and the checker share no arithmetic; the builder's
+# relations are the checker's own (`_derived_relation`).
 # ---------------------------------------------------------------------------
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
@@ -368,7 +370,7 @@ def _compact_roots(coords: dict, pair: InnerPair, simples) -> set:
     """The compact roots, from the painted parities of the claimed simples."""
     wanted = {w: i for i, s in enumerate(simples) for w in (s, _negated(s))}
     parity = [None] * len(simples)
-    for v, c in _height_walk(coords, [s.coords for s in pair.system.base.simples]):
+    for v, c in _height_walk(coords, pair.system.base.simples):
         if v in wanted:
             parity[wanted[v]] = sum(c[i] for i in pair.grading.painted) % 2
             if None not in parity:  # each claimed simple reached up to sign
@@ -381,7 +383,7 @@ def _claimed_roots(pair: InnerPair, simples) -> tuple[dict, set, set]:
     claimed simple roots, all doubled vectors; RootSystemError unless the
     claim is a base (see `_claimed_coordinates`)."""
     rs = pair.system
-    coords = _claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
+    coords = _claimed_coordinates(rs.sorted_roots, rs.rank, simples)
     positive = {v for v, c in coords.items() if min(c) >= 0}
     return coords, positive, _compact_roots(coords, pair, simples)
 
@@ -541,11 +543,10 @@ def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
     identity over the base `simples` (RootVectors), by `verify_data`'s
     arithmetic; RootSystemError when `simples` is not a base or the domain
     of `g` is not its positive roots."""
-    _, positive, compact = _claimed_roots(pair, [s.coords for s in simples])
-    metric = {root.coords: value for root, value in g.items()}
-    if set(metric) != positive:
+    _, positive, compact = _claimed_roots(pair, simples)
+    if g.keys() != positive:
         raise RootSystemError("metric domain does not match the positive roots")
-    compact_sum, noncompact_sum, _ = _weighted_sums(metric, compact, pair.system.ambient_dim)
+    compact_sum, noncompact_sum, _ = _weighted_sums(g, compact, pair.system.ambient_dim)
     return compact_sum == noncompact_sum
 
 
@@ -553,7 +554,7 @@ def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
     """`verify_data`'s check of a pluriclosed block (`pluriclosed_payload`)
     over the base `simples` (RootVectors)."""
     try:
-        coords, positive, compact = _claimed_roots(pair, [s.coords for s in simples])
+        coords, positive, compact = _claimed_roots(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
     return _verify_pluriclosed_payload(payload, _Reader(pair.system.ambient_dim), pair,
@@ -590,7 +591,7 @@ def verify_data(data: dict) -> VerificationResult:
 
     try:
         pair = pair_by_name(name)
-    except ValueError:  # RootSystemError, or a number in the name that int() refuses
+    except RootSystemError:
         return _fail("pair unknown")
     if [pair.family, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k] != [family, *counts]:
         return _fail("pair mismatch")

@@ -45,7 +45,7 @@ def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],
     delta = weyl_delta(ordering)
     total = 0
     for root in ordering.positives:
-        pairing = sum(map(mul, root.coords, delta.coords))
+        pairing = sum(map(mul, root, delta))
         if pairing:
             value = g[root]
             term = pairing * value.numerator * (den // value.denominator)

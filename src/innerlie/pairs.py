@@ -235,6 +235,15 @@ def catalog(max_rank: int) -> tuple[InnerPair, ...]:
 _PAREN = re.compile(r"^([a-z0-9]+)\(([^)]*)\)(\*?)$")
 
 
+def _number(text: str, name: str) -> int:
+    """A number in a pair name; RootSystemError for anything int() refuses,
+    such as a superscript digit or more digits than its limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise RootSystemError(f"cannot parse pair name {name!r}") from None
+
+
 def pair_by_name(name: str) -> InnerPair:
     """Resolve a pair by name, accepting the documented aliases.
 
@@ -249,7 +258,7 @@ def pair_by_name(name: str) -> InnerPair:
     if star:
         if head != "so" or not args.isdigit():
             raise RootSystemError(f"cannot parse pair name {name!r}")
-        m = int(args)
+        m = _number(args, name)
         if m % 4 != 0 or m < 8:
             raise RootSystemError(f"so({m})* is not in the catalog: need m = 4n with n >= 2")
         return _so_star(m // 4)
@@ -260,7 +269,7 @@ def pair_by_name(name: str) -> InnerPair:
         raise RootSystemError(f"{full} is not an even-dimensional inner-type real form")
     parts = args.split(",")
     if head == "sp" and len(parts) == 2 and parts[1] == "r":
-        r = int(parts[0])
+        r = _number(parts[0], name)
         if r % 2 != 0 or r < 2:
             raise RootSystemError(
                 f"sp({r},R) is not in the catalog: it appears only at even rank")
@@ -269,7 +278,7 @@ def pair_by_name(name: str) -> InnerPair:
         return _sp_split(r // 2)
     if len(parts) != 2 or not all(s.isdigit() for s in parts):
         raise RootSystemError(f"cannot parse pair name {name!r}")
-    a, b = int(parts[0]), int(parts[1])
+    a, b = _number(parts[0], name), _number(parts[1], name)
     if head == "su":
         p, q = max(a, b), min(a, b)
         if q < 1:

@@ -60,14 +60,14 @@ def instantiate_relation(alpha: RootVector, beta: RootVector,
                          ordering: AdmissibleOrdering, pair: InnerPair) -> PluriclosedRelation:
     """The relation for (alpha, beta), derived on doubled roots by the
     verifier's `certkit._derived_relation`."""
-    positive = {root.coords for root in ordering.positives}
+    positive = set(ordering.positives)
     if alpha == beta:
         raise RootSystemError("the relation requires distinct roots")
     for root in (alpha, beta):
-        if root.coords not in positive:
+        if root not in positive:
             raise RootSystemError(f"{root!r} is not a positive root of the ordering")
-    derived = certkit._derived_relation({v.coords for v in pair.system.sorted_roots},
-                                        positive, alpha.coords, beta.coords)
+    derived = certkit._derived_relation(pair.system.roots, positive, alpha, beta)
+    # Keys the verifier makes are plain tuples, on which + concatenates.
     coeffs = {RootVector._from_doubled(root): Fraction(value) for root, value in derived.items()}
     return PluriclosedRelation(alpha=alpha, beta=beta, coeffs=coeffs)
 
@@ -111,9 +111,7 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
     conclusion: dict[RootVector, Fraction] = {}
     for coeff, relation in zip(combination, relations):
         for root, value in relation.coeffs.items():
-            conclusion[root] = conclusion.get(root, Fraction(0)) + coeff * value
-            if conclusion[root] == 0:
-                del conclusion[root]
+            certkit._accumulate(conclusion, root, coeff * value)
     touched = set().union(*(relation.coeffs for relation in relations))
     signs = {root: -1 if pair.grading.is_compact(root) else 1 for root in sorted(touched)}
     return PluriclosedCertificate(

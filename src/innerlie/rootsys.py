@@ -5,7 +5,8 @@ classical coordinates (E6 sits inside the E8 ambient space, spanned by the
 first six E8 simple roots).  Each root system is generated once in integer
 coordinates over its standard base, by the simple reflections written with
 the Cartan matrix, and each root is mapped once to its ambient RootVector,
-which holds twice each ambient coordinate (all lie in (1/2)Z) as an int.
+the tuple of twice each ambient coordinate (all lie in (1/2)Z) as an int;
+the verifier's doubled vectors are the same tuples.
 `Fraction` is left to ambient values read or returned (`dot`) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E8")
 
@@ -52,68 +53,56 @@ class InvariantViolation(RuntimeError):
     """An internal guarantee failed; indicates a bug, not bad user input."""
 
 
-class RootVector:
-    """Immutable vector of the ambient epsilon basis with coordinates in (1/2)Z.
+class RootVector(tuple):
+    """Immutable vector of the ambient epsilon basis with coordinates in (1/2)Z,
+    held as the tuple of twice each coordinate: hash, equality and order are
+    those of that int tuple.
 
-    The constructor takes ambient values (int, Fraction or "1/2"); `coords`
-    holds twice each as ints, so hash, equality and order act on int tuples."""
+    The constructor takes ambient values (int, Fraction or "1/2"); `+`, `-`
+    and `k * v` are vector operations, not tuple concatenation or repetition."""
 
-    __slots__ = ("coords", "_hash")
+    __slots__ = ()
 
-    def __init__(self, coords: Iterable[Fraction | int | str]):
+    def __new__(cls, coords: Iterable[Fraction | int | str]):
         doubled = [2 * Fraction(c) for c in coords]
         if any(c.denominator != 1 for c in doubled):
             raise RootSystemError(f"coordinates {[str(c / 2) for c in doubled]} not all in (1/2)Z")
-        self.coords = tuple(c.numerator for c in doubled)
-        self._hash = None
+        return tuple.__new__(cls, [c.numerator for c in doubled])
 
     @classmethod
     def _from_doubled(cls, doubled: Iterable[int]) -> "RootVector":
-        v = cls.__new__(cls)
-        v.coords = tuple(doubled)
-        v._hash = None
-        return v
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.coords)
+        return tuple.__new__(cls, doubled)
 
     def dot(self, other: "RootVector") -> Fraction:
-        if len(self.coords) != len(other.coords):
+        if len(self) != len(other):
             raise RootSystemError("ambient dimension mismatch")
-        return Fraction(sum(map(mul, self.coords, other.coords)), 4)
+        return Fraction(sum(map(mul, self, other)), 4)
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self)
 
     def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector._from_doubled(map(add, self.coords, other.coords))
+        return RootVector._from_doubled(map(add, self, other))
 
     def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector._from_doubled(map(sub, self.coords, other.coords))
+        return RootVector._from_doubled(map(sub, self, other))
 
     def __neg__(self) -> "RootVector":
-        return RootVector._from_doubled(-c for c in self.coords)
+        return RootVector._from_doubled(map(neg, self))
 
     def __rmul__(self, scalar) -> "RootVector":
-        return RootVector(Fraction(scalar) * c / 2 for c in self.coords)
+        return RootVector(Fraction(scalar) * c / 2 for c in self)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, RootVector) and self.coords == other.coords)
+    __mul__ = __rmul__
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.coords)
-        return self._hash
-
-    def __lt__(self, other: "RootVector") -> bool:
-        return self.coords < other.coords
+    def __reduce__(self):  # for copy and pickle, which would call the constructor on doubled values
+        return RootVector._from_doubled, (tuple(self),)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(str(Fraction(c, 2)) for c in self.coords) + ")"
+        return "(" + ", ".join(str(Fraction(c, 2)) for c in self) + ")"
 
 
 def root_vector(*coords) -> RootVector:
@@ -127,11 +116,11 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
     Involutive, and maps the root system to itself whenever both arguments
     are roots of the same system; an image outside (1/2)Z raises.
     """
-    nsq = sum(c * c for c in mirror.coords)
+    nsq = sum(map(mul, mirror, mirror))
     if nsq == 0:
         raise RootSystemError("cannot reflect in the zero vector")
-    twice_dot = 2 * sum(map(mul, v.coords, mirror.coords))
-    scaled = [nsq * a - twice_dot * b for a, b in zip(v.coords, mirror.coords)]
+    twice_dot = 2 * sum(map(mul, v, mirror))
+    scaled = [nsq * a - twice_dot * b for a, b in zip(v, mirror)]
     if any(c % nsq for c in scaled):
         raise RootSystemError(f"the reflection of {v!r} in {mirror!r} leaves (1/2)Z")
     return RootVector._from_doubled(c // nsq for c in scaled)
@@ -180,8 +169,7 @@ def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
     for a in simples:
         row = []
         for b in simples:
-            value, remainder = divmod(2 * sum(map(mul, a.coords, b.coords)),
-                                      sum(c * c for c in b.coords))
+            value, remainder = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
             if remainder:
                 raise InvariantViolation("non-integral Cartan pairing")
             row.append(value)
@@ -201,12 +189,12 @@ class RootSystem:
         self.rank = rank
         self.base = base
         self.cartan = _cartan(base.simples)
-        columns = tuple(zip(*(s.coords for s in base.simples)))
+        columns = tuple(zip(*base.simples))
         by_root = {RootVector._from_doubled(sum(map(mul, c, column)) for column in columns): c
                    for c in _closure(self.cartan)}
         self.sorted_roots = tuple(sorted(by_root))
         self.roots = frozenset(self.sorted_roots)
-        self.ambient_dim = self.sorted_roots[0].ambient_dim
+        self.ambient_dim = len(self.sorted_roots[0])
         self._coords = {v: by_root[v] for v in self.sorted_roots}
         base._coords = self._coords  # the roots were generated over this base
 
@@ -241,9 +229,8 @@ class RootSystem:
         anything but a base raises RootSystemError.
         """
         from .certkit import _claimed_coordinates  # certkit imports rootsys
-        table = _claimed_coordinates([v.coords for v in self.sorted_roots], self.rank,
-                                     [s.coords for s in system.simples])
-        system._coords = {v: table[v.coords] for v in self.sorted_roots}
+        table = _claimed_coordinates(self.sorted_roots, self.rank, system.simples)
+        system._coords = {v: table[v] for v in self.sorted_roots}
 
     def reflected_base(self, p: int) -> SimpleSystem:
         """The standard base reflected in its p-th simple root, sorted, with its table."""

@@ -37,7 +37,7 @@ def weighted_sums(metric, pair):
     noncompact = [F(0)] * dim
     for root, value in metric.g.items():
         target = compact if pair.grading.is_compact(root) else noncompact
-        for i, c in enumerate(root.coords):
+        for i, c in enumerate(root):
             target[i] += value * c
     return compact, noncompact
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
 from innerlie.cli import main
-from innerlie.rootsys import InvariantViolation, RootSystemError
+from innerlie.rootsys import InvariantViolation, RootSystemError, RootVector
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +82,9 @@ def test_serialize_writes_json_dumps_bytes_for_every_rank8_certificate(catalog8)
         assert certkit.serialize(cert) == json.dumps(cert, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [None, 1.5, Fraction(1, 2)])
+@pytest.mark.parametrize("value", [None, 1.5, Fraction(1, 2), RootVector([1, "1/2"])])
 def test_serialize_refuses_what_a_certificate_cannot_hold(value):
+    """A root, a tuple of doubled coordinates, included: a file holds ambient strings."""
     for doc in (value, [value], ["0", value], {"c": value}):
         with pytest.raises(TypeError):
             certkit.serialize(doc)
@@ -671,6 +672,19 @@ def test_cli_analyze_failed_verification_names_the_verify_stage(
     assert main(["analyze", "g2(2)", "--out", str(tmp_path / "g2.cert.json")]) == 3
     assert capsys.readouterr().err == (
         "g2(2): error in verify: certificate failed verification: positivity violated\n")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("su(%s,1)" % ("9" * 5000), id="su(5000 digits,1)"),
+    pytest.param("so(%s)*" % ("8" * 5000), id="so(5000 digits)*"),
+    pytest.param("sp(%s,R)" % ("4" * 5000), id="sp(5000 digits,R)"),
+    "sp(x,R)",
+])
+def test_cli_analyze_an_unreadable_number_is_a_usage_error(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", name]) == 2
+    assert capsys.readouterr().err == f"{name}: error in analyze: cannot parse pair name {name!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_analyze_unknown_pair_names_the_analyze_stage(capsys):

@@ -6,8 +6,8 @@ path), runs the verifier's walk and keeps the table keyed by RootVector.
 The reference is the decomposition the package used before the integer
 core: solve against the Gram matrix of the simple roots in exact rationals,
 recompose to check span membership, then require integral one-sign
-coordinates.  It works on ambient Fraction tuples of its own, read from
-`RootVector.coords` (twice each ambient coordinate) by `_ambient`.
+coordinates.  It works on ambient Fraction tuples of its own, read by
+`_ambient` from a RootVector, the tuple of twice each ambient coordinate.
 """
 
 from fractions import Fraction
@@ -33,7 +33,7 @@ SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]
 
 
 def _ambient(v):
-    return tuple(Fraction(c, 2) for c in v.coords)
+    return tuple(Fraction(c, 2) for c in v)
 
 
 def _dot(a, b):

@@ -201,6 +201,18 @@ def test_pair_by_name_rejections():
         pair_by_name("nonsense")
 
 
+@pytest.mark.parametrize("name", [
+    pytest.param("su(%s,1)" % ("9" * 5000), id="su(5000 digits,1)"),
+    pytest.param("so(%s)*" % ("8" * 5000), id="so(5000 digits)*"),
+    pytest.param("sp(%s,R)" % ("4" * 5000), id="sp(5000 digits,R)"),
+    "sp(x,R)",
+    pytest.param("su(\u00b2,1)", id="su(superscript 2,1)"),
+])
+def test_pair_by_name_refuses_numbers_int_cannot_read(name):
+    with pytest.raises(RootSystemError, match="cannot parse pair name"):
+        pair_by_name(name)
+
+
 def test_pair_by_name_rank_bound():
     assert pair_by_name("su(16,1)").rank == MAX_RANK == 16
     for name in ("su(10,9)", "su(21,20)", "so(18,18)", "sp(9,9)", "sp(18,R)", "so(36)*"):

@@ -131,7 +131,7 @@ def test_derived_relation_sums_to_the_pairing(name):
     ordering, on doubled vectors: the coefficients sum to the doubled dot
     product over 4, and every key is a positive root."""
     pair = pair_by_name(name)
-    simples = [s.coords for s in find_admissible_ordering(pair).system.simples]
+    simples = find_admissible_ordering(pair).system.simples
     coords, positive, _ = certkit._claimed_roots(pair, simples)
     for alpha, beta in permutations(sorted(positive), 2):
         derived = certkit._derived_relation(coords, positive, alpha, beta)

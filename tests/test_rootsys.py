@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -155,7 +157,7 @@ def test_root_strings():
 
 def _n2(rs, alpha, beta):
     """The verifier's N^2, on the doubled roots."""
-    return certkit._n_squared({v.coords for v in rs.roots}, alpha.coords, beta.coords)
+    return certkit._n_squared(rs.roots, alpha, beta)
 
 
 def test_n_squared_values():
@@ -256,8 +258,8 @@ def test_vector_arithmetic_exact():
 @pytest.mark.parametrize("value", [0, 3, -3, F(1, 2), F(-7, 2), F(6, 2), "1/2", "-5/2", "4/2", "-0"])
 def test_root_vector_round_trips_values_in_half_integers(value):
     v = RootVector([value, 0])
-    assert v.coords == (int(2 * F(value)), 0)
-    assert all(isinstance(c, int) for c in v.coords)
+    assert v == (int(2 * F(value)), 0)
+    assert all(isinstance(c, int) for c in v)
     assert v == RootVector([F(value), 0]) == RootVector([str(F(value)), "0"])
 
 
@@ -296,3 +298,33 @@ def test_reflect_stays_integral_and_refuses_to_leave_half_integers():
             assert image in rs.roots and reflect(image, mirror) == v
     with pytest.raises(RootSystemError):
         reflect(root_vector(1, 0), root_vector(2, 1))
+
+
+def test_a_root_is_its_doubled_coordinate_tuple():
+    v = RootVector([1, "1/2"])
+    assert isinstance(v, tuple) and v == (2, 1) and hash(v) == hash((2, 1))
+    assert {(2, 1): "found"}[v] == "found"
+    assert v in {(2, 1), (0, 0)} and {v: 0}[(2, 1)] == 0
+    assert not hasattr(v, "coords") and not hasattr(v, "__dict__")
+
+
+def test_root_arithmetic_is_vector_arithmetic():
+    v, w = RootVector([1, "1/2"]), RootVector([0, "-1/2"])
+    for result, expected in [(v + w, (2, 0)), (v - w, (2, 2)), (-v, (-2, -1)),
+                             (2 * v, (4, 2)), (v * 2, (4, 2)),
+                             (F(1, 2) * RootVector([2, 1]), (2, 1))]:
+        assert type(result) is RootVector and result == expected
+    assert type(v + (0, 2)) is RootVector and v + (0, 2) == (2, 3)
+
+
+def test_copy_and_pickle_keep_a_root():
+    v = RootVector([1, "1/2"])
+    for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(clone) is RootVector and clone == (2, 1)
+
+
+def test_root_order_is_the_ambient_lexicographic_order():
+    for family in ("A", "B", "C", "D", "E8"):
+        rs = build_root_system(family, 8)
+        ambient = sorted(rs.roots, key=lambda v: [F(c, 2) for c in v])
+        assert sorted(rs.roots) == list(rs.sorted_roots) == ambient

@@ -2,9 +2,10 @@
 
 The reference below is the verifier the package used before it switched to
 doubled integer coordinates: it parses every coordinate into a `Fraction`,
-holds every vector as a tuple of ambient Fractions of its own (catalog roots
-are read as Fraction(c, 2) of `RootVector.coords`), decomposes roots over
-the claimed base by a Bareiss-inverted Gram matrix, and recomputes root
+holds every vector as a tuple of ambient Fractions of its own (a catalog
+root, the RootVector tuple of doubled coordinates c, is read as the
+Fraction(c, 2)), decomposes roots over the claimed base by a
+Bareiss-inverted Gram matrix, and recomputes root
 strings, the elimination matrix, the balanced sums and the Chern data in
 Fraction arithmetic.  The verifier in `certkit` must give the same
 (ok, reason) on every catalog certificate and on a fixed set of tampered
@@ -62,8 +63,8 @@ def _coeffs(data):
 
 
 def _ambient(v):
-    """A catalog root as ambient Fractions; `RootVector.coords` holds twice each."""
-    return _Vec(Fraction(c, 2) for c in v.coords)
+    """A catalog root as ambient Fractions; a RootVector holds twice each."""
+    return _Vec(Fraction(c, 2) for c in v)
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +450,7 @@ def _standard_walk_compact(pair):
     """The compact roots as the verifier used to read them: the whole height
     walk over the standard base, then the parity at the painted nodes."""
     rs = pair.system
-    standard = certkit._claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank,
-                                            [s.coords for s in rs.base.simples])
+    standard = certkit._claimed_coordinates(rs.sorted_roots, rs.rank, rs.base.simples)
     return {v for v, c in standard.items() if sum(c[i] for i in pair.grading.painted) % 2 == 0}
 
 
@@ -460,9 +460,9 @@ def test_compact_roots_from_claimed_parities_equal_the_full_walk():
     read from a full walk over the standard base and the solver's table."""
     for pair in catalog(16):
         rs = pair.system
-        simples = [s.coords for s in find_admissible_ordering(pair).system.simples]
-        coords = certkit._claimed_coordinates([v.coords for v in rs.sorted_roots], rs.rank, simples)
+        simples = find_admissible_ordering(pair).system.simples
+        coords = certkit._claimed_coordinates(rs.sorted_roots, rs.rank, simples)
         compact = certkit._compact_roots(coords, pair, simples)
         assert compact == _standard_walk_compact(pair), pair.name
-        assert compact == {v.coords for v in rs.sorted_roots if pair.grading.is_compact(v)}
+        assert compact == {v for v in rs.sorted_roots if pair.grading.is_compact(v)}
 
