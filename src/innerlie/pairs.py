@@ -10,6 +10,11 @@ choice of positive roots changes.
 Every catalog entry paints its conventional node and is validated against the
 known dimensions of the subalgebra pair: rank + |R| must equal dim g and
 rank + |R_compact| must equal dim k, both exactly; no other node is tried.
+
+The catalog is stated once, as data: each family gives the arguments of
+`_make_pair` for its pairs, and `catalog` builds them.  A name is a key into
+a table of the spellings of every pair with rank <= MAX_RANK, so which
+names exist is decided by the catalog alone.
 """
 
 from __future__ import annotations
@@ -115,20 +120,20 @@ def _make_pair(name, family, rank, dim_g, dim_k, painted_index, aliases=(), **pa
                      aliases=tuple(aliases))
 
 
-def _su(p: int, q: int) -> InnerPair:
+def _su(p: int, q: int) -> dict:
     n = p + q
     aliases = (f"su({q},{p})",) if q != p else ()
-    return _make_pair(
+    return dict(
         name=f"su({p},{q})", family="A", rank=n - 1, p=p, q=q,
         dim_g=n * n - 1, dim_k=p * p + q * q - 1,
         painted_index=p - 1, aliases=aliases)
 
 
-def _so_odd(p: int, q: int) -> InnerPair:
+def _so_odd(p: int, q: int) -> dict:
     # so(2p+1, 2q): indices 1..q carry the so(2q) planes.  The rank-2 pairs
     # are also sp(1,1) and sp(2,R), by the B2/C2 isomorphism.
     aliases = {(0, 2): ("sp(1,1)",), (1, 1): ("sp(2,R)", "so(2,3)")}.get((p, q), ())
-    return _make_pair(
+    return dict(
         name=f"so({2 * p + 1},{2 * q})", family="B", rank=p + q,
         p=p, q=q,
         dim_g=(p + q) * (2 * p + 2 * q + 1),
@@ -136,35 +141,35 @@ def _so_odd(p: int, q: int) -> InnerPair:
         painted_index=q - 1, aliases=aliases)
 
 
-def _sp_split(n: int) -> InnerPair:
+def _sp_split(n: int) -> dict:
     # The paper's sp(2n, R) with k = u(2n); type C at rank 2n.
     r = 2 * n
-    return _make_pair(
+    return dict(
         name=f"sp({r},R)", family="C", rank=r, n=n,
         dim_g=r * (2 * r + 1), dim_k=r * r,
         painted_index=r - 1)
 
 
-def _sp_pq(p: int, q: int) -> InnerPair:
+def _sp_pq(p: int, q: int) -> dict:
     aliases = (f"sp({q},{p})",) if q != p else ()
-    return _make_pair(
+    return dict(
         name=f"sp({p},{q})", family="C", rank=p + q, p=p, q=q,
         dim_g=(p + q) * (2 * p + 2 * q + 1),
         dim_k=p * (2 * p + 1) + q * (2 * q + 1),
         painted_index=q - 1, aliases=aliases)
 
 
-def _so_star(n: int) -> InnerPair:
+def _so_star(n: int) -> dict:
     r = 2 * n
-    return _make_pair(
+    return dict(
         name=f"so({4 * n})*", family="D", rank=r, n=n,
         dim_g=r * (2 * r - 1), dim_k=r * r,
         painted_index=r - 1)
 
 
-def _so_even(p: int, q: int) -> InnerPair:
+def _so_even(p: int, q: int) -> dict:
     aliases = (f"so({2 * q},{2 * p})",) if q != p else ()
-    return _make_pair(
+    return dict(
         name=f"so({2 * p},{2 * q})", family="D", rank=p + q,
         p=p, q=q,
         dim_g=(p + q) * (2 * p + 2 * q - 1),
@@ -173,40 +178,24 @@ def _so_even(p: int, q: int) -> InnerPair:
 
 
 _EXCEPTIONAL = (
-    # name, family, painted index (0-based), dim g, dim k
-    ("g2(2)", "G2", 1, 14, 6),
-    ("f4(4)", "F4", 0, 52, 24),
-    ("f4(-20)", "F4", 3, 52, 36),
-    ("e6(2)", "E6", 1, 78, 38),
-    ("e6(-14)", "E6", 0, 78, 46),
-    ("e8(8)", "E8", 0, 248, 120),
-    ("e8(-24)", "E8", 7, 248, 136),
+    # name, family, rank, painted index (0-based), dim g, dim k
+    ("g2(2)", "G2", 2, 1, 14, 6),
+    ("f4(4)", "F4", 4, 0, 52, 24),
+    ("f4(-20)", "F4", 4, 3, 52, 36),
+    ("e6(2)", "E6", 6, 1, 78, 38),
+    ("e6(-14)", "E6", 6, 0, 78, 46),
+    ("e8(8)", "E8", 8, 0, 248, 120),
+    ("e8(-24)", "E8", 8, 7, 248, 136),
 )
 
 
-def _exceptional(name: str) -> InnerPair:
-    name_, family, painted, dim_g, dim_k = next(e for e in _EXCEPTIONAL if e[0] == name)
-    from .rootsys import _EXCEPTIONAL_RANK
-    rank = _EXCEPTIONAL_RANK[family]
-    return _make_pair(name=name_, family=family, rank=rank,
-                      dim_g=dim_g, dim_k=dim_k, painted_index=painted)
+def _specs(max_rank: int) -> list[dict]:
+    """The `_make_pair` arguments of every pair with rank <= max_rank, in
+    catalog order: by rank, then by family row, then by name."""
+    entries: list[tuple[tuple, dict]] = []
 
-
-@lru_cache(maxsize=None)
-def catalog(max_rank: int) -> tuple[InnerPair, ...]:
-    """Every admissible pair of the thirteen families with rank <= max_rank.
-
-    The two rank-2 coincidences sp(1,1) = so(1,4) and sp(2,R) = so(3,2)
-    (the B2/C2 isomorphism) are emitted once, under their so(...) names,
-    with the sp names kept as aliases.  Deterministic order: by rank, then
-    by family row, then by parameters.
-    """
-    if max_rank < 2:
-        return ()
-    entries: list[tuple[tuple, InnerPair]] = []
-
-    def add(row: int, pair: InnerPair) -> None:
-        entries.append(((pair.rank, row, pair.name), pair))
+    def add(row: int, spec: dict) -> None:
+        entries.append(((spec["rank"], row, spec["name"]), spec))
 
     for total in range(3, max_rank + 2, 2):  # su(p,q), p + q odd, rank = p+q-1
         for q in range(1, total // 2 + 1):
@@ -224,87 +213,53 @@ def catalog(max_rank: int) -> tuple[InnerPair, ...]:
     for total in range(4, max_rank + 1, 2):  # so(2p, 2q), p+q even >= 4
         for q in range(1, total // 2 + 1):
             add(5, _so_even(total - q, q))
-    for name, family, painted, dim_g, dim_k in _EXCEPTIONAL:
-        pair = _exceptional(name)
-        if pair.rank <= max_rank:
-            add(6, pair)
+    for name, family, rank, painted, dim_g, dim_k in _EXCEPTIONAL:
+        if rank <= max_rank:
+            add(6, dict(name=name, family=family, rank=rank,
+                        dim_g=dim_g, dim_k=dim_k, painted_index=painted))
     entries.sort(key=lambda item: item[0])
-    return tuple(pair for _, pair in entries)
+    return [spec for _, spec in entries]
 
 
-_PAREN = re.compile(r"^([a-z0-9]+)\(([^)]*)\)(\*?)$")
+@lru_cache(maxsize=None)
+def catalog(max_rank: int) -> tuple[InnerPair, ...]:
+    """Every admissible pair of the thirteen families with rank <= max_rank.
+
+    The two rank-2 coincidences sp(1,1) = so(1,4) and sp(2,R) = so(3,2)
+    (the B2/C2 isomorphism) are emitted once, under their so(...) names,
+    with the sp names kept as aliases.  Deterministic order: by rank, then
+    by family row, then by parameters.
+    """
+    return tuple(_make_pair(**spec) for spec in _specs(max_rank))
 
 
-def _number(text: str, name: str) -> int:
-    """A number in a pair name; RootSystemError for anything int() refuses,
-    such as a superscript digit or more digits than its limit."""
-    try:
-        return int(text)
-    except ValueError:
-        raise RootSystemError(f"cannot parse pair name {name!r}") from None
+def _normal(spelling: str) -> str:
+    return spelling.strip().lower().replace(" ", "")
+
+
+@lru_cache(maxsize=None)
+def _spellings() -> dict[str, dict]:
+    """The spec of every pair with rank <= MAX_RANK under each of its
+    spellings, normalized: its name, its aliases and, for a name with two
+    numbers, the name with the two swapped."""
+    table = {}
+    for spec in _specs(MAX_RANK):
+        name = spec["name"]
+        swapped = re.sub(r"\((\d+),(\d+)\)$", r"(\2,\1)", name)
+        for spelling in (name, swapped, *spec.get("aliases", ())):
+            table[_normal(spelling)] = spec
+    return table
 
 
 def pair_by_name(name: str) -> InnerPair:
-    """Resolve a pair by name, accepting the documented aliases.
+    """The catalog pair spelled `name`, in any case and spacing.
 
-    Raises RootSystemError with an explanation for names outside the catalog
+    Raises RootSystemError for a spelling of no pair with rank <= MAX_RANK
     (e.g. su(2,2), where p + q must be odd).
     """
-    text = name.strip().lower().replace(" ", "")
-    match = _PAREN.match(text)
-    if not match:
-        raise RootSystemError(f"cannot parse pair name {name!r}")
-    head, args, star = match.groups()
-    if star:
-        if head != "so" or not args.isdigit():
-            raise RootSystemError(f"cannot parse pair name {name!r}")
-        m = _number(args, name)
-        if m % 4 != 0 or m < 8:
-            raise RootSystemError(f"so({m})* is not in the catalog: need m = 4n with n >= 2")
-        return _so_star(m // 4)
-    if head in ("g2", "f4", "e6", "e8"):
-        full = f"{head}({args})"
-        if any(e[0] == full for e in _EXCEPTIONAL):
-            return _exceptional(full)
-        raise RootSystemError(f"{full} is not an even-dimensional inner-type real form")
-    parts = args.split(",")
-    if head == "sp" and len(parts) == 2 and parts[1] == "r":
-        r = _number(parts[0], name)
-        if r % 2 != 0 or r < 2:
-            raise RootSystemError(
-                f"sp({r},R) is not in the catalog: it appears only at even rank")
-        if r == 2:
-            return _so_odd(1, 1)
-        return _sp_split(r // 2)
-    if len(parts) != 2 or not all(s.isdigit() for s in parts):
-        raise RootSystemError(f"cannot parse pair name {name!r}")
-    a, b = _number(parts[0], name), _number(parts[1], name)
-    if head == "su":
-        p, q = max(a, b), min(a, b)
-        if q < 1:
-            raise RootSystemError(f"su({a},{b}) is not in the catalog: need p >= q >= 1")
-        if (p + q) % 2 == 0:
-            raise RootSystemError(f"su({a},{b}) is not in the catalog: p+q must be odd")
-        return _su(p, q)
-    if head == "sp":
-        p, q = max(a, b), min(a, b)
-        if q < 1 or (p + q) % 2 != 0:
-            raise RootSystemError(f"sp({a},{b}) is not in the catalog: p+q must be even")
-        if (p, q) == (1, 1):
-            return _so_odd(0, 2)
-        return _sp_pq(p, q)
-    if head == "so":
-        if a % 2 == 0 and b % 2 == 0:
-            p, q = max(a, b) // 2, min(a, b) // 2
-            if q < 1 or (p + q) % 2 != 0 or p + q < 4:
-                raise RootSystemError(
-                    f"so({a},{b}) is not in the catalog: p+q must be even and >= 4")
-            return _so_even(p, q)
-        odd, even = (a, b) if a % 2 == 1 else (b, a)
-        if odd % 2 != 1 or even % 2 != 0 or even < 2:
-            raise RootSystemError(f"so({a},{b}) is not an inner even-dimensional pair")
-        p, q = (odd - 1) // 2, even // 2
-        if (p + q) % 2 != 0:
-            raise RootSystemError(f"so({a},{b}) is not in the catalog: p+q must be even")
-        return _so_odd(p, q)
-    raise RootSystemError(f"cannot parse pair name {name!r}")
+    spec = _spellings().get(_normal(name))
+    if spec is None:
+        raise RootSystemError(
+            f"{name!r} is not in the catalog of pairs of rank <= {MAX_RANK}; "
+            f"innerlie catalog --max-rank {MAX_RANK} lists them")
+    return _make_pair(**spec)

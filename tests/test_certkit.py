@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import subprocess
 import sys
@@ -310,56 +311,111 @@ def _changed_leaf(value):
     return None
 
 
+def _nodes(value, path=()):
+    """(path, node) for every node of a certificate outside `provenance`."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else enumerate(
+        value if isinstance(value, list) else ())
+    for key, item in children:
+        if path or key != "provenance":
+            yield from _nodes(item, path + (key,))
+
+
+def _replaced(data, path, new):
+    """`data` with the node at `path` set to `new`.  Only the dicts and lists
+    on the path are copied; the rest is shared, since `verify_data` only
+    reads its input."""
+    if not path:
+        return new
+    clone = parent = copy.copy(data)
+    for key in path[:-1]:
+        child = copy.copy(parent[key])
+        parent[key] = child
+        parent = child
+    parent[path[-1]] = new
+    return clone
+
+
 def _mutations(data):
     """(description, mutated copy) for each changed leaf, each retype to a
     value of another type, each dropped and one added object key and each
     duplicated list entry, at every node of the certificate outside
     `provenance`."""
-    def nodes(value, path):
-        yield path, value
-        children = value.items() if isinstance(value, dict) else enumerate(
-            value if isinstance(value, list) else ())
-        for key, item in children:
-            if path or key != "provenance":
-                yield from nodes(item, path + (key,))
-
-    def replaced(path, new):
-        if not path:
-            return new
-        clone = copy.deepcopy(data)
-        parent = clone
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = new
-        return clone
-
-    for path, value in list(nodes(data, ())):
+    for path, value in list(_nodes(data)):
         changed = _changed_leaf(value)
         if changed is not None:
-            yield f"{path} changed", replaced(path, changed)
+            yield f"{path} changed", _replaced(data, path, changed)
         for new in RETYPES:
             if type(new) is not type(value):
-                yield f"{path} retyped to {new!r}", replaced(path, copy.deepcopy(new))
+                yield f"{path} retyped to {new!r}", _replaced(data, path, copy.deepcopy(new))
         if isinstance(value, dict):
             for key in value:
-                yield f"{path} without {key!r}", replaced(
-                    path, {k: v for k, v in value.items() if k != key})
-            yield f"{path} with an added key", replaced(path, {**value, "note": "x"})
+                yield f"{path} without {key!r}", _replaced(
+                    data, path, {k: v for k, v in value.items() if k != key})
+            yield f"{path} with an added key", _replaced(data, path, {**value, "note": "x"})
         if isinstance(value, list):
             for i in range(len(value)):
-                yield f"{path} with entry {i} duplicated", replaced(
-                    path, copy.deepcopy(value[:i + 1] + value[i:]))
+                yield f"{path} with entry {i} duplicated", _replaced(
+                    data, path, value[:i + 1] + value[i:])
 
 
 @pytest.mark.parametrize("name", ["g2(2)", "su(2,1)", "so(1,4)", "so(3,2)"])
 def test_verify_rejects_every_mutation(name):
     """Every single change to a valid certificate outside its provenance is
     rejected with a reason, and none makes the verifier raise."""
-    data = json.loads(certkit.serialize(certkit.analyze_pair(name)))
+    text = certkit.serialize(certkit.analyze_pair(name))
+    data = json.loads(text)
     assert certkit.verify_data(data).ok
     accepted = [what for what, mutated in _mutations(data)
                 if certkit.verify_data(mutated).ok]
     assert accepted == []
+    assert certkit.serialize(data) == text  # the mutations share, never change, its nodes
+
+
+@functools.lru_cache(maxsize=None)
+def _small_certificate(name):
+    """A certificate, shared and never changed, and the paths of its nodes."""
+    data = json.loads(certkit.serialize(certkit.analyze_pair(name)))
+    return data, [path for path, _ in _nodes(data)]
+
+
+# The spellings of each small pair, normalized: only these verify as its name.
+_OWN_SPELLINGS = {"g2(2)": {"g2(2)"}, "so(1,4)": {"so(1,4)", "so(4,1)", "sp(1,1)"}}
+
+_digits = st.sampled_from("0123456789\u0661\u0967\u0e52\uff13\u00b2")  # ASCII and others
+_hostile_names = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda digit, n: f"su({digit * n},1)", _digits, st.integers(4300, 5000)),
+    st.builds("{}({}{})".format, st.sampled_from(["su", "so", "sp", "g2", "e8"]),
+              st.text(_digits, min_size=1, max_size=3),
+              st.sampled_from([",1)", ")*", ",R)", ")", ",4)"])),
+    st.sampled_from(["g2(2)", " G2 (2)", "so(1,4)", "SO(4, 1)", "sp(1,1)", "su(2,1)", "so(8)*"]),
+)
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.just(2**70), st.floats(),
+                        st.sampled_from(["", "0", "1/2", "-0", "x"]), _hostile_names)
+_json_keys = st.sampled_from(["c", "root", "name", "x"])
+_json_trees = st.one_of(  # JSON trees of depth at most two
+    _json_leaves, st.lists(_json_leaves, max_size=3),
+    st.dictionaries(_json_keys, _json_leaves, max_size=3),
+    st.lists(st.dictionaries(_json_keys, _json_leaves, max_size=2), max_size=2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_OWN_SPELLINGS)), _hostile_names, st.data())
+def test_verify_data_is_total_on_hostile_input(pair, name, data):
+    """A certificate with any `pair.name` and random JSON trees grafted into
+    random nodes gets a verdict, never an exception; it verifies only when
+    the name spells its own pair and the grafts left every node as it was."""
+    original, paths = _small_certificate(pair)
+    named = doc = _replaced(original, ("pair", "name"), name)
+    grafts = data.draw(st.lists(st.sampled_from(paths), max_size=3))
+    for path in sorted(grafts, key=len, reverse=True):  # deepest first: each path still exists
+        doc = _replaced(doc, path, data.draw(_json_trees))
+    result = certkit.verify_data(doc)
+    own = name.strip().lower().replace(" ", "") in _OWN_SPELLINGS[pair]
+    unchanged = json.dumps(doc, sort_keys=True) == json.dumps(named, sort_keys=True)
+    assert result.ok == (own and unchanged)
+    assert result.ok or result.reason
 
 
 def test_verify_file_parse_error(tmp_path):
@@ -599,14 +655,25 @@ def test_cli_analyze_and_verify(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+def _unknown(name):
+    """The reason pair_by_name gives for every name outside the catalog."""
+    return (f"{name!r} is not in the catalog of pairs of rank <= 16; "
+            "innerlie catalog --max-rank 16 lists them")
+
+
 def test_cli_analyze_unknown_pair(capsys):
     assert main(["analyze", "su(2,2)"]) == 2
-    assert "p+q must be odd" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"su(2,2): error in analyze: {_unknown('su(2,2)')}\n"
 
 
 def test_cli_analyze_pair_over_the_rank_bound(capsys):
     assert main(["analyze", "su(21,20)"]) == 2
-    assert "bound 16" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"su(21,20): error in analyze: {_unknown('su(21,20)')}\n"
+
+
+def test_cli_catalog_over_the_rank_bound_is_a_usage_error(capsys):
+    assert main(["catalog", "--max-rank", "18"]) == 2
+    assert "has rank 18 > bound 16" in capsys.readouterr().err
 
 
 def _negated_metric(cert):
@@ -683,7 +750,7 @@ def test_cli_analyze_failed_verification_names_the_verify_stage(
 def test_cli_analyze_an_unreadable_number_is_a_usage_error(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["analyze", name]) == 2
-    assert capsys.readouterr().err == f"{name}: error in analyze: cannot parse pair name {name!r}\n"
+    assert capsys.readouterr().err == f"{name}: error in analyze: {_unknown(name)}\n"
     assert list(tmp_path.iterdir()) == []
 
 

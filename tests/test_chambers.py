@@ -88,18 +88,10 @@ def integer_decomposition(rs, simples):
     return {v: system.decompose(v) for v in rs.sorted_roots}
 
 
-@lru_cache(maxsize=None)
-def _doubled_roots(rs):
-    """2v as integers, for every root v of rs."""
-    return {v: tuple(int(2 * c) for c in _ambient(v)) for v in rs.sorted_roots}
-
-
 def verifier_decomposition(rs, simples):
-    """The verifier's check, which works on doubled vectors, keyed back by root."""
-    doubled = _doubled_roots(rs)
-    table = certkit._claimed_coordinates(list(doubled.values()), rs.rank,
-                                         [doubled[s] for s in simples])
-    return {v: table[w] for v, w in doubled.items()}
+    """The verifier's check, on the roots as they are: each is its tuple of
+    doubled coordinates."""
+    return certkit._claimed_coordinates(rs.sorted_roots, rs.rank, simples)
 
 
 PATHS = {
@@ -217,15 +209,12 @@ def _reflected_base(rs, word):
 
 def verifier_compact(rs, simples, nodes):
     """For the grading painted at each single node, the verifier's compact
-    roots, from the painted parities of `simples`, keyed back by root."""
-    doubled = _doubled_roots(rs)
-    claimed = [doubled[s] for s in simples]
-    coords = certkit._claimed_coordinates(list(doubled.values()), rs.rank, claimed)
+    roots, from the painted parities of `simples`."""
+    coords = certkit._claimed_coordinates(rs.sorted_roots, rs.rank, simples)
     found = []
     for node in nodes:
         pair = SimpleNamespace(system=rs, grading=SimpleNamespace(painted=(node,)))
-        compact = certkit._compact_roots(coords, pair, claimed)
-        found.append({v for v, w in doubled.items() if w in compact})
+        found.append(certkit._compact_roots(coords, pair, simples))
     return found
 
 

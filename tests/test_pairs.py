@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -184,8 +185,14 @@ def test_pair_by_name_aliases():
     assert pair_by_name("SP(8, R)").name == "sp(8,R)"
 
 
+def _unknown(name):
+    """The reason pair_by_name gives for every name outside the catalog."""
+    return re.escape(f"{name!r} is not in the catalog of pairs of rank <= 16; "
+                     "innerlie catalog --max-rank 16 lists them")
+
+
 def test_pair_by_name_rejections():
-    with pytest.raises(RootSystemError, match="p\\+q must be odd"):
+    with pytest.raises(RootSystemError, match=_unknown("su(2,2)")):
         pair_by_name("su(2,2)")
     with pytest.raises(RootSystemError):
         pair_by_name("so(2,2)")
@@ -209,15 +216,20 @@ def test_pair_by_name_rejections():
     pytest.param("su(\u00b2,1)", id="su(superscript 2,1)"),
 ])
 def test_pair_by_name_refuses_numbers_int_cannot_read(name):
-    with pytest.raises(RootSystemError, match="cannot parse pair name"):
+    with pytest.raises(RootSystemError, match=_unknown(name)):
         pair_by_name(name)
 
 
 def test_pair_by_name_rank_bound():
     assert pair_by_name("su(16,1)").rank == MAX_RANK == 16
     for name in ("su(10,9)", "su(21,20)", "so(18,18)", "sp(9,9)", "sp(18,R)", "so(36)*"):
-        with pytest.raises(RootSystemError, match="bound 16"):
+        with pytest.raises(RootSystemError, match=_unknown(name)):
             pair_by_name(name)
+
+
+def test_catalog_over_the_rank_bound_raises():
+    with pytest.raises(RootSystemError, match="has rank 18 > bound 16"):
+        catalog(18)
 
 
 def test_pair_by_name_returns_the_catalog_pair(catalog8):
@@ -228,11 +240,89 @@ def test_pair_by_name_returns_the_catalog_pair(catalog8):
             assert pair_by_name(alias) is pair
 
 
+# Non-compact exceptional real forms by algebra: {label: inner type}.  The
+# algebras have dimension 14, 52, 78, 133 and 248.
+_EXCEPTIONAL_FORMS = {
+    "g2": (14, {"2": True}),
+    "f4": (52, {"4": True, "-20": True}),
+    "e6": (78, {"6": False, "2": True, "-14": True, "-26": False}),
+    "e7": (133, {"7": True, "-5": True, "-25": True}),
+    "e8": (248, {"8": True, "-24": True}),
+}
+
+
+def _oracle(head, a, b):
+    """The catalog name of head(a,b), head(a,R), so(a)* or an exceptional
+    form, written from the classification alone: a non-compact simple real
+    form of inner type and even dimension, with rank <= 16; else None."""
+    if head in _EXCEPTIONAL_FORMS:
+        dim, forms = _EXCEPTIONAL_FORMS[head]
+        return f"{head}({a})" if forms.get(a) and dim % 2 == 0 else None
+    if b == "*":  # so(2m)*: inner, dim m(2m-1), rank m; so(4)* is not simple
+        return f"so({a})*" if a % 4 == 0 and 8 <= a <= 32 else None
+    if b == "R":  # sp(a,R): inner, dim a(2a+1), rank a; sp(2,R) = so(3,2)
+        if a % 2 or not 2 <= a <= 16:
+            return None
+        return "so(3,2)" if a == 2 else f"sp({a},R)"
+    big, small = max(a, b), min(a, b)
+    if small < 1:
+        return None  # compact
+    if head == "su":  # dim (p+q)^2 - 1, rank p+q-1
+        return f"su({big},{small})" if (big + small) % 2 and big + small - 1 <= 16 else None
+    if head == "sp":  # dim (p+q)(2p+2q+1), rank p+q
+        if (big + small) % 2 or big + small > 16:
+            return None
+        return "so(1,4)" if big == small == 1 else f"sp({big},{small})"
+    # so(a,b): inner unless a and b are both odd; dim n(n-1)/2 with n = a+b is
+    # even when n is 0 or 1 mod 4; so(2,2) is not simple; rank floor(n/2).
+    n = a + b
+    if a % 2 and b % 2 or n % 4 not in (0, 1) or n == 4 or n // 2 > 16:
+        return None
+    if n % 2:
+        odd, even = (a, b) if a % 2 else (b, a)
+        return f"so({odd},{even})"
+    return f"so({big},{small})"
+
+
+def _candidate_spellings():
+    """(spelling, oracle name) over su/so/sp(a,b), sp(a,R), so(a)* and the
+    exceptional heads, with a few case and space variants."""
+    for head, a, b in product(("su", "so", "sp"), range(36), range(36)):
+        yield f"{head}({a},{b})", _oracle(head, a, b)
+    for a in range(41):
+        yield f"sp({a},R)", _oracle("sp", a, "R")
+        yield f"so({a})*", _oracle("so", a, "*")
+    for head, (_, forms) in _EXCEPTIONAL_FORMS.items():
+        for label in ("0", "1", "2", "4", "6", "7", "8", "-5", "-14", "-20", "-24", "-25", "-26"):
+            yield f"{head}({label})", _oracle(head, label, None)
+    for spelling, name in [("SU(2, 1)", "su(2,1)"), (" so(1,4) ", "so(1,4)"), ("Sp(1,1)", "so(1,4)"),
+                           ("SP(8, R)", "sp(8,R)"), ("sp(2,r)", "so(3,2)"), ("G2(2)", "g2(2)"),
+                           ("E8( -24 )", "e8(-24)"), ("so(8) *", "so(8)*"), ("so(4,1)", "so(1,4)"),
+                           ("su(2,1", None), ("su 2,1", None), ("su(2,1)*", None), ("", None),
+                           ("e7(-133)", None), ("so(4n)*", None), ("sp(2,1,1)", None)]:
+        yield spelling, name
+
+
+def test_pair_by_name_accepts_exactly_the_classified_spellings():
+    checked = set()
+    for spelling, name in _candidate_spellings():
+        if name is None:
+            with pytest.raises(RootSystemError):
+                pair_by_name(spelling)
+        else:
+            assert pair_by_name(spelling).name == name, spelling
+            checked.add(name)
+    catalog16 = catalog(16)
+    assert checked == {pair.name for pair in catalog16}
+    for pair in catalog16:
+        assert all(pair_by_name(s) is pair for s in (pair.name, *pair.aliases))
+
+
 def test_names_over_the_rank_bound_are_not_cached():
     from innerlie import pairs
     before = pairs._make_pair.cache_info().currsize
     for name in ("su(10,9)", "su(21,20)", "su(1000,999)"):
-        with pytest.raises(RootSystemError, match="bound 16"):
+        with pytest.raises(RootSystemError, match=_unknown(name)):
             pair_by_name(name)
     assert pairs._make_pair.cache_info().currsize == before
 
