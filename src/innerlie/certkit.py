@@ -15,18 +15,16 @@ only the root set, the standard base and the painted nodes of the catalog.
 A strict reader takes each rational only in the form str(Fraction) writes, of
 bounded length; every root becomes its doubled ambient vector, a tuple of
 integers equal to the catalog's `RootVector` for it, and every check is
-integer tuple arithmetic on those, with metric values, relation
-coefficients and weights kept exact (an int when integral, else a
-Fraction).  The claimed simple roots are checked, and every root's
-coordinates over them found, by a height walk: starting from the simples,
-add each simple to every root reached so far and record each new root with
-its parent's coordinates plus one unit.  The claim is a base exactly when it
-has `rank` members and the roots reached, with their negatives, are the
-whole root set (see `_claimed_coordinates`).  Compactness is the Z2
-character of the root lattice that the painted nodes define, so a root is
-compact when its coordinates over the claimed simples pair evenly with the
-painted parities of those simples; a walk over the standard base reads the
-parities and stops once every claimed simple is reached up to sign.
+integer arithmetic on those, with metric values, relation coefficients and
+weights kept exact (an int when integral, else a Fraction).  One height walk
+checks the claimed simple roots, on integer keys that pack each doubled root
+into one int (the bound that makes this sound is at `_RADIX`): each reached
+root plus a simple, when a root, is reached with its parent's label plus the
+simple's.  The claim must reach every root up to sign (`_claimed_walk`).
+Labelled by the parities of the claimed simples, which a walk over the
+standard base labelled by the painted nodes finds, the walk gives the
+positive roots and the compact ones, which the painted nodes define as a Z2
+character of the root lattice (`_claimed_roots`).
 The verifier uses no code of the solvers or of the integer root core.  The
 pluriclosed relation is stated once, in `_derived_relation`: the builder
 takes each relation from it, so on the builder's own output the relation
@@ -44,6 +42,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import add, mul, neg, sub
@@ -216,11 +215,12 @@ def save(cert: dict, path: str) -> None:
 #
 # Every root is named by its doubled ambient vector, a tuple of integers
 # (coordinates lie in (1/2)Z); a catalog root, a RootVector, is that tuple.
+# The height walk names each root by an integer key instead (`_RADIX`).
 # The verifier reads the root set, the standard base and the painted nodes
 # as they are, but neither the integer coordinate tables of `rootsys` nor
-# RootVector arithmetic (its own sums are plain `map(add, ...)` tuples), so
-# the integer core and the checker share no arithmetic; the builder's
-# relations are the checker's own (`_derived_relation`).
+# RootVector arithmetic (its own sums are plain `map(add, ...)` tuples and
+# key sums), so the integer core and the checker share no arithmetic; the
+# builder's relations are the checker's own (`_derived_relation`).
 # ---------------------------------------------------------------------------
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
@@ -320,72 +320,90 @@ class _Reader:
         return out
 
 
-def _negated(v: tuple) -> tuple:
-    return tuple(map(neg, v))
+# The height walk names a doubled root v by its key, sum v[i] * _RADIX**i.
+# Every doubled coordinate of a catalog root has size at most 4 (C's 2e_i,
+# G2's (-2, 1, 1)), so a root plus a simple root has coordinates of size at
+# most 8, far below _RADIX / 2: key(v + s) = key(v) + key(s), key(-v) = -key(v),
+# and no two vectors the walk meets share a key.
+_RADIX = 256
 
 
-def _height_walk(known, simples):
-    """Yield (root, coordinates over `simples`) by height: the simples, then
-    each new root of `known` that is a reached root plus a simple (one unit)."""
-    steps = [(s, tuple(int(i == j) for j in range(len(simples)))) for i, s in enumerate(simples)]
-    reached, seen = list(steps), set(simples)
+@lru_cache(maxsize=None)
+def _keys(roots: frozenset) -> tuple[dict, dict]:
+    """({key: root}, {root: key}) for a root set, built once per set."""
+    key_of = {v: sum(c * _RADIX ** i for i, c in enumerate(v)) for v in roots}
+    return {k: v for v, k in key_of.items()}, key_of
+
+
+def _height_walk(by_key, simples, labels):
+    """Yield (key, label) by height: the simples' keys with their `labels`,
+    then each new key of `by_key` that is a reached key plus a simple's, with
+    its parent's label plus that simple's."""
+    steps = list(zip(simples, labels))
+    reached, unseen = list(steps), by_key.keys() - set(simples)
     for v, c in reached:  # grows as the walk goes, one height after another
         yield v, c
         for s, unit in steps:
-            w = tuple(map(add, v, s))
-            if w in known and w not in seen:
-                seen.add(w)
-                reached.append((w, tuple(map(add, c, unit))))
+            w = v + s
+            if w in unseen:
+                unseen.remove(w)
+                reached.append((w, c + unit))
 
 
-def _claimed_coordinates(roots: list[tuple[int, ...]], rank: int,
-                         simples) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Coordinates of every root over claimed simple roots; the roots of the
-    system and the claimed simples are doubled vectors.
+def _claimed_walk(roots, rank: int, simples, labels) -> tuple[dict, list]:
+    """({key: root}, the whole `_height_walk` from the claimed simples, with
+    the labels that `labels(keys)` gives from their keys); a claimed simple
+    is looked up among the roots, never packed.
 
-    The whole `_height_walk` from the claimed simples, plus the negatives.
-    The claim is accepted only when it has `rank` members, all roots, and the
-    reached set R together with -R is every root.  Then the `rank` claimed
-    simples span the span of the roots, of dimension `rank`, so they are
-    distinct and independent: each root's coordinates are unique, and each
-    root, in R or in -R, has coordinates of one sign.  That is the definition
-    of a base; anything else raises RootSystemError.  A genuine base always
-    passes, since each of its positive roots is a simple root plus a positive
-    root of smaller height.  With the painted parities of the claimed simples
-    these coordinates also give every root's compactness.
+    The claim is a base exactly when it has `rank` members, all roots, and
+    the reached set R with -R is every root: the simples then span the root
+    space, so each root has unique coordinates over them, of one sign in R
+    and in -R.  A genuine base passes, each positive root being a simple plus
+    a positive root of smaller height.  Anything else raises RootSystemError.
     """
     if len(simples) != rank:
         raise RootSystemError(f"expected {rank} simple roots, got {len(simples)}")
-    known = set(roots)
-    if any(s not in known for s in simples):
+    by_key, key_of = _keys(frozenset(roots))
+    keys = [key_of.get(s) for s in simples]
+    if None in keys:
         raise RootSystemError("a claimed simple root is not a root")
-    coords = dict(_height_walk(known, simples))
-    coords.update({_negated(v): _negated(c) for v, c in coords.items()})
-    if len(coords) != len(known):
+    reached = list(_height_walk(by_key, keys, labels(keys)))
+    if len({k for k, _ in reached} | {-k for k, _ in reached}) != len(by_key):
         raise RootSystemError("the claimed simple roots do not reach every root up to sign")
-    return coords
+    return by_key, reached
 
 
-def _compact_roots(coords: dict, pair: InnerPair, simples) -> set:
-    """The compact roots, from the painted parities of the claimed simples."""
-    wanted = {w: i for i, s in enumerate(simples) for w in (s, _negated(s))}
-    parity = [None] * len(simples)
-    for v, c in _height_walk(coords, pair.system.base.simples):
-        if v in wanted:
-            parity[wanted[v]] = sum(c[i] for i in pair.grading.painted) % 2
-            if None not in parity:  # each claimed simple reached up to sign
-                break
-    return {v for v, c in coords.items() if sum(map(mul, c, parity)) % 2 == 0}
+def _claimed_coordinates(roots, rank: int, simples) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Coordinates of every root over a claimed base (see `_claimed_walk`), all
+    doubled vectors: with the i-th simple labelled _RADIX**i, a positive root's
+    label is its coordinates, 0 to 6, packed."""
+    units = [_RADIX ** i for i in range(rank)]
+    by_key, reached = _claimed_walk(roots, rank, simples, lambda _: units)
+    coords = {by_key[k]: tuple(label.to_bytes(rank, "little")) for k, label in reached}
+    return coords | {by_key[-k]: tuple(map(neg, coords[by_key[k]])) for k, _ in reached}
 
 
-def _claimed_roots(pair: InnerPair, simples) -> tuple[dict, set, set]:
-    """(coordinates of every root, positive roots, compact roots) over the
-    claimed simple roots, all doubled vectors; RootSystemError unless the
-    claim is a base (see `_claimed_coordinates`)."""
+def _claimed_roots(pair: InnerPair, simples) -> tuple[set, set]:
+    """(positive roots, compact positive roots) over a claimed base (see
+    `_claimed_walk`), all doubled vectors.  A walk over the standard base, the
+    painted simples labelled 1, gives each claimed simple its parity and stops
+    once each is reached up to sign; labelled with those, the claimed simples'
+    walk labels each root with its compactness, a Z2 character."""
     rs = pair.system
-    coords = _claimed_coordinates(rs.sorted_roots, rs.rank, simples)
-    positive = {v for v, c in coords.items() if min(c) >= 0}
-    return coords, positive, _compact_roots(coords, pair, simples)
+
+    def parities(keys):
+        by_key, key_of = _keys(rs.roots)
+        painted = [int(i in pair.grading.painted) for i in range(rs.rank)]
+        wanted, parity = set(keys).union([-k for k in keys]), {}
+        for k, label in _height_walk(by_key, [key_of[s] for s in rs.base.simples], painted):
+            if k in wanted:
+                parity[k] = parity[-k] = label % 2
+                if len(parity) == len(wanted):
+                    return [parity[k] for k in keys]
+
+    by_key, reached = _claimed_walk(rs.roots, rs.rank, simples, parities)
+    return ({by_key[k] for k, _ in reached},
+            {by_key[k] for k, label in reached if label % 2 == 0})
 
 
 def _weighted_sums(metric: dict, compact: set, dim: int) -> tuple[list, list, list]:
@@ -441,31 +459,31 @@ def _add_symmetric(matrix: dict, weight, a: tuple, b: tuple) -> None:
                     matrix[j, i] = matrix.get((j, i), 0) + term
 
 
-def _derived_relation(coords: dict, positive: set, alpha: tuple, beta: tuple) -> dict:
+def _derived_relation(roots, positive: set, alpha: tuple, beta: tuple) -> dict:
     """The right side of the relation for (alpha, beta), re-derived from root
     strings, with the difference term folded onto its positive representative;
-    `coords` holds every root and `positive` the positive ones, all doubled."""
+    `roots` holds every root and `positive` the positive ones, all doubled."""
     derived: dict[tuple, int | Fraction] = {}
     total = tuple(map(add, alpha, beta))
-    if total in coords:
-        n2 = _n_squared(coords, alpha, beta)
+    if total in roots:
+        n2 = _n_squared(roots, alpha, beta)
         _accumulate(derived, total, n2)
         _accumulate(derived, alpha, -n2)
         _accumulate(derived, beta, -n2)
     difference = tuple(map(sub, alpha, beta))
-    if difference in coords:
-        n2 = _n_squared(coords, alpha, _negated(beta))
+    if difference in roots:
+        n2 = _n_squared(roots, alpha, tuple(map(neg, beta)))
         sign = 1 if difference in positive else -1
-        _accumulate(derived, difference if sign > 0 else _negated(difference), n2)
+        _accumulate(derived, difference if sign > 0 else tuple(map(sub, beta, alpha)), n2)
         _accumulate(derived, beta, sign * n2)
         _accumulate(derived, alpha, -sign * n2)
     return derived
 
 
-def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords: dict,
+def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair,
                                 positive: set, compact: set) -> VerificationResult:
-    """Check the sign contradiction on doubled roots: `coords` holds every
-    root, `positive` and `compact` the positive and the compact ones.  The
+    """Check the sign contradiction on doubled roots: `positive` holds the
+    positive roots and `compact` the compact ones among them.  The
     block combines exactly two relations, counted before either is read,
     and its `roots` name their roots as `build_certificate` does."""
     try:
@@ -490,6 +508,7 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
     matrix: dict[tuple[int, int], int | Fraction] = {}
     combined: dict[tuple, int | Fraction] = {}
     named, touched = [], set()
+    roots = pair.system.roots
     for weight, item in zip(combination, relations):
         try:
             alpha, beta, stored = _fields(item, "alpha", "beta", "coeffs")
@@ -498,7 +517,7 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
             return _fail("malformed certificate")
         if not (alpha in positive and beta in positive):
             return _fail("relation roots invalid")
-        if _derived_relation(coords, positive, alpha, beta) != stored:
+        if _derived_relation(roots, positive, alpha, beta) != stored:
             return _fail("relation mismatch")
         _add_symmetric(matrix, weight, alpha, beta)
         for root, value in stored.items():
@@ -506,7 +525,7 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair, coords:
         touched.update(stored)
         named.append((alpha, beta))
 
-    if conclusion_root not in coords:
+    if conclusion_root not in roots:
         return _fail("relation roots invalid")
     target: dict[tuple[int, int], int] = {}
     _add_symmetric(target, 1, conclusion_root, conclusion_root)
@@ -543,7 +562,7 @@ def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
     identity over the base `simples` (RootVectors), by `verify_data`'s
     arithmetic; RootSystemError when `simples` is not a base or the domain
     of `g` is not its positive roots."""
-    _, positive, compact = _claimed_roots(pair, simples)
+    positive, compact = _claimed_roots(pair, simples)
     if g.keys() != positive:
         raise RootSystemError("metric domain does not match the positive roots")
     compact_sum, noncompact_sum, _ = _weighted_sums(g, compact, pair.system.ambient_dim)
@@ -554,11 +573,10 @@ def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
     """`verify_data`'s check of a pluriclosed block (`pluriclosed_payload`)
     over the base `simples` (RootVectors)."""
     try:
-        coords, positive, compact = _claimed_roots(pair, simples)
+        claimed = _claimed_roots(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
-    return _verify_pluriclosed_payload(payload, _Reader(pair.system.ambient_dim), pair,
-                                       coords, positive, compact)
+    return _verify_pluriclosed_payload(payload, _Reader(pair.system.ambient_dim), pair, *claimed)
 
 
 def _pair_block(block) -> tuple:
@@ -583,17 +601,18 @@ def verify_data(data: dict) -> VerificationResult:
         _, block, ordering, metric, balanced_verdict, payload, chern, _ = _fields(
             data, "schema_version", "pair", "ordering", "metric", "balanced_verdict",
             "pluriclosed_certificate", "chern_report", "provenance")
-        name, family, *counts = _pair_block(block)
+        fields = _pair_block(block)
         mode, simples = _fields(ordering, "mode", "simples")
         simples, metric = _array(simples), _array(metric)
     except _MALFORMED:
         return _fail("malformed certificate")
 
     try:
-        pair = pair_by_name(name)
+        pair = pair_by_name(fields[0])
     except RootSystemError:
         return _fail("pair unknown")
-    if [pair.family, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k] != [family, *counts]:
+    # The name must be the catalog's own spelling, not another that resolves to the pair.
+    if [pair.name, pair.family, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k] != fields:
         return _fail("pair mismatch")
 
     # Bounds before any arithmetic: one metric entry per positive root, and
@@ -608,7 +627,7 @@ def verify_data(data: dict) -> VerificationResult:
     except _MALFORMED:
         return _fail("malformed certificate")
     try:
-        coords, positive, compact = _claimed_roots(pair, simples)
+        positive, compact = _claimed_roots(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if mode != ("so_1_2n_special" if pair.is_so_1_2n else "partner_property"):
@@ -622,7 +641,7 @@ def verify_data(data: dict) -> VerificationResult:
     if compact_sum != noncompact_sum or balanced_verdict is not True:
         return _fail("balanced identity failed")
 
-    result = _verify_pluriclosed_payload(payload, read, pair, coords, positive, compact)
+    result = _verify_pluriclosed_payload(payload, read, pair, positive, compact)
     if not result.ok:
         return result
 

@@ -11,10 +11,10 @@ the verifier's doubled vectors are the same tuples.
 metric, relation and curvature values.  No floating point is used anywhere.
 
 Decomposing roots over a base works on integer tuples over that base; sums
-of roots are tested against the root set as ambient vectors, which are the
-names the rest of the package and the certificates give to roots.  Root
-strings and N^2 are the verifier's (`certkit._derived_relation`).  Only
-`validate_base` checks a base (see there).
+of roots are tested against the root set as ambient vectors, the names the
+package and the certificates give to roots.  Root strings and N^2 are the
+verifier's (`certkit._derived_relation`).  Only `validate_base` checks a
+base, by the verifier's height walk on integer keys of the roots (see there).
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -229,8 +229,7 @@ class RootSystem:
         anything but a base raises RootSystemError.
         """
         from .certkit import _claimed_coordinates  # certkit imports rootsys
-        table = _claimed_coordinates(self.sorted_roots, self.rank, system.simples)
-        system._coords = {v: table[v] for v in self.sorted_roots}
+        system._coords = _claimed_coordinates(self.roots, self.rank, system.simples)
 
     def reflected_base(self, p: int) -> SimpleSystem:
         """The standard base reflected in its p-th simple root, sorted, with its table."""

@@ -164,6 +164,17 @@ def test_verify_rejects_wrong_pair_data(g2_data):
     assert not result.ok and result.reason == "pair mismatch"
 
 
+@pytest.mark.parametrize("pair,name", [("g2(2)", " G2 (2)"), ("so(1,4)", "SP(1,1)"),
+                                       ("so(1,4)", "so(4,1)")])
+def test_verify_rejects_alias_spelled_pair_name(pair, name):
+    """A certificate names its pair by the catalog's own spelling: another
+    spelling of the same pair, which `pair_by_name` resolves, is refused."""
+    data = _small_certificate(pair)[0]
+    assert certkit.verify_data(data).ok
+    result = certkit.verify_data(_replaced(data, ("pair", "name"), name))
+    assert not result.ok and result.reason == "pair mismatch"
+
+
 def test_verify_rejects_unknown_pair(g2_data):
     result = certkit.verify_data(_tampered(g2_data, lambda d: d["pair"].update(name="su(2,2)")))
     assert not result.ok and result.reason == "pair unknown"
@@ -379,9 +390,6 @@ def _small_certificate(name):
     return data, [path for path, _ in _nodes(data)]
 
 
-# The spellings of each small pair, normalized: only these verify as its name.
-_OWN_SPELLINGS = {"g2(2)": {"g2(2)"}, "so(1,4)": {"so(1,4)", "so(4,1)", "sp(1,1)"}}
-
 _digits = st.sampled_from("0123456789\u0661\u0967\u0e52\uff13\u00b2")  # ASCII and others
 _hostile_names = st.one_of(
     st.text(max_size=12),
@@ -401,18 +409,19 @@ _json_trees = st.one_of(  # JSON trees of depth at most two
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_OWN_SPELLINGS)), _hostile_names, st.data())
+@given(st.sampled_from(["g2(2)", "so(1,4)"]), _hostile_names, st.data())
 def test_verify_data_is_total_on_hostile_input(pair, name, data):
     """A certificate with any `pair.name` and random JSON trees grafted into
     random nodes gets a verdict, never an exception; it verifies only when
-    the name spells its own pair and the grafts left every node as it was."""
+    the name is its own pair's canonical one and the grafts left every node
+    as it was."""
     original, paths = _small_certificate(pair)
     named = doc = _replaced(original, ("pair", "name"), name)
     grafts = data.draw(st.lists(st.sampled_from(paths), max_size=3))
     for path in sorted(grafts, key=len, reverse=True):  # deepest first: each path still exists
         doc = _replaced(doc, path, data.draw(_json_trees))
     result = certkit.verify_data(doc)
-    own = name.strip().lower().replace(" ", "") in _OWN_SPELLINGS[pair]
+    own = name == pair
     unchanged = json.dumps(doc, sort_keys=True) == json.dumps(named, sort_keys=True)
     assert result.ok == (own and unchanged)
     assert result.ok or result.reason
@@ -615,6 +624,22 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     def mutate(d):
         d["pluriclosed_certificate"]["relations"][0]["coeffs"][0]["c"] = "17"
     assert certkit.verify_data(_tampered(g2_data, mutate)).reason == "relation mismatch"
+
+
+def test_walk_keys_are_distinct_under_the_radix_bound():
+    """The verifier's height walk adds and negates integer keys in place of
+    doubled roots, which is sound while every doubled coordinate has size at
+    most 4: a root plus a root then stays far below half the radix.  So the
+    bound holds, and the keys are distinct, in every root system of rank at
+    most 16."""
+    from innerlie.pairs import catalog
+
+    assert 2 * (4 + 4) < certkit._RADIX
+    for rs in {pair.system for pair in catalog(16)}:
+        assert max(abs(c) for root in rs.roots for c in root) <= 4, rs
+        by_key, key_of = certkit._keys(rs.roots)
+        assert len(by_key) == len(key_of) == len(rs.roots), rs
+        assert all(by_key[key_of[v]] is v and by_key.get(-key_of[v]) == -v for v in rs.roots), rs
 
 
 # ---------------------------------------------------------------------------

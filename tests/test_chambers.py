@@ -11,7 +11,6 @@ coordinates.  It works on ambient Fraction tuples of its own, read by
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -58,8 +57,26 @@ def _gram_inverse(simples):
     return [row[n:] for row in aug]
 
 
+# (root system, simples) -> the reference table, or the reason it refused
+# them: the chamber tests meet the same bases more than once.
+_REFERENCE = {}
+
+
 def reference_decomposition(rs, simples):
-    """Every root's coordinates over `simples`; RootSystemError if not a base."""
+    """Every root's coordinates over `simples`; RootSystemError if not a base.
+    Each table is computed once and shared; callers do not change it."""
+    key = (rs, tuple(simples))
+    if key not in _REFERENCE:
+        try:
+            _REFERENCE[key] = _reference_decomposition(rs, simples)
+        except RootSystemError as exc:
+            _REFERENCE[key] = str(exc)
+    if isinstance(_REFERENCE[key], str):
+        raise RootSystemError(_REFERENCE[key])
+    return _REFERENCE[key]
+
+
+def _reference_decomposition(rs, simples):
     if len(simples) != rs.rank or not all(rs.is_root(s) for s in simples):
         raise RootSystemError("not rank-many roots")
     simples = [_ambient(s) for s in simples]
@@ -111,10 +128,13 @@ def accepted(path, rs, simples):
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)
 def test_every_chamber_decomposes_identically(family, rank):
+    """In every chamber the coordinates, and for each single painted node
+    the positive and the compact roots, agree with the Fraction reference."""
     rs = build_root_system(family, rank)
-    for system in all_simple_systems(rs):
-        expected = reference_decomposition(rs, system.simples)
-        assert integer_decomposition(rs, system.simples) == expected
+    nodes = range(rank)
+    for simples in (system.simples for system in all_simple_systems(rs)):
+        assert integer_decomposition(rs, simples) == reference_decomposition(rs, simples)
+        assert verifier_roots(rs, simples, nodes) == reference_roots(rs, simples, nodes)
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)
@@ -207,40 +227,35 @@ def _reflected_base(rs, word):
     return simples
 
 
-def verifier_compact(rs, simples, nodes):
-    """For the grading painted at each single node, the verifier's compact
-    roots, from the painted parities of `simples`."""
-    coords = certkit._claimed_coordinates(rs.sorted_roots, rs.rank, simples)
-    found = []
-    for node in nodes:
-        pair = SimpleNamespace(system=rs, grading=SimpleNamespace(painted=(node,)))
-        found.append(certkit._compact_roots(coords, pair, simples))
-    return found
+def verifier_roots(rs, simples, nodes):
+    """For the grading painted at each single node, the verifier's positive
+    and compact positive roots over `simples`, from their painted parities."""
+    return [certkit._claimed_roots(
+                SimpleNamespace(system=rs, grading=SimpleNamespace(painted=(node,))), simples)
+            for node in nodes]
 
 
-@lru_cache(maxsize=None)
-def _reference_standard(rs):
-    return reference_decomposition(rs, rs.base.simples)
-
-
-def reference_compact(rs, nodes):
-    """For each single painted node, the roots whose Fraction coordinates
-    over the standard base are even there."""
-    standard = _reference_standard(rs)
-    return [{v for v, c in standard.items() if c[node] % 2 == 0} for node in nodes]
+def reference_roots(rs, simples, nodes):
+    """For each single painted node, the roots with nonnegative Fraction
+    coordinates over `simples`, and those of them whose coordinates over the
+    standard base are even there."""
+    positive = {v for v, c in reference_decomposition(rs, simples).items() if min(c) >= 0}
+    standard = reference_decomposition(rs, rs.base.simples)
+    return [(positive, {v for v in positive if standard[v][node] % 2 == 0}) for node in nodes]
 
 
 @pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)
 @settings(derandomize=True, max_examples=5, deadline=None)
 @given(word=WORDS)
 def test_reflected_bases_decompose_as_the_reference(family, rank, word):
-    """Coordinates over a moved base, and the compact roots of the grading
-    painted at each single node, agree with the Fraction reference."""
+    """Coordinates over a moved base, and the positive and the compact roots
+    of the grading painted at each single node, agree with the Fraction
+    reference."""
     rs = build_root_system(family, rank)
     simples = _reflected_base(rs, word)
     assert verifier_decomposition(rs, simples) == reference_decomposition(rs, simples)
     nodes = range(rank)
-    assert verifier_compact(rs, simples, nodes) == reference_compact(rs, nodes)
+    assert verifier_roots(rs, simples, nodes) == reference_roots(rs, simples, nodes)
 
 
 @pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)

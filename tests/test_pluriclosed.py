@@ -132,9 +132,9 @@ def test_derived_relation_sums_to_the_pairing(name):
     product over 4, and every key is a positive root."""
     pair = pair_by_name(name)
     simples = find_admissible_ordering(pair).system.simples
-    coords, positive, _ = certkit._claimed_roots(pair, simples)
+    positive, _ = certkit._claimed_roots(pair, simples)
     for alpha, beta in permutations(sorted(positive), 2):
-        derived = certkit._derived_relation(coords, positive, alpha, beta)
+        derived = certkit._derived_relation(pair.system.roots, positive, alpha, beta)
         assert sum(derived.values()) == Fraction(sum(map(mul, alpha, beta)), 4), (alpha, beta)
         assert set(derived) <= positive, (alpha, beta)
 

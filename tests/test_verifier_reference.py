@@ -265,8 +265,8 @@ def reference_verify(data):
         pair = pair_by_name(cert.pair_name)
     except RootSystemError:
         return _fail("pair unknown")
-    if (pair.rank, pair.painted_node, pair.dim_g, pair.dim_k, pair.family) != (
-            cert.rank, cert.painted_node, cert.dim_g, cert.dim_k, cert.family):
+    if (pair.name, pair.rank, pair.painted_node, pair.dim_g, pair.dim_k, pair.family) != (
+            cert.pair_name, cert.rank, cert.painted_node, cert.dim_g, cert.dim_k, cert.family):
         return _fail("pair mismatch")
 
     rs = pair.system
@@ -406,6 +406,7 @@ TAMPERS = {
     "negated_simple": _negated_simple,
     "unknown_pair": lambda d: d["pair"].update(name="su(2,2)"),
     "retyped_pair": lambda d: d["pair"].update(name=5),
+    "alias_spelled_pair": lambda d: d["pair"].update(name=" " + d["pair"]["name"].upper()),
     "minus_zero_in_simple": _minus_zero_in_simple,
     "unreduced_metric_value": _unreduced_metric_value,
     "leading_zero_in_relation": _leading_zero,
@@ -455,14 +456,14 @@ def _standard_walk_compact(pair):
 
 
 def test_compact_roots_from_claimed_parities_equal_the_full_walk():
-    """For every pair of rank at most 16, the verifier's compact set, from
-    the painted parities of the certificate's simple roots, equals the one
-    read from a full walk over the standard base and the solver's table."""
+    """For every pair of rank at most 16, the verifier's positive roots are
+    the ordering's, and its compact ones, from the painted parities of the
+    certificate's simple roots, are those read from a full walk over the
+    standard base and from the solver's table."""
     for pair in catalog(16):
-        rs = pair.system
-        simples = find_admissible_ordering(pair).system.simples
-        coords = certkit._claimed_coordinates(rs.sorted_roots, rs.rank, simples)
-        compact = certkit._compact_roots(coords, pair, simples)
-        assert compact == _standard_walk_compact(pair), pair.name
-        assert compact == {v for v in rs.sorted_roots if pair.grading.is_compact(v)}
+        ordering = find_admissible_ordering(pair)
+        positive, compact = certkit._claimed_roots(pair, ordering.system.simples)
+        assert positive == set(ordering.positives), pair.name
+        assert compact == _standard_walk_compact(pair) & positive, pair.name
+        assert compact == {v for v in positive if pair.grading.is_compact(v)}
 
