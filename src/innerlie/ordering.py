@@ -14,7 +14,6 @@ catalog pair outside so(1,2n); if it fails, the grading is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .pairs import InnerPair
 from .rootsys import InvariantViolation, RootVector, SimpleSystem
@@ -26,54 +25,44 @@ MODE_DIAGNOSTIC = "diagnostic"
 
 @dataclass
 class AdmissibleOrdering:
-    """A simple system split into compact and noncompact parts."""
+    """A simple system split into compact and noncompact parts, with its
+    positive roots in lexicographic order and each one's coefficients split
+    along (compact simples, noncompact simples)."""
 
     system: SimpleSystem
     positives: tuple[RootVector, ...]
     compact_simples: tuple[RootVector, ...]
     noncompact_simples: tuple[RootVector, ...]
     mode: str
-
-    @cached_property
-    def split(self) -> dict[RootVector, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each positive root's coefficients split along (compact simples,
-        noncompact simples), computed once per ordering on first use."""
-        index = {s: i for i, s in enumerate(self.system.simples)}
-        compact = [index[s] for s in self.compact_simples]
-        noncompact = [index[s] for s in self.noncompact_simples]
-        table = {}
-        for root in self.positives:
-            coeffs = self.system.decompose(root)
-            table[root] = (tuple(coeffs[i] for i in compact),
-                           tuple(coeffs[i] for i in noncompact))
-        return table
+    split: dict[RootVector, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def make_ordering(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
-    """Wrap a simple system for a pair and classify its mode."""
-    pair.system.validate_base(system)
-    return _classify(pair, system)
-
-
-def _classify(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
-    """`make_ordering` for a system whose coordinate table is already filled."""
-    positives = pair.system.positives(system)
-    compact_simples = tuple(s for s in system.simples if pair.grading.is_compact(s))
-    noncompact_simples = tuple(s for s in system.simples if not pair.grading.is_compact(s))
+    """Check a simple system for a pair, split its positive roots by the
+    coordinates `validate_base` returns, and classify its mode."""
+    coords = pair.system.validate_base(system)
+    compact = [i for i, s in enumerate(system.simples) if pair.grading.is_compact(s)]
+    noncompact = [i for i, s in enumerate(system.simples) if not pair.grading.is_compact(s)]
+    split = {}
+    for v in pair.system.sorted_roots:
+        c = coords[v]
+        if min(c) >= 0:
+            split[v] = (tuple(map(c.__getitem__, compact)), tuple(map(c.__getitem__, noncompact)))
+    noncompact_simples = tuple(system.simples[i] for i in noncompact)
     if pair.is_so_1_2n and system.key() == pair.system.base.key():
         mode = MODE_SPECIAL
     elif _has_partners(noncompact_simples, pair):
         mode = MODE_PARTNER
     else:
         mode = MODE_DIAGNOSTIC
-    return AdmissibleOrdering(system=system, positives=positives,
-                              compact_simples=compact_simples,
-                              noncompact_simples=noncompact_simples, mode=mode)
+    return AdmissibleOrdering(system=system, positives=tuple(split),
+                              compact_simples=tuple(system.simples[i] for i in compact),
+                              noncompact_simples=noncompact_simples, mode=mode, split=split)
 
 
 def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base of the pair, classified (possibly diagnostic)."""
-    return _classify(pair, pair.system.base)
+    return make_ordering(pair, pair.system.base)
 
 
 def _has_partners(noncompact_simples, pair: InnerPair) -> bool:
@@ -86,10 +75,10 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     """The standard base for so(1,2n); otherwise the standard base reflected
     about its noncompact simple root, which must have the partner property.
     """
-    if pair.is_so_1_2n:  # `_classify` gives its standard base the special mode
+    if pair.is_so_1_2n:  # `make_ordering` gives its standard base the special mode
         return standard_ordering(pair)
     for p in pair.grading.painted:  # the noncompact simples of the standard base
-        ordering = _classify(pair, pair.system.reflected_base(p))
+        ordering = make_ordering(pair, pair.system.reflected_base(p))
         if ordering.mode == MODE_PARTNER:
             return ordering
     raise InvariantViolation(

@@ -105,10 +105,9 @@ def infer_grading(system: RootSystem, expected_dim_k: int,
 
 @lru_cache(maxsize=None)
 def _make_pair(name, family, rank, dim_g, dim_k, painted_index, aliases=(), **params):
-    """The pair, built once.  A rank over MAX_RANK raises before anything is
-    built or cached, so the cache holds only valid catalog pairs."""
-    if rank > MAX_RANK:
-        raise RootSystemError(f"{name} has rank {rank} > bound {MAX_RANK}; refusing to build it")
+    """The pair, built once.  Its callers hand it only specs of rank <= MAX_RANK
+    (`catalog` refuses a larger bound, `pair_by_name` looks names up among
+    them), so the cache holds only valid catalog pairs."""
     system = build_root_system(family, rank)
     if dim_g != rank + len(system.roots):
         raise CatalogError(f"{name}: dim g = {dim_g} != rank + |R| = {rank + len(system.roots)}")
@@ -228,8 +227,12 @@ def catalog(max_rank: int) -> tuple[InnerPair, ...]:
     The two rank-2 coincidences sp(1,1) = so(1,4) and sp(2,R) = so(3,2)
     (the B2/C2 isomorphism) are emitted once, under their so(...) names,
     with the sp names kept as aliases.  Deterministic order: by rank, then
-    by family row, then by parameters.
+    by family row, then by parameters.  A max_rank over MAX_RANK raises
+    before any spec is listed.
     """
+    if max_rank > MAX_RANK:
+        raise RootSystemError(f"max rank {max_rank} > bound {MAX_RANK}; the catalog "
+                              f"holds the pairs of rank <= {MAX_RANK}")
     return tuple(_make_pair(**spec) for spec in _specs(max_rank))
 
 

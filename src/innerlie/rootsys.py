@@ -10,11 +10,13 @@ the verifier's doubled vectors are the same tuples.
 `Fraction` is left to ambient values read or returned (`dot`) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
-Decomposing roots over a base works on integer tuples over that base; sums
-of roots are tested against the root set as ambient vectors, the names the
-package and the certificates give to roots.  Root strings and N^2 are the
-verifier's (`certkit._derived_relation`).  Only `validate_base` checks a
-base, by the verifier's height walk on integer keys of the roots (see there).
+A base's integer coordinates have one source: the standard base's are the
+table the roots were generated with (`coordinates`), and any other base's
+are what `validate_base` returns, the verifier's height walk on integer keys
+of the roots, which also checks the base; a SimpleSystem holds only its
+simples.  Sums of roots are tested against the root set as ambient vectors,
+the names the package and the certificates give to roots.  Root strings and
+N^2 are the verifier's (`certkit._derived_relation`).
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -127,34 +129,14 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
 
 
 class SimpleSystem:
-    """An ordered choice of simple roots, holding the integer coordinates of
-    every root over it for `decompose` and `is_positive`: the standard base
-    and `RootSystem.reflected_base` get them by construction, any other base
-    from `RootSystem.validate_base`.  The table is replaced whole, never
-    changed in place, so sharing a SimpleSystem across threads stays safe.
-    """
+    """An ordered choice of simple roots, nothing more: the coordinates of the
+    roots over it come from `RootSystem.validate_base`, which checks it."""
 
     def __init__(self, simples: Sequence[RootVector]):
         self.simples = tuple(simples)
         if not self.simples:
             raise RootSystemError("a simple system needs at least one root")
         self.rank = len(self.simples)
-        self._coords: dict[RootVector, tuple[int, ...]] = {}
-
-    def decompose(self, root: RootVector) -> tuple[int, ...]:
-        """Integer coordinates of a root over the simple roots, all of one sign.
-
-        Defined for the roots of the last root system that stored a table in
-        this base; any other vector raises RootSystemError.
-        """
-        try:
-            return self._coords[root]
-        except KeyError:
-            raise RootSystemError(
-                f"{root!r} is not a root of a system this base was validated for") from None
-
-    def is_positive(self, root: RootVector) -> bool:
-        return min(self.decompose(root)) >= 0
 
     def key(self) -> frozenset[RootVector]:
         return frozenset(self.simples)
@@ -196,7 +178,6 @@ class RootSystem:
         self.roots = frozenset(self.sorted_roots)
         self.ambient_dim = len(self.sorted_roots[0])
         self._coords = {v: by_root[v] for v in self.sorted_roots}
-        base._coords = self._coords  # the roots were generated over this base
 
     def is_root(self, v: RootVector) -> bool:
         return v in self.roots
@@ -215,34 +196,22 @@ class RootSystem:
     @property
     def positive_roots(self) -> tuple[RootVector, ...]:
         """Positive roots of the standard base, in lexicographic order."""
-        return self.positives(self.base)
+        return tuple(v for v, c in self._coords.items() if min(c) >= 0)
 
-    def positives(self, system: SimpleSystem) -> tuple[RootVector, ...]:
-        """Positive roots with respect to a simple system that holds its table."""
-        return tuple(v for v in self.sorted_roots if system.is_positive(v))
-
-    def validate_base(self, system: SimpleSystem) -> None:
-        """Check that `system` is a genuine simple system for this root system,
-        and store in it the coordinates of every root over it.
+    def validate_base(self, system: SimpleSystem) -> dict[RootVector, tuple[int, ...]]:
+        """The integer coordinates of every root over `system`, all of one sign,
+        which proves `system` a genuine simple system for this root system.
 
         The check is the verifier's height walk, `certkit._claimed_coordinates`;
-        anything but a base raises RootSystemError.
+        anything but a base raises RootSystemError.  Nothing is stored.
         """
         from .certkit import _claimed_coordinates  # certkit imports rootsys
-        system._coords = _claimed_coordinates(self.roots, self.rank, system.simples)
+        return _claimed_coordinates(self.roots, self.rank, system.simples)
 
     def reflected_base(self, p: int) -> SimpleSystem:
-        """The standard base reflected in its p-th simple root, sorted, with its table."""
-        column = [row[p] for row in self.cartan]
-        images = [reflect(a, self.base.simples[p]) for a in self.base.simples]
-        order = sorted(range(self.rank), key=images.__getitem__)
-        system, table = SimpleSystem([images[i] for i in order]), {}
-        for v, c in self._coords.items():  # v over s_p(base) is s_p(v) over the base
-            image = list(c)
-            image[p] -= sum(map(mul, c, column))  # s_p(v) = v - sum_i c_i C[i][p] a_p
-            table[v] = tuple(map(image.__getitem__, order))
-        system._coords = table
-        return system
+        """The standard base reflected in its p-th simple root, sorted."""
+        mirror = self.base.simples[p]
+        return SimpleSystem(sorted(reflect(a, mirror) for a in self.base.simples))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}, rank={self.rank}, roots={len(self.roots)})"

@@ -615,7 +615,6 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
         raise AssertionError("the verifier read an integer table")
 
     for owner, name in [(RootSystem, "coordinates"), (RootSystem, "validate_base"),
-                        (RootSystem, "positives"), (SimpleSystem, "decompose"),
                         (RootVector, "__add__"), (RootVector, "__sub__"),
                         (RootVector, "__rmul__"), (RootVector, "dot")]:
         monkeypatch.setattr(owner, name, unreadable)
@@ -696,9 +695,16 @@ def test_cli_analyze_pair_over_the_rank_bound(capsys):
     assert capsys.readouterr().err == f"su(21,20): error in analyze: {_unknown('su(21,20)')}\n"
 
 
-def test_cli_catalog_over_the_rank_bound_is_a_usage_error(capsys):
-    assert main(["catalog", "--max-rank", "18"]) == 2
-    assert "has rank 18 > bound 16" in capsys.readouterr().err
+def test_cli_catalog_over_the_rank_bound_is_a_usage_error(capsys, monkeypatch):
+    """Refused before any spec is listed, so an oversized bound costs nothing."""
+    from innerlie import pairs
+
+    def unlisted(max_rank):
+        raise AssertionError(f"_specs({max_rank}) was called")
+    monkeypatch.setattr(pairs, "_specs", unlisted)
+    for max_rank in ("17", "18", "3000"):
+        assert main(["catalog", "--max-rank", max_rank]) == 2
+        assert f"max rank {max_rank} > bound 16" in capsys.readouterr().err
 
 
 def _negated_metric(cert):

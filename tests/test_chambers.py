@@ -1,7 +1,8 @@
 """Chamber-by-chamber equivalence of the root core's base check, the
 verifier's height walk over the claimed base and a Fraction Gram-inverse
 reference.  The core's check, `RootSystem.validate_base` (the "integer"
-path), runs the verifier's walk and keeps the table keyed by RootVector.
+path), runs the verifier's walk and returns its table, keyed by RootVector;
+it stores nothing.
 
 The reference is the decomposition the package used before the integer
 core: solve against the Gram matrix of the simple roots in exact rationals,
@@ -100,9 +101,7 @@ def _reference_decomposition(rs, simples):
 
 
 def integer_decomposition(rs, simples):
-    system = SimpleSystem(simples)
-    rs.validate_base(system)
-    return {v: system.decompose(v) for v in rs.sorted_roots}
+    return rs.validate_base(SimpleSystem(simples))
 
 
 def verifier_decomposition(rs, simples):

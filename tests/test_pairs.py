@@ -227,9 +227,16 @@ def test_pair_by_name_rank_bound():
             pair_by_name(name)
 
 
-def test_catalog_over_the_rank_bound_raises():
-    with pytest.raises(RootSystemError, match="has rank 18 > bound 16"):
-        catalog(18)
+def test_catalog_over_the_rank_bound_raises(monkeypatch):
+    """A bound over MAX_RANK is refused before any spec is listed."""
+    from innerlie import pairs
+
+    def unlisted(max_rank):
+        raise AssertionError(f"_specs({max_rank}) was called")
+    monkeypatch.setattr(pairs, "_specs", unlisted)
+    for max_rank in (17, 18, 3000):
+        with pytest.raises(RootSystemError, match=f"max rank {max_rank} > bound 16"):
+            catalog(max_rank)
 
 
 def test_pair_by_name_returns_the_catalog_pair(catalog8):

@@ -217,25 +217,23 @@ def test_base_decomposition_one_signed():
     for family, rank in [("A", 3), ("B", 4), ("D", 4), ("F4", 4), ("E6", 6), ("E8", 8)]:
         rs = build_root_system(family, rank)
         for root in rs.roots:
-            coeffs = rs.base.decompose(root)
+            coeffs = rs.coordinates(root)
             assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
 
 
 def test_standard_base_table_equals_validate_base(catalog8):
-    """The standard base takes its table from the root system generated over
-    it; for every root system of the rank-8 catalog that table equals what
-    validate_base stores for the same simples."""
+    """The standard base's table is the one the roots were generated with;
+    for every root system of the rank-8 catalog it equals what validate_base
+    returns for the same simples."""
     for rs in {id(pair.system): pair.system for pair in catalog8}.values():
-        checked = SimpleSystem(rs.base.simples)
-        rs.validate_base(checked)
-        assert {v: rs.base.decompose(v) for v in rs.sorted_roots} == \
-            {v: checked.decompose(v) for v in rs.sorted_roots}, rs
+        assert {v: rs.coordinates(v) for v in rs.sorted_roots} == \
+            rs.validate_base(SimpleSystem(rs.base.simples)), rs
 
 
 def test_simple_system_rejects_outside_span():
     rs = build_root_system("E6", 6)
     with pytest.raises(RootSystemError):
-        rs.base.decompose(root_vector(0, 0, 0, 0, 0, 0, 0, 1))
+        rs.coordinates(root_vector(0, 0, 0, 0, 0, 0, 0, 1))
 
 
 def test_all_simple_systems_counts():
