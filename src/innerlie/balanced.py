@@ -5,14 +5,17 @@ With g_a > 0 the unknown per positive root a, the balanced identity
     sum_{a compact positive} g_a * a  =  sum_{a noncompact positive} g_a * a
 
 is equivalent, coefficient by coefficient over the simple roots, to one
-relation per simple root.  The constructive scheme assigns 1 to every free
-coefficient and then bumps selected witnesses by the least positive integer
-making each simple-root value at least 1: noncompact witnesses fix the
-compact-simple relations without disturbing each other, and witnesses from
-the compact span of the noncompact simples fix the noncompact-simple
-relations without feeding back.  The solvers build without checking their
-output; callers check a metric with `verify_balanced`, or a whole
-certificate with `certkit.verify_data` or `certkit.verify_file`.
+relation per simple root.  `assemble_system` states it once, as the side
+(+1 noncompact, -1 compact) of each non-simple positive root; the relation
+values and both witness searches read those signs.  The constructive scheme
+assigns 1 to every non-simple positive root and then bumps selected
+witnesses by the least positive integer making each simple-root value at
+least 1: noncompact witnesses fix the compact-simple relations without
+disturbing each other, and compact witnesses from the span of the
+noncompact simples fix the noncompact-simple relations without feeding
+back.  The solvers build without checking their output; callers check a
+metric with `verify_balanced`, or a whole certificate with
+`certkit.verify_data` or `certkit.verify_file`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .ordering import (
     MODE_SPECIAL,
     AdmissibleOrdering,
     find_admissible_ordering,
-    noncompact_witness,
     make_ordering,
 )
 from .pairs import CompactnessGrading, InnerPair
@@ -47,22 +49,17 @@ class InfeasibleOrdering(Exception):
         super().__init__(reason)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BalancedSystem:
-    """The balanced relations for one ordering, in simple-root coordinates."""
+    """The balanced relations for one ordering: the side of each non-simple
+    positive root, +1 noncompact and -1 compact, in `ordering.split` order."""
 
     pair: InnerPair
     ordering: AdmissibleOrdering
-    spanned_compact: tuple[RootVector, ...]    # compact, non-simple, in the noncompact-simple span
-    unspanned_compact: tuple[RootVector, ...]  # remaining compact non-simple positives
-    nc_nonsimple: tuple[RootVector, ...]       # noncompact non-simple positives
-
-    @property
-    def unknowns(self) -> int:
-        return len(self.ordering.positives)
+    signs: dict[RootVector, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BalancedMetric:
     """Strictly positive rational coefficient per positive root."""
 
@@ -72,47 +69,41 @@ class BalancedMetric:
 
 def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSystem:
     simples = set(ordering.system.simples)
-    spanned_compact, unspanned_compact, nc_nonsimple = [], [], []
-    for root, (n, _) in ordering.split.items():
-        if root in simples:
-            continue
-        if pair.grading.is_compact(root):
-            # in the span of the noncompact simples iff zero on the compact ones
-            if any(n):
-                unspanned_compact.append(root)
-            else:
-                spanned_compact.append(root)
-        else:
-            nc_nonsimple.append(root)
-    return BalancedSystem(pair=pair, ordering=ordering,
-                          spanned_compact=tuple(spanned_compact),
-                          unspanned_compact=tuple(unspanned_compact),
-                          nc_nonsimple=tuple(nc_nonsimple))
+    return BalancedSystem(pair, ordering, {root: -1 if pair.grading.is_compact(root) else 1
+                                           for root in ordering.split if root not in simples})
+
+
+def noncompact_witness(system: BalancedSystem, j: int) -> RootVector:
+    """First noncompact root of `system.signs` with a nonzero coefficient
+    along the j-th compact simple."""
+    split = system.ordering.split
+    for root, sign in system.signs.items():
+        if sign > 0 and split[root][0][j]:
+            return root
+    raise InvariantViolation(
+        f"{system.pair.name}: no noncompact witness for compact simple "
+        f"{system.ordering.compact_simples[j]!r}; this contradicts the trivial-centralizer argument")
 
 
 def _relation_values(system: BalancedSystem, g: dict[RootVector, Fraction | int]):
     """Evaluate the right-hand sides: one value per compact and noncompact simple.
 
-    Each noncompact root adds g times its compact-simple coefficients to the
-    first and subtracts g times its noncompact-simple ones from the second;
-    each compact root does the opposite.  Exact for integer and Fraction
-    values of g alike.
+    Each root of `system.signs` adds sign * g times its compact-simple
+    coefficients to the first and subtracts it times its noncompact-simple
+    ones from the second.  Exact for integer and Fraction values of g alike.
     """
-    ordering = system.ordering
-    split = ordering.split
-    g_vals = [0] * len(ordering.compact_simples)
-    h_vals = [0] * len(ordering.noncompact_simples)
-    for roots, sign in ((system.nc_nonsimple, 1),
-                        (system.unspanned_compact + system.spanned_compact, -1)):
-        for root in roots:
-            value = sign * g[root]
-            n, m = split[root]
-            for j, c in enumerate(n):
-                if c:
-                    g_vals[j] += value * c
-            for j, c in enumerate(m):
-                if c:
-                    h_vals[j] -= value * c
+    split = system.ordering.split
+    g_vals = [0] * len(system.ordering.compact_simples)
+    h_vals = [0] * len(system.ordering.noncompact_simples)
+    for root, sign in system.signs.items():
+        value = sign * g[root]
+        n, m = split[root]
+        for j, c in enumerate(n):
+            if c:
+                g_vals[j] += value * c
+        for j, c in enumerate(m):
+            if c:
+                h_vals[j] -= value * c
     return g_vals, h_vals
 
 
@@ -126,7 +117,7 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
     ordering = system.ordering
     pair = system.pair
     split = ordering.split
-    compact = system.spanned_compact + system.unspanned_compact
+    compact = [root for root, sign in system.signs.items() if sign < 0]
 
     # Diagnostic: a noncompact simple with no compact positive carrying its
     # coordinate forces the corresponding value <= 0 for every positive choice.
@@ -138,10 +129,10 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
                 "non-positive right-hand side (no compact positive root outside "
                 "the base carries its coordinate)")
 
-    witnesses = [noncompact_witness(ordering, pair, j)  # hard failure if absent
+    witnesses = [noncompact_witness(system, j)  # hard failure if absent
                  for j in range(len(ordering.compact_simples))]
 
-    g = {root: 1 for root in system.nc_nonsimple + compact}  # integers until the metric is packaged
+    g = dict.fromkeys(system.signs, 1)  # integers until the metric is packaged
 
     def bump(root: RootVector, coefficient: int, deficit: int) -> None:
         steps = -((-deficit) // coefficient)  # ceil for positive coefficient
@@ -159,8 +150,8 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
     _, h_vals = _relation_values(system, g)
     for j, value in enumerate(h_vals):
         if value < 1:
-            witness = next(
-                (root for root in system.spanned_compact if split[root][1][j]), None)
+            witness = next((root for root in compact  # in the span: zero on the compact simples
+                            if split[root][1][j] and not any(split[root][0])), None)
             if witness is None:
                 raise InfeasibleOrdering(
                     ordering.noncompact_simples[j],
@@ -169,11 +160,8 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
             bump(witness, split[witness][1][j], 1 - value)
 
     g_vals, h_vals = _relation_values(system, g)
+    g.update(zip(ordering.compact_simples + ordering.noncompact_simples, g_vals + h_vals))
     metric = {root: Fraction(value) for root, value in g.items()}
-    for phi, value in zip(ordering.compact_simples, g_vals):
-        metric[phi] = Fraction(value)
-    for psi, value in zip(ordering.noncompact_simples, h_vals):
-        metric[psi] = Fraction(value)
     if any(v <= 0 for v in metric.values()):
         raise InvariantViolation(f"{pair.name}: constructive scheme left a non-positive value")
     return BalancedMetric(g=metric, ordering=ordering)
@@ -249,8 +237,8 @@ SCAN_RANK_BOUND = 4
 
 
 def scan_binvariant(pair: InnerPair):
-    """All orderings for which the unit metric g = 1 is balanced, that is,
-    every compact and noncompact simple root gets the value 1."""
+    """All orderings for which the unit metric g = 1 is balanced, by the
+    verifier's check (`certkit.check_balanced`)."""
     if pair.rank > SCAN_RANK_BOUND:
         raise RootSystemError(
             f"{pair.name} has rank {pair.rank} > bound {SCAN_RANK_BOUND}; "
@@ -258,8 +246,6 @@ def scan_binvariant(pair: InnerPair):
     found = []
     for system in all_simple_systems(pair.system):
         ordering = make_ordering(pair, system)
-        unit = dict.fromkeys(ordering.positives, 1)
-        g_vals, h_vals = _relation_values(assemble_system(ordering, pair), unit)
-        if all(value == 1 for value in g_vals + h_vals):
+        if certkit.check_balanced(pair, system.simples, dict.fromkeys(ordering.positives, 1)):
             found.append(ordering)
     return found

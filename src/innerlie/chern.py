@@ -22,7 +22,7 @@ from .pairs import InnerPair
 from .rootsys import RootVector
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChernReport:
     delta: RootVector
     scalar_curvature: Fraction

@@ -8,7 +8,9 @@ standard ordering is used instead.
 The search follows the constructive argument.  The standard base never
 works: one painted node leaves a single noncompact simple, which has no
 partner.  A single reflection about that simple root does work for every
-catalog pair outside so(1,2n); if it fails, the grading is wrong.
+catalog pair outside so(1,2n); if it fails, the grading is wrong.  The
+witnesses the balanced solver bumps are chosen in `balanced`, from the
+ordering's `split`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ MODE_SPECIAL = "so_1_2n_special"
 MODE_DIAGNOSTIC = "diagnostic"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissibleOrdering:
     """A simple system split into compact and noncompact parts, with its
     positive roots in lexicographic order and each one's coefficients split
@@ -84,16 +86,3 @@ def find_admissible_ordering(pair: InnerPair) -> AdmissibleOrdering:
     raise InvariantViolation(
         f"{pair.name}: no single reflection of the standard base about a noncompact "
         "simple root has the partner property; this indicates a grading bug")
-
-
-def noncompact_witness(ordering: AdmissibleOrdering, pair: InnerPair, j: int) -> RootVector:
-    """Smallest noncompact positive non-simple root with a nonzero coefficient
-    along the j-th compact simple."""
-    phi = ordering.compact_simples[j]
-    simples = set(ordering.system.simples)
-    for root, (n, _) in ordering.split.items():  # lexicographic order
-        if n[j] and root not in simples and not pair.grading.is_compact(root):
-            return root
-    raise InvariantViolation(
-        f"{pair.name}: no noncompact witness for compact simple {phi!r}; "
-        "this contradicts the trivial-centralizer argument")

@@ -63,7 +63,7 @@ class CompactnessGrading:
         return sum(self._compact.values())
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class InnerPair:
     """One catalog entry: root system, grading, and expected dimensions."""
 

@@ -37,14 +37,14 @@ BRANCH_GENERIC = "generic"
 BRANCH_SPECIAL = "so_1_2n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PluriclosedRelation:
     alpha: RootVector
     beta: RootVector
     coeffs: dict[RootVector, Fraction]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PluriclosedCertificate:
     branch: str
     roots: dict[str, RootVector]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,16 @@ from innerlie import (
     standard_ordering,
     verify_balanced,
 )
-from innerlie.balanced import BalancedMetric
+from innerlie.balanced import BalancedMetric, _relation_values
 from innerlie.ordering import make_ordering
 from innerlie.pairs import CompactnessGrading, InnerPair
-from innerlie.rootsys import InvariantViolation, SimpleSystem, build_root_system, root_vector
+from innerlie.rootsys import (
+    InvariantViolation,
+    SimpleSystem,
+    all_simple_systems,
+    build_root_system,
+    root_vector,
+)
 
 F = Fraction
 
@@ -48,23 +55,24 @@ def test_assemble_g2_shape():
     system = assemble_system(ordering, pair)
     # one relation per simple root, four non-simple positive unknowns
     assert len(ordering.compact_simples) + len(ordering.noncompact_simples) == 2
-    assert len(system.spanned_compact) + len(system.unspanned_compact) + len(system.nc_nonsimple) == 4
-    assert system.unspanned_compact == ()
-    assert set(system.spanned_compact) == {root_vector(1, -1, 0), root_vector(-1, -1, 2)}
-    assert system.unknowns == 6
+    assert len(system.signs) == 4
+    compact = {root for root, sign in system.signs.items() if sign == -1}
+    assert compact == {root_vector(1, -1, 0), root_vector(-1, -1, 2)}
+    assert all(not any(ordering.split[root][0]) for root in compact)  # in the noncompact span
+    assert len(ordering.positives) == 6
 
 
 def test_assemble_unknowns_match_positives(catalog8):
     for pair in catalog8[:12]:
         ordering = find_admissible_ordering(pair)
         system = assemble_system(ordering, pair)
-        assert system.unknowns == len(pair.system.roots) // 2
+        assert len(system.signs) + pair.rank == len(pair.system.roots) // 2
 
 
 def test_assemble_su21_standard_has_empty_sigma():
     pair = pair_by_name("su(2,1)")
     system = assemble_system(standard_ordering(pair), pair)
-    assert system.spanned_compact == ()  # every compact positive root is simple here
+    assert set(system.signs.values()) == {1}  # every compact positive root is simple here
 
 
 @pytest.mark.parametrize("name", ["su(2,1)", "su(3,2)", "su(4,3)"])
@@ -203,6 +211,28 @@ def test_scan_so32_and_g2_empty():
 def test_scan_refuses_above_bound():
     with pytest.raises(RootSystemError, match="refusing"):
         scan_binvariant(pair_by_name("su(4,3)"))
+
+
+def test_relation_values_agree_with_the_verifier_on_every_kind_of_chamber(small_pairs):
+    """Every chamber of the rank-2 pairs and every 25th of each rank-4 pair:
+    the simple values `_relation_values` gives a metric make it balanced by
+    the verifier's check, and raising one of them by 1 breaks it."""
+    checked = 0
+    for pair in small_pairs:
+        if pair.rank not in (2, 4):
+            continue
+        step = 1 if pair.rank == 2 else 25
+        for k, base in enumerate(islice(all_simple_systems(pair.system), 0, None, step)):
+            ordering = make_ordering(pair, base)
+            system = assemble_system(ordering, pair)
+            g = {root: 1 + i % 3 for i, root in enumerate(system.signs)}
+            g_vals, h_vals = _relation_values(system, g)
+            g.update(zip(ordering.compact_simples + ordering.noncompact_simples, g_vals + h_vals))
+            assert certkit.check_balanced(pair, base.simples, g), (pair.name, k)
+            g[base.simples[k % pair.rank]] += 1
+            assert not certkit.check_balanced(pair, base.simples, g), (pair.name, k)
+            checked += 1
+    assert checked == 274
 
 
 # ---------------------------------------------------------------------------

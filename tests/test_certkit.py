@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
 from innerlie.cli import main
+from innerlie.pairs import catalog, pair_by_name
 from innerlie.rootsys import InvariantViolation, RootSystemError, RootVector
 
 
@@ -173,6 +175,17 @@ def test_verify_rejects_alias_spelled_pair_name(pair, name):
     assert certkit.verify_data(data).ok
     result = certkit.verify_data(_replaced(data, ("pair", "name"), name))
     assert not result.ok and result.reason == "pair mismatch"
+
+
+def test_catalog_pairs_cannot_be_changed():
+    """`catalog` and `pair_by_name` hand every caller the same cached pair, so
+    a change to it would reach every later caller and verification."""
+    pair = pair_by_name("G2(2)")
+    assert pair is next(p for p in catalog(8) if p.name == "g2(2)")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.dim_k = 7
+    assert pair.dim_k == 6
+    assert certkit.verify_data(json.loads(certkit.serialize(certkit.analyze_pair("g2(2)")))).ok
 
 
 def test_verify_rejects_unknown_pair(g2_data):

@@ -7,7 +7,8 @@ from innerlie import (
     pair_by_name,
     standard_ordering,
 )
-from innerlie.ordering import make_ordering, noncompact_witness
+from innerlie.balanced import assemble_system, noncompact_witness
+from innerlie.ordering import make_ordering
 from innerlie.rootsys import (
     RootVector,
     all_simple_systems,
@@ -150,14 +151,14 @@ def test_decompose_over_su21_highest_root():
 def test_noncompact_witness_su21():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
-    assert noncompact_witness(ordering, pair, 0) == root_vector(1, 0, -1)
+    assert noncompact_witness(assemble_system(ordering, pair), 0) == root_vector(1, 0, -1)
 
 
 def test_noncompact_witness_so14():
     pair = pair_by_name("so(1,4)")
     ordering = standard_ordering(pair)
     assert ordering.compact_simples == (root_vector(1, -1),)
-    assert noncompact_witness(ordering, pair, 0) == root_vector(1, 0)
+    assert noncompact_witness(assemble_system(ordering, pair), 0) == root_vector(1, 0)
 
 
 def test_noncompact_witness_never_simple(catalog8):
@@ -166,8 +167,9 @@ def test_noncompact_witness_never_simple(catalog8):
             continue
         ordering = find_admissible_ordering(pair)
         simples = set(ordering.system.simples)
+        system = assemble_system(ordering, pair)
         for j in range(len(ordering.compact_simples)):
-            witness = noncompact_witness(ordering, pair, j)
+            witness = noncompact_witness(system, j)
             assert witness not in simples
             assert not pair.grading.is_compact(witness)
             assert witness in ordering.positives
