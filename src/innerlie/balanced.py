@@ -13,9 +13,10 @@ witnesses by the least positive integer making each simple-root value at
 least 1: noncompact witnesses fix the compact-simple relations without
 disturbing each other, and compact witnesses from the span of the
 noncompact simples fix the noncompact-simple relations without feeding
-back.  The solvers build without checking their output; callers check a
-metric with `verify_balanced`, or a whole certificate with
-`certkit.verify_data` or `certkit.verify_file`.
+back.  The relation values take one full pass over the signs, and each
+bump then updates the values it changes.  The solvers build without
+checking their output; callers check a metric with `verify_balanced`, or a
+whole certificate with `certkit.verify_data` or `certkit.verify_file`.
 """
 
 from __future__ import annotations
@@ -133,22 +134,27 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
                  for j in range(len(ordering.compact_simples))]
 
     g = dict.fromkeys(system.signs, 1)  # integers until the metric is packaged
+    g_vals, h_vals = _relation_values(system, g)
 
     def bump(root: RootVector, coefficient: int, deficit: int) -> None:
-        steps = -((-deficit) // coefficient)  # ceil for positive coefficient
-        g[root] += max(1, steps)
+        steps = max(1, -((-deficit) // coefficient))  # ceil for positive coefficient
+        g[root] += steps
+        value = system.signs[root] * steps
+        n, m = split[root]
+        for j, c in enumerate(n):
+            g_vals[j] += value * c
+        for j, c in enumerate(m):
+            h_vals[j] -= value * c
 
-    # One pass per phase.  A noncompact witness is a positive root, so its
-    # bump can only raise the compact values; a witness from the span of the
-    # noncompact simples is zero on the compact simples, so its bump leaves
-    # them alone.
-    g_vals, _ = _relation_values(system, g)
-    for j, value in enumerate(g_vals):
+    # One pass per phase, over the values as the phase found them.  A
+    # noncompact witness is a positive root, so its bump can only raise the
+    # compact values; a witness from the span of the noncompact simples is
+    # zero on the compact simples, so its bump leaves them alone.
+    for j, value in enumerate(list(g_vals)):
         if value < 1:
             bump(witnesses[j], split[witnesses[j]][0][j], 1 - value)
 
-    _, h_vals = _relation_values(system, g)
-    for j, value in enumerate(h_vals):
+    for j, value in enumerate(list(h_vals)):
         if value < 1:
             witness = next((root for root in compact  # in the span: zero on the compact simples
                             if split[root][1][j] and not any(split[root][0])), None)
@@ -159,12 +165,11 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
                     f"span of the noncompact simples for {ordering.noncompact_simples[j]!r}")
             bump(witness, split[witness][1][j], 1 - value)
 
-    g_vals, h_vals = _relation_values(system, g)
     g.update(zip(ordering.compact_simples + ordering.noncompact_simples, g_vals + h_vals))
-    metric = {root: Fraction(value) for root, value in g.items()}
-    if any(v <= 0 for v in metric.values()):
+    if min(g.values()) <= 0:
         raise InvariantViolation(f"{pair.name}: constructive scheme left a non-positive value")
-    return BalancedMetric(g=metric, ordering=ordering)
+    fractions = {value: Fraction(value) for value in set(g.values())}  # one per distinct value
+    return BalancedMetric(g={root: fractions[value] for root, value in g.items()}, ordering=ordering)
 
 
 def so_1_2n_pair(n: int) -> InnerPair:

@@ -13,18 +13,23 @@ rank <= 8 certificate.
 Verification re-derives every verdict straight from the parsed JSON, using
 only the root set, the standard base and the painted nodes of the catalog.
 A strict reader takes each rational only in the form str(Fraction) writes, of
-bounded length; every root becomes its doubled ambient vector, a tuple of
-integers equal to the catalog's `RootVector` for it, and every check is
-integer arithmetic on those, with metric values, relation coefficients and
-weights kept exact (an int when integral, else a Fraction).  One height walk
-checks the claimed simple roots, on integer keys that pack each doubled root
-into one int (the bound that makes this sound is at `_RADIX`): each reached
-root plus a simple, when a root, is reached with its parent's label plus the
-simple's.  The claim must reach every root up to sign (`_claimed_walk`).
-Labelled by the parities of the claimed simples, which a walk over the
-standard base labelled by the painted nodes finds, the walk gives the
-positive roots and the compact ones, which the painted nodes define as a Z2
-character of the root lattice (`_claimed_roots`).
+bounded length.  A vector spelled as the writer spells a catalog root is
+resolved by one lookup in its root set's text table (`_texts`), and any
+other by the strict parse of each coordinate, so every root becomes its
+doubled ambient vector, a tuple of integers equal to the catalog's
+`RootVector` for it; every check is integer arithmetic on those, with
+metric values, relation coefficients and weights kept exact (an int when
+integral, else a Fraction).  One height walk checks the claimed simple
+roots, on integer keys that pack each doubled root into one int (the bound
+that makes this sound is at `_RADIX`): each reached root plus a simple,
+when a root, is reached with its parent's label plus the simple's.  The
+claim must reach every root up to sign (`_claimed_walk`).  Labelled by the
+parities of the claimed simples, read from the standard base's coordinates
+(one walk per root set, `_standard_coordinates`), the walk gives the positive
+roots and the compact ones, which the painted nodes define as a Z2
+character of the root lattice (`_claimed_roots`).  The tables are built
+on first use, once per catalog root set, and hold nothing of a
+certificate.
 The verifier uses no code of the solvers or of the integer root core.  The
 pluriclosed relation is stated once, in `_derived_relation`: the builder
 takes each relation from it, so on the builder's own output the relation
@@ -167,23 +172,19 @@ def _dump(value, pad: str) -> str:
     """`value`, indented by `pad`, as json.dumps(sort_keys=True, indent=2) writes it.
 
     A certificate holds only dicts with string keys, lists, strings, ints and
-    bools; anything else raises TypeError.  Strings go through the C encoder;
-    a list of strings (a vector, a combination) is one join.
+    bools; anything else raises TypeError.  Strings go through the C encoder,
+    a dict's string values without a call of their own; a list of strings (a
+    vector, a combination) is one join.
     """
-    if isinstance(value, str):
-        return _quote(value)
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join([_quote(key) + ": " + _dump(item, inner)
-                         for key, item in sorted(value.items())])
-        return "{\n" + inner + body + "\n" + pad + "}"
+        body = sep.join([
+            f"{_quote(key)}: {_quote(item) if type(item) is str else _dump(item, inner)}"
+            for key, item in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -191,7 +192,13 @@ def _dump(value, pad: str) -> str:
             body = sep.join(map(_quote, value))
         except TypeError:  # not all strings
             body = sep.join([_dump(item, inner) for item in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -283,35 +290,43 @@ def _fields(value, *keys) -> list:
 
 
 class _Reader:
-    """Reads the vectors and coefficients of one certificate, whose vectors
-    all have the pair's ambient length `dim`.
+    """Reads the vectors and coefficients of one certificate over the root
+    system `rs`, whose vectors all have its ambient length.
 
-    Each distinct coordinate string is parsed once, into its double; the
-    memo lives as long as the reader.  A coordinate outside (1/2)Z stays a
-    Fraction, so a vector holding one equals no doubled root.
+    A vector spelled as certificates spell a root of `rs` is that root, found
+    by one lookup in the root set's text table (`_texts`); any other is read
+    coordinate by coordinate, strictly.  A coordinate outside (1/2)Z stays a
+    Fraction, so a vector holding one equals no doubled root.  Each distinct
+    coefficient string is parsed once; the memo lives as long as the reader
+    and holds only strings, since `_rational` refuses anything else (a memo
+    holding the int 1 would take True and 1.0, which equal it).
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._doubled: dict[str, int | Fraction] = {}
+    def __init__(self, rs):
+        self.dim = rs.ambient_dim
+        self._roots = _texts(rs.roots)
+        self._rationals: dict[str, int | Fraction] = {}
 
     def vector(self, value) -> tuple:
         """2v for a JSON list of `dim` coordinate strings; ValueError for
         another length, before any entry is read."""
         if len(_array(value)) != self.dim:
             raise ValueError("vector of the wrong length")
-        memo = self._doubled
-        out = []
-        for c in value:
-            doubled = memo.get(c)  # TypeError for a list or an object
-            if doubled is None:
-                doubled = memo[c] = _rational(c, 2)
-            out.append(doubled)
-        return tuple(out)
+        root = self._roots.get(tuple(value))  # TypeError for a list or an object
+        return tuple([_rational(c, 2) for c in value]) if root is None else root
 
-    def coefficients(self, value, field: str = "c", parse=_rational) -> dict:
+    def rational(self, text) -> int | Fraction:
+        """`_rational(text)`, each distinct string parsed once."""
+        value = self._rationals.get(text)  # TypeError for a list or an object
+        if value is None:
+            value = self._rationals[text] = _rational(text)
+        return value
+
+    def coefficients(self, value, field: str = "c", parse=None) -> dict:
         """{2 * root: parse(value)} for a JSON array of objects whose keys are
-        "root" and `field` alone; ValueError for an extra key or a repeated root."""
+        "root" and `field` alone, `parse` being `rational` unless given;
+        ValueError for an extra key or a repeated root."""
+        parse = parse or self.rational
         items = _array(value)
         out = {self.vector(item["root"]): parse(item[field]) for item in items}
         # Each item has both keys by now, so a total of 2 per item means no other.
@@ -335,19 +350,26 @@ def _keys(roots: frozenset) -> tuple[dict, dict]:
     return {k: v for v, k in key_of.items()}, key_of
 
 
-def _height_walk(by_key, simples, labels):
-    """Yield (key, label) by height: the simples' keys with their `labels`,
-    then each new key of `by_key` that is a reached key plus a simple's, with
-    its parent's label plus that simple's."""
+@lru_cache(maxsize=None)
+def _texts(roots: frozenset) -> dict:
+    """{a root's coordinates as a certificate spells them: the root} for a
+    root set, built once per set."""
+    return {tuple(_vec_to_json(v)): v for v in roots}
+
+
+def _height_walk(by_key, simples, labels) -> list:
+    """[(key, label)] by height: the simples' keys with their `labels`, then
+    each new key of `by_key` that is a reached key plus a simple's, with its
+    parent's label plus that simple's."""
     steps = list(zip(simples, labels))
     reached, unseen = list(steps), by_key.keys() - set(simples)
     for v, c in reached:  # grows as the walk goes, one height after another
-        yield v, c
         for s, unit in steps:
             w = v + s
             if w in unseen:
                 unseen.remove(w)
                 reached.append((w, c + unit))
+    return reached
 
 
 def _claimed_walk(roots, rank: int, simples, labels) -> tuple[dict, list]:
@@ -367,7 +389,7 @@ def _claimed_walk(roots, rank: int, simples, labels) -> tuple[dict, list]:
     keys = [key_of.get(s) for s in simples]
     if None in keys:
         raise RootSystemError("a claimed simple root is not a root")
-    reached = list(_height_walk(by_key, keys, labels(keys)))
+    reached = _height_walk(by_key, keys, labels(keys))
     if len({k for k, _ in reached} | {-k for k, _ in reached}) != len(by_key):
         raise RootSystemError("the claimed simple roots do not reach every root up to sign")
     return by_key, reached
@@ -379,27 +401,31 @@ def _claimed_coordinates(roots, rank: int, simples) -> dict[tuple[int, ...], tup
     label is its coordinates, 0 to 6, packed."""
     units = [_RADIX ** i for i in range(rank)]
     by_key, reached = _claimed_walk(roots, rank, simples, lambda _: units)
-    coords = {by_key[k]: tuple(label.to_bytes(rank, "little")) for k, label in reached}
-    return coords | {by_key[-k]: tuple(map(neg, coords[by_key[k]])) for k, _ in reached}
+    coords = {}
+    for k, label in reached:
+        c = coords[by_key[k]] = tuple(label.to_bytes(rank, "little"))
+        coords[by_key[-k]] = tuple(map(neg, c))
+    return coords
+
+
+@lru_cache(maxsize=None)
+def _standard_coordinates(roots: frozenset, base: tuple) -> dict:
+    """`_claimed_coordinates` over the standard base `base`, once per root set."""
+    return _claimed_coordinates(roots, len(base), base)
 
 
 def _claimed_roots(pair: InnerPair, simples) -> tuple[set, set]:
     """(positive roots, compact positive roots) over a claimed base (see
-    `_claimed_walk`), all doubled vectors.  A walk over the standard base, the
-    painted simples labelled 1, gives each claimed simple its parity and stops
-    once each is reached up to sign; labelled with those, the claimed simples'
-    walk labels each root with its compactness, a Z2 character."""
+    `_claimed_walk`), all doubled vectors.  A claimed simple's parity is the
+    sum of its coordinates over the standard base at the painted nodes
+    (`_standard_coordinates`); labelled with those, the claimed simples' walk
+    labels each root with its compactness, a Z2 character."""
     rs = pair.system
+    by_key, _ = _keys(rs.roots)
+    coords = _standard_coordinates(rs.roots, rs.base.simples)
 
     def parities(keys):
-        by_key, key_of = _keys(rs.roots)
-        painted = [int(i in pair.grading.painted) for i in range(rs.rank)]
-        wanted, parity = set(keys).union([-k for k in keys]), {}
-        for k, label in _height_walk(by_key, [key_of[s] for s in rs.base.simples], painted):
-            if k in wanted:
-                parity[k] = parity[-k] = label % 2
-                if len(parity) == len(wanted):
-                    return [parity[k] for k in keys]
+        return [sum(coords[by_key[k]][i] for i in pair.grading.painted) % 2 for k in keys]
 
     by_key, reached = _claimed_walk(rs.roots, rs.rank, simples, parities)
     return ({by_key[k] for k, _ in reached},
@@ -408,17 +434,14 @@ def _claimed_roots(pair: InnerPair, simples) -> tuple[set, set]:
 
 def _weighted_sums(metric: dict, compact: set, dim: int) -> tuple[list, list, list]:
     """The compact and the noncompact sum of metric[a] * a over the roots a
-    of `metric`, and delta, the plain sum of those roots."""
-    compact_sum = [0] * dim
-    noncompact_sum = [0] * dim
-    delta = [0] * dim
-    for root, weight in metric.items():
-        target = compact_sum if root in compact else noncompact_sum
-        for i, c in enumerate(root):
-            if c:
-                target[i] += weight * c
-                delta[i] += c
-    return compact_sum, noncompact_sum, delta
+    of `metric`, and delta, the plain sum of those roots, column by column."""
+    def column_sums(roots):
+        weights = [metric[root] for root in roots]
+        return [sum(map(mul, weights, column)) for column in zip(*roots)] or [0] * dim
+
+    return (column_sums([root for root in metric if root in compact]),
+            column_sums([root for root in metric if root not in compact]),
+            [sum(column) for column in zip(*metric)])
 
 
 def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
@@ -560,11 +583,13 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair,
 def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
     """Whether the metric `g` (RootVector -> value) satisfies the balanced
     identity over the base `simples` (RootVectors), by `verify_data`'s
-    arithmetic; RootSystemError when `simples` is not a base or the domain
-    of `g` is not its positive roots."""
+    arithmetic, on values kept as it reads them (an int when integral);
+    RootSystemError when `simples` is not a base or the domain of `g` is not
+    its positive roots."""
     positive, compact = _claimed_roots(pair, simples)
     if g.keys() != positive:
         raise RootSystemError("metric domain does not match the positive roots")
+    g = {root: _exact(value.numerator, value.denominator) for root, value in g.items()}
     compact_sum, noncompact_sum, _ = _weighted_sums(g, compact, pair.system.ambient_dim)
     return compact_sum == noncompact_sum
 
@@ -576,7 +601,7 @@ def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
         claimed = _claimed_roots(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
-    return _verify_pluriclosed_payload(payload, _Reader(pair.system.ambient_dim), pair, *claimed)
+    return _verify_pluriclosed_payload(payload, _Reader(pair.system), pair, *claimed)
 
 
 def _pair_block(block) -> tuple:
@@ -620,7 +645,7 @@ def verify_data(data: dict) -> VerificationResult:
     rs = pair.system
     if len(metric) != len(rs.roots) // 2:
         return _fail("metric domain mismatch")
-    read = _Reader(rs.ambient_dim)
+    read = _Reader(rs)
     try:
         simples = [read.vector(s) for s in simples]
         metric = read.coefficients(metric)
@@ -635,7 +660,7 @@ def verify_data(data: dict) -> VerificationResult:
 
     if set(metric) != positive:
         return _fail("metric domain mismatch")
-    if any(value <= 0 for value in metric.values()):
+    if min(metric.values()) <= 0:
         return _fail("positivity violated")
     compact_sum, noncompact_sum, delta = _weighted_sums(metric, compact, rs.ambient_dim)
     if compact_sum != noncompact_sum or balanced_verdict is not True:

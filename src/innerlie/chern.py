@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Mapping
 
 from .balanced import BalancedMetric
@@ -31,8 +30,8 @@ class ChernReport:
 
 
 def weyl_delta(ordering: AdmissibleOrdering) -> RootVector:
-    """Coordinate sum of the ordering's positive roots."""
-    return reduce(add, ordering.positives)
+    """Coordinate sum of the ordering's positive roots, column by column."""
+    return RootVector._from_doubled(map(sum, zip(*ordering.positives)))
 
 
 def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],

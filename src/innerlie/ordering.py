@@ -41,25 +41,26 @@ class AdmissibleOrdering:
 
 def make_ordering(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
     """Check a simple system for a pair, split its positive roots by the
-    coordinates `validate_base` returns, and classify its mode."""
-    coords = pair.system.validate_base(system)
-    compact = [i for i, s in enumerate(system.simples) if pair.grading.is_compact(s)]
-    noncompact = [i for i, s in enumerate(system.simples) if not pair.grading.is_compact(s)]
+    coordinates `validate_base` returns (compact simples first, so they split
+    at one index; a root's are of one sign, so positive when above zero's),
+    and classify its mode."""
+    compact = tuple(s for s in system.simples if pair.grading.is_compact(s))
+    noncompact = tuple(s for s in system.simples if not pair.grading.is_compact(s))
+    coords = pair.system.validate_base(SimpleSystem(compact + noncompact))
+    k, zero = len(compact), (0,) * system.rank
     split = {}
     for v in pair.system.sorted_roots:
         c = coords[v]
-        if min(c) >= 0:
-            split[v] = (tuple(map(c.__getitem__, compact)), tuple(map(c.__getitem__, noncompact)))
-    noncompact_simples = tuple(system.simples[i] for i in noncompact)
+        if c > zero:
+            split[v] = c[:k], c[k:]
     if pair.is_so_1_2n and system.key() == pair.system.base.key():
         mode = MODE_SPECIAL
-    elif _has_partners(noncompact_simples, pair):
+    elif _has_partners(noncompact, pair):
         mode = MODE_PARTNER
     else:
         mode = MODE_DIAGNOSTIC
-    return AdmissibleOrdering(system=system, positives=tuple(split),
-                              compact_simples=tuple(system.simples[i] for i in compact),
-                              noncompact_simples=noncompact_simples, mode=mode, split=split)
+    return AdmissibleOrdering(system=system, positives=tuple(split), compact_simples=compact,
+                              noncompact_simples=noncompact, mode=mode, split=split)
 
 
 def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .rootsys import (
     RootSystem,
@@ -65,17 +67,21 @@ class CompactnessGrading:
 
 @dataclass(eq=False, frozen=True)
 class InnerPair:
-    """One catalog entry: root system, grading, and expected dimensions."""
+    """One catalog entry: root system, grading, and expected dimensions.
+    `params` is a read-only copy: every caller gets the same cached pair."""
 
     name: str
     family: str
     rank: int
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     system: RootSystem = None
     grading: CompactnessGrading = None
     dim_g: int = 0
     dim_k: int = 0
     aliases: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @property
     def painted_node(self) -> int:

@@ -186,6 +186,12 @@ def test_catalog_pairs_cannot_be_changed():
         pair.dim_k = 7
     assert pair.dim_k == 6
     assert certkit.verify_data(json.loads(certkit.serialize(certkit.analyze_pair("g2(2)")))).ok
+    # p = 0 would make so(5,4) read as so(1,2n) to every later caller.
+    pair = pair_by_name("so(5,4)")
+    with pytest.raises(TypeError):
+        pair.params["p"] = 0
+    assert not pair.is_so_1_2n
+    assert certkit.verify_data(json.loads(certkit.serialize(certkit.analyze_pair("so(5,4)")))).ok
 
 
 def test_verify_rejects_unknown_pair(g2_data):
@@ -495,6 +501,50 @@ def test_verify_rejects_non_canonical_rational(g2_data, site, text):
             d["pluriclosed_certificate"]["combination"][0] = text
     result = certkit.verify_data(_tampered(g2_data, mutate))
     assert not result.ok and result.reason == "malformed certificate"
+
+
+def test_root_text_tables_read_what_the_strict_parse_reads():
+    """The reader resolves a vector spelled as a catalog root by one lookup in
+    its root set's text table: each entry, in every root system of rank at
+    most 16, is a root, and the coordinate-by-coordinate parse of its text."""
+    doubled = {}  # each distinct coordinate string, strictly parsed once
+    for rs in {pair.system for pair in catalog(16)}:
+        table = certkit._texts(rs.roots)
+        assert set(table.values()) == rs.roots and len(table) == len(rs.roots), rs
+        for text, root in table.items():
+            for c in text:
+                if c not in doubled:
+                    doubled[c] = certkit._rational(c, 2)
+            assert tuple(map(doubled.get, text)) == root, (rs, text)
+
+
+# Other spellings of the values 1 and 0: each misses the table, as every text
+# the strict parse refuses must.
+SPELLINGS = {"1/1": "1", "01": "1", "2/2": "1", "-0": "0", " 1": "1", "1.0": "1"}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_verify_refuses_another_spelling_of_a_root(g2_data, spelling):
+    def mutate(d):
+        root = next(e["root"] for e in d["metric"] if SPELLINGS[spelling] in e["root"])
+        root[root.index(SPELLINGS[spelling])] = spelling
+    result = certkit.verify_data(_tampered(g2_data, mutate))
+    assert not result.ok and result.reason == "malformed certificate"
+
+
+def test_reader_checks_a_vector_before_the_table():
+    """Only a JSON list of the ambient length is looked up: a list of another
+    length gives ValueError before any entry is read, and an object or a
+    string whose items spell a root is no vector."""
+    rs = pair_by_name("so(3,2)").system
+    read = certkit._Reader(rs)
+    assert read.vector(["1", "0"]) == (2, 0)
+    for value in ([[]] * 3, [{}], ["1", "0", "0"]):
+        with pytest.raises(ValueError):
+            read.vector(value)
+    for value in ({"1": 0, "0": 0}, "10"):
+        with pytest.raises(TypeError):
+            read.vector(value)
 
 
 def test_verify_reads_rationals_up_to_the_digit_limit(g2_data):

@@ -38,3 +38,18 @@ def test_golden_covers_the_rank8_catalog_and_the_scan_pairs():
 def test_certificate_bytes_match_golden_digest(name):
     text = certkit.serialize(certkit.analyze_pair(pair_by_name(name)))
     assert _digest(text) == GOLDEN[name]
+
+
+# sha256 over the certificates of every catalog(16) pair, in catalog order,
+# each as `serialize` writes it without its provenance block.
+RANK16_DIGEST = "18456c0646b1f5a2c2685ac56605e142af820b4a74138d55be6d2afd0b4273e1"
+
+
+def test_rank16_certificate_bytes_match_one_digest():
+    digest = hashlib.sha256()
+    pairs = catalog(16)
+    for pair in pairs:
+        cert = certkit.analyze_pair(pair)
+        del cert["provenance"]
+        digest.update(certkit.serialize(cert).encode())
+    assert len(pairs) == 199 and digest.hexdigest() == RANK16_DIGEST
