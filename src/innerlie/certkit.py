@@ -22,14 +22,13 @@ metric values, relation coefficients and weights kept exact (an int when
 integral, else a Fraction).  One height walk checks the claimed simple
 roots, on integer keys that pack each doubled root into one int (the bound
 that makes this sound is at `_RADIX`): each reached root plus a simple,
-when a root, is reached with its parent's label plus the simple's.  The
-claim must reach every root up to sign (`_claimed_walk`).  Labelled by the
-parities of the claimed simples, read from the standard base's coordinates
-(one walk per root set, `_standard_coordinates`), the walk gives the positive
-roots and the compact ones, which the painted nodes define as a Z2
-character of the root lattice (`_claimed_roots`).  The tables are built
-on first use, once per catalog root set, and hold nothing of a
-certificate.
+when a root, is reached.  The claim must reach every root up to sign, and
+the roots reached are the positive ones (`_claimed_walk`).  The compact
+roots are a set per grading (`_compact`): those whose coordinates over the
+standard base (one walk per root set, `_standard_coordinates`) sum to an
+even number at the painted nodes, the Z2 character of the root lattice that
+the painted nodes define (`_claimed_roots`).  The tables and sets are built
+on first use and hold nothing of a certificate.
 The verifier uses no code of the solvers or of the integer root core.  The
 pluriclosed relation is stated once, in `_derived_relation`: the builder
 takes each relation from it, so on the builder's own output the relation
@@ -224,10 +223,10 @@ def save(cert: dict, path: str) -> None:
 # (coordinates lie in (1/2)Z); a catalog root, a RootVector, is that tuple.
 # The height walk names each root by an integer key instead (`_RADIX`).
 # The verifier reads the root set, the standard base and the painted nodes
-# as they are, but neither the integer coordinate tables of `rootsys` nor
-# RootVector arithmetic (its own sums are plain `map(add, ...)` tuples and
-# key sums), so the integer core and the checker share no arithmetic; the
-# builder's relations are the checker's own (`_derived_relation`).
+# as they are, but no method of `rootsys` and no RootVector arithmetic (its
+# own sums are plain `map(add, ...)` tuples and key sums).  The builder reads
+# the checker's coordinate tables (`validate_base`, `RootSystem.coordinates`)
+# and relations (`_derived_relation`), never the other way round.
 # ---------------------------------------------------------------------------
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
@@ -346,7 +345,8 @@ _RADIX = 256
 @lru_cache(maxsize=None)
 def _keys(roots: frozenset) -> tuple[dict, dict]:
     """({key: root}, {root: key}) for a root set, built once per set."""
-    key_of = {v: sum(c * _RADIX ** i for i, c in enumerate(v)) for v in roots}
+    units = [_RADIX ** i for i in range(len(next(iter(roots))))]
+    key_of = {v: sum(map(mul, v, units)) for v in roots}
     return {k: v for v, k in key_of.items()}, key_of
 
 
@@ -357,25 +357,12 @@ def _texts(roots: frozenset) -> dict:
     return {tuple(_vec_to_json(v)): v for v in roots}
 
 
-def _height_walk(by_key, simples, labels) -> list:
-    """[(key, label)] by height: the simples' keys with their `labels`, then
-    each new key of `by_key` that is a reached key plus a simple's, with its
-    parent's label plus that simple's."""
-    steps = list(zip(simples, labels))
-    reached, unseen = list(steps), by_key.keys() - set(simples)
-    for v, c in reached:  # grows as the walk goes, one height after another
-        for s, unit in steps:
-            w = v + s
-            if w in unseen:
-                unseen.remove(w)
-                reached.append((w, c + unit))
-    return reached
-
-
-def _claimed_walk(roots, rank: int, simples, labels) -> tuple[dict, list]:
-    """({key: root}, the whole `_height_walk` from the claimed simples, with
-    the labels that `labels(keys)` gives from their keys); a claimed simple
-    is looked up among the roots, never packed.
+def _claimed_walk(roots, rank: int, simples) -> tuple[dict, list]:
+    """({key: root}, [(key, label)] by height): the claimed simples' keys, the
+    i-th labelled _RADIX**i, then each new key that is a reached key plus a
+    simple's, labelled with its parent's label plus that simple's, so that a
+    positive root's label is its coordinates, packed.  A claimed simple is
+    looked up among the roots, never packed.
 
     The claim is a base exactly when it has `rank` members, all roots, and
     the reached set R with -R is every root: the simples then span the root
@@ -389,7 +376,14 @@ def _claimed_walk(roots, rank: int, simples, labels) -> tuple[dict, list]:
     keys = [key_of.get(s) for s in simples]
     if None in keys:
         raise RootSystemError("a claimed simple root is not a root")
-    reached = _height_walk(by_key, keys, labels(keys))
+    steps = [(k, _RADIX ** i) for i, k in enumerate(keys)]
+    reached, unseen = list(steps), by_key.keys() - set(keys)
+    for v, c in reached:  # grows as the walk goes, one height after another
+        for s, unit in steps:
+            w = v + s
+            if w in unseen:
+                unseen.remove(w)
+                reached.append((w, c + unit))
     if len({k for k, _ in reached} | {-k for k, _ in reached}) != len(by_key):
         raise RootSystemError("the claimed simple roots do not reach every root up to sign")
     return by_key, reached
@@ -397,10 +391,8 @@ def _claimed_walk(roots, rank: int, simples, labels) -> tuple[dict, list]:
 
 def _claimed_coordinates(roots, rank: int, simples) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Coordinates of every root over a claimed base (see `_claimed_walk`), all
-    doubled vectors: with the i-th simple labelled _RADIX**i, a positive root's
-    label is its coordinates, 0 to 6, packed."""
-    units = [_RADIX ** i for i in range(rank)]
-    by_key, reached = _claimed_walk(roots, rank, simples, lambda _: units)
+    doubled vectors, read from the bytes of the labels: each is 0 to 6."""
+    by_key, reached = _claimed_walk(roots, rank, simples)
     coords = {}
     for k, label in reached:
         c = coords[by_key[k]] = tuple(label.to_bytes(rank, "little"))
@@ -410,26 +402,25 @@ def _claimed_coordinates(roots, rank: int, simples) -> dict[tuple[int, ...], tup
 
 @lru_cache(maxsize=None)
 def _standard_coordinates(roots: frozenset, base: tuple) -> dict:
-    """`_claimed_coordinates` over the standard base `base`, once per root set."""
+    """`_claimed_coordinates` over the standard base, once per root set."""
     return _claimed_coordinates(roots, len(base), base)
+
+
+@lru_cache(maxsize=None)
+def _compact(roots: frozenset, base: tuple, painted: tuple) -> frozenset:
+    """The roots whose standard coordinates sum to an even number at `painted`."""
+    return frozenset(v for v, c in _standard_coordinates(roots, base).items()
+                     if sum(c[i] for i in painted) % 2 == 0)
 
 
 def _claimed_roots(pair: InnerPair, simples) -> tuple[set, set]:
     """(positive roots, compact positive roots) over a claimed base (see
-    `_claimed_walk`), all doubled vectors.  A claimed simple's parity is the
-    sum of its coordinates over the standard base at the painted nodes
-    (`_standard_coordinates`); labelled with those, the claimed simples' walk
-    labels each root with its compactness, a Z2 character."""
+    `_claimed_walk`), all doubled vectors: the roots the walk reaches, and
+    those among them in the grading's compact set (`_compact`)."""
     rs = pair.system
-    by_key, _ = _keys(rs.roots)
-    coords = _standard_coordinates(rs.roots, rs.base.simples)
-
-    def parities(keys):
-        return [sum(coords[by_key[k]][i] for i in pair.grading.painted) % 2 for k in keys]
-
-    by_key, reached = _claimed_walk(rs.roots, rs.rank, simples, parities)
-    return ({by_key[k] for k, _ in reached},
-            {by_key[k] for k, label in reached if label % 2 == 0})
+    by_key, reached = _claimed_walk(rs.roots, rs.rank, simples)
+    positive = {by_key[k] for k, _ in reached}
+    return positive, positive & _compact(rs.roots, rs.base.simples, pair.grading.painted)
 
 
 def _weighted_sums(metric: dict, compact: set, dim: int) -> tuple[list, list, list]:
@@ -695,7 +686,12 @@ def verify_file(path: str) -> VerificationResult:
     give "parse error"."""
     try:
         with open(path, "rb") as handle:
-            raw = handle.read(MAX_BYTES + 1)
+            # read(n) allocates n bytes first: size it from the file, and read on
+            # if it fills (a pipe or a device reports 0, and a file may grow).
+            size = min(os.fstat(handle.fileno()).st_size, MAX_BYTES) + 1
+            raw = handle.read(size)
+            if len(raw) == size:
+                raw += handle.read(MAX_BYTES + 1 - size)
     except OSError:
         return _fail("parse error")
     if len(raw) > MAX_BYTES:

@@ -2,18 +2,17 @@
 
 Families A-D at variable rank plus G2, F4, E6 and E8, realized with the
 classical coordinates (E6 sits inside the E8 ambient space, spanned by the
-first six E8 simple roots).  Each root system is generated once in integer
-coordinates over its standard base, by the simple reflections written with
-the Cartan matrix, and each root is mapped once to its ambient RootVector,
-the tuple of twice each ambient coordinate (all lie in (1/2)Z) as an int;
-the verifier's doubled vectors are the same tuples.
+first six E8 simple roots).  A root is a RootVector, the tuple of twice each
+ambient coordinate (all lie in (1/2)Z) as an int, the same tuple as the
+verifier's doubled vector; the roots are the orbit of the standard base
+under its simple reflections, in those doubled coordinates.
 `Fraction` is left to ambient values read or returned (`dot`) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
-A base's integer coordinates have one source: the standard base's are the
-table the roots were generated with (`coordinates`), and any other base's
-are what `validate_base` returns, the verifier's height walk on integer keys
-of the roots, which also checks the base; a SimpleSystem holds only its
+Every base's integer coordinates are the verifier's height walk on integer
+keys of the roots, which also checks the base: the standard base's table is
+cached with the verifier's, once per root set (`coordinates`), and any other
+base's is what `validate_base` returns; a SimpleSystem holds only its
 simples.  Sums of roots are tested against the root set as ambient vectors,
 the names the package and the certificates give to roots.  Root strings and
 N^2 are the verifier's (`certkit._derived_relation`).
@@ -28,7 +27,7 @@ invariant under positive scaling, so the constant is never needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E8")
@@ -162,8 +161,9 @@ def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
 class RootSystem:
     """Immutable set of roots with a distinguished (standard) base.
 
-    Each root is held both as its ambient RootVector and as its integer
-    coordinates over the standard base (`coordinates`).
+    The roots are the orbit of the simples under the simple reflections, in
+    doubled ambient coordinates; their coordinates over the standard base are
+    the verifier's height-walk table (`coordinates`), built once per root set.
     """
 
     def __init__(self, family: str, rank: int, base: SimpleSystem):
@@ -171,13 +171,23 @@ class RootSystem:
         self.rank = rank
         self.base = base
         self.cartan = _cartan(base.simples)
-        columns = tuple(zip(*base.simples))
-        by_root = {RootVector._from_doubled(sum(map(mul, c, column)) for column in columns): c
-                   for c in _closure(self.cartan)}
-        self.sorted_roots = tuple(sorted(by_root))
+        # s(v) = v - k*s with k = 2(v.s)/(s.s), a sum of Cartan integers times
+        # v's coordinates, so integral (checked by _cartan) and the division
+        # exact.  Inline, since `reflect` must check (1/2)Z for any input.
+        mirrors = [(s, sum(map(mul, s, s))) for s in base.simples]
+        reached = list(base.simples)
+        roots = set(reached)
+        for v in reached:  # grows as the orbit is walked; -s = s(s) is reached too
+            for s, nsq in mirrors:
+                k = 2 * sum(map(mul, v, s)) // nsq
+                if k:
+                    image = RootVector._from_doubled([a - k * b for a, b in zip(v, s)])
+                    if image not in roots:
+                        roots.add(image)
+                        reached.append(image)
+        self.sorted_roots = tuple(sorted(roots))
         self.roots = frozenset(self.sorted_roots)
         self.ambient_dim = len(self.sorted_roots[0])
-        self._coords = {v: by_root[v] for v in self.sorted_roots}
 
     def is_root(self, v: RootVector) -> bool:
         return v in self.roots
@@ -186,17 +196,23 @@ class RootSystem:
         if not self.is_root(v):
             raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}")
 
+    @cached_property
+    def _standard(self) -> dict[RootVector, tuple[int, ...]]:
+        """The verifier's table of the standard coordinates, the very dict."""
+        from .certkit import _standard_coordinates  # certkit imports rootsys
+        return _standard_coordinates(self.roots, self.base.simples)
+
     def coordinates(self, v: RootVector) -> tuple[int, ...]:
         """Integer coordinates of a root over the standard base."""
         try:
-            return self._coords[v]
+            return self._standard[v]
         except KeyError:
             raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}") from None
 
     @property
     def positive_roots(self) -> tuple[RootVector, ...]:
         """Positive roots of the standard base, in lexicographic order."""
-        return tuple(v for v, c in self._coords.items() if min(c) >= 0)
+        return tuple(v for v in self.sorted_roots if min(self._standard[v]) >= 0)
 
     def validate_base(self, system: SimpleSystem) -> dict[RootVector, tuple[int, ...]]:
         """The integer coordinates of every root over `system`, all of one sign,
@@ -251,33 +267,6 @@ def _base_coords(family: str, rank: int) -> list[RootVector]:
     return e8[:6] if family == "E6" else e8
 
 
-def _closure(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Orbit of the simple roots under the simple reflections, in integer
-    coordinates over the base (equals the root set).
-
-    s_j(v) = v - <v, a_j^vee> a_j, where <v, a_j^vee> = sum_i v_i C[i][j].
-    The orbit holds -w(a_j) = w(s_j(a_j)) with each w(a_j), so it is closed
-    under negation by construction.
-    """
-    rank = len(cartan)
-    columns = tuple(zip(*cartan))
-    simples = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-    roots = set(simples)
-    frontier = simples
-    while frontier:
-        new = []
-        for v in frontier:
-            for j, column in enumerate(columns):
-                pairing = sum(map(mul, v, column))
-                if pairing:
-                    image = v[:j] + (v[j] - pairing,) + v[j + 1:]
-                    if image not in roots:
-                        roots.add(image)
-                        new.append(image)
-        frontier = new
-    return roots
-
-
 def _validate_family(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise RootSystemError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -292,7 +281,7 @@ def _validate_family(family: str, rank: int) -> None:
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system by reflection closure from the standard base.
+    """Construct the root system as the reflection orbit of the standard base.
 
     Deterministic; the result is validated against the closed-form root count
     for the family and is immutable afterwards, hence shared via the cache.

@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import functools
 import json
+import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -636,6 +638,30 @@ def test_verify_file_byte_limit(tmp_path, capsys, g2_cert):
     assert not result.ok and result.reason == "file too large"
     assert main(["verify", str(path)]) == 1
     assert "FAILED (file too large)" in capsys.readouterr().out
+
+
+def _verify_through_a_fifo(path, content: bytes):
+    """verify_file on a new FIFO at `path` that one writer thread feeds with
+    `content`; a FIFO reports size 0, so only MAX_BYTES bounds the read."""
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as handle:
+            handle.write(content)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    result = certkit.verify_file(str(path))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return result
+
+
+def test_verify_file_reads_a_fifo_up_to_the_byte_limit(tmp_path, g2_cert):
+    text = certkit.serialize(g2_cert).encode()
+    assert _verify_through_a_fifo(tmp_path / "valid", text).ok
+    result = _verify_through_a_fifo(tmp_path / "large", b" " * (certkit.MAX_BYTES + 1))
+    assert not result.ok and result.reason == "file too large"
 
 
 def test_verify_file_reads_the_largest_rank16_certificate(tmp_path):

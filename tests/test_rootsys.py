@@ -7,6 +7,8 @@ import pytest
 
 import innerlie.certkit as certkit
 from innerlie.rootsys import (
+    InvariantViolation,
+    RootSystem,
     RootSystemError,
     RootVector,
     SimpleSystem,
@@ -221,13 +223,26 @@ def test_base_decomposition_one_signed():
             assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
 
 
-def test_standard_base_table_equals_validate_base(catalog8):
-    """The standard base's table is the one the roots were generated with;
-    for every root system of the rank-8 catalog it equals what validate_base
-    returns for the same simples."""
-    for rs in {id(pair.system): pair.system for pair in catalog8}.values():
-        assert {v: rs.coordinates(v) for v in rs.sorted_roots} == \
-            rs.validate_base(SimpleSystem(rs.base.simples)), rs
+def test_standard_coordinates_equal_the_gram_inverse_reference(catalog8):
+    """For every root system of the rank-8 catalog, the standard base's
+    coordinates are those the Fraction Gram-inverse reference of the chamber
+    tests gives, read from the verifier's table of them."""
+    from test_chambers import _reference_decomposition
+
+    systems = {id(pair.system): pair.system for pair in catalog8}.values()
+    assert len(systems) == 18
+    for rs in systems:
+        table = certkit._standard_coordinates(rs.roots, rs.base.simples)
+        reference = _reference_decomposition(rs, rs.base.simples)
+        assert {v: rs.coordinates(v) for v in rs.sorted_roots} == reference, rs
+        assert all(rs.coordinates(v) is table[v] for v in rs.sorted_roots), rs
+
+
+def test_a_base_with_a_non_integral_cartan_pairing_is_refused():
+    """The orbit's reflections divide exactly only when every Cartan pairing
+    is an integer; 2<a, b>/<b, b> = 2/5 here, refused before the orbit."""
+    with pytest.raises(InvariantViolation, match="non-integral Cartan pairing"):
+        RootSystem("X", 2, SimpleSystem([RootVector([1, 0]), RootVector([1, 2])]))
 
 
 def test_simple_system_rejects_outside_span():

@@ -457,8 +457,8 @@ def _standard_walk_compact(pair):
 
 def test_compact_roots_from_claimed_parities_equal_the_full_walk():
     """For every pair of rank at most 16, the verifier's positive roots are
-    the ordering's, and its compact ones, from the painted parities of the
-    certificate's simple roots, are those read from a full walk over the
+    the ordering's, and its compact ones, those of the grading's compact set
+    (`certkit._compact`), are those read from a fresh full walk over the
     standard base and from the solver's table."""
     for pair in catalog(16):
         ordering = find_admissible_ordering(pair)
