@@ -35,6 +35,28 @@ takes each relation from it, so on the builder's own output the relation
 check holds by construction, and what checks the formula itself is the
 Fraction reference in `tests/test_verifier_reference.py` and the golden
 digests.
+
+Everything the verifier caches is keyed by value.  `_keys` and `_texts` (per
+root set), `_standard_coordinates` (per root set and base) and `_compact`
+(per grading) are unbounded, one entry per catalog root system or grading.
+Two caches are bounded, so that a process walks a chamber, and derives a
+relation, once rather than once per certificate:
+
+- `_chamber` (256 entries, room for the 199 chambers of the catalog's pairs
+  of rank <= 16) is keyed by the root set, the rank, the claimed simples as
+  the reader returned them, the standard base and the painted nodes.  It
+  holds the positive and the compact positive roots (frozensets), each
+  side's roots and their columns, and delta (tuples).
+- `_relation` (1024 entries) is keyed by the root set, alpha, beta and
+  whether alpha - beta is positive, the four values that decide a relation.
+  It holds the relation's items as a tuple; `_derived_relation` hands each
+  caller a dict of its own.
+
+Both are sound because each is a pure function of the values in its key,
+stores only immutable entries and never stores a refusal: `lru_cache` keeps
+no exception, so a refused claim is walked, and refused, again.  Full, they
+take at most about 13.2 MiB (256 chambers of B16 or C16, the largest rank-16
+records) and 0.6 MiB (1024 rank-16 relations), by tracemalloc.
 """
 
 from __future__ import annotations
@@ -43,8 +65,8 @@ import json
 import os
 import re
 import tempfile
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -156,7 +178,7 @@ def analyze_pair(pair_or_name) -> dict:
         "provenance": {
             "tool": TOOL_NAME,
             "version": __version__,
-            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         },
     }
 
@@ -413,26 +435,42 @@ def _compact(roots: frozenset, base: tuple, painted: tuple) -> frozenset:
                      if sum(c[i] for i in painted) % 2 == 0)
 
 
-def _claimed_roots(pair: InnerPair, simples) -> tuple[set, set]:
-    """(positive roots, compact positive roots) over a claimed base (see
-    `_claimed_walk`), all doubled vectors: the roots the walk reaches, and
-    those among them in the grading's compact set (`_compact`)."""
+@lru_cache(maxsize=256)
+def _chamber(roots: frozenset, rank: int, simples: tuple, base: tuple, painted: tuple) -> tuple:
+    """(positive roots, compact positive roots, compact side, noncompact side,
+    delta) over a claimed base (see `_claimed_walk`), all doubled vectors: the
+    roots the walk reaches, as a frozenset, and those among them in the
+    grading's compact set (`_compact`); each side is (its roots, their
+    columns), the roots in their set's iteration order; delta is the column
+    sum of the positive roots.  A refused claim raises, so nothing of it is
+    stored."""
+    by_key, reached = _claimed_walk(roots, rank, simples)
+    positive = frozenset([by_key[k] for k, _ in reached])
+    compact = positive & _compact(roots, base, painted)
+    empty = ((),) * len(base[0])  # the columns of no roots, each summing to 0
+    sides = [(tuple(side), tuple(zip(*side)) or empty) for side in (compact, positive - compact)]
+    return (positive, compact, *sides, tuple(map(sum, zip(*positive))))
+
+
+def _claimed_chamber(pair: InnerPair, simples) -> tuple:
+    """`_chamber` for a pair and the claimed simples."""
     rs = pair.system
-    by_key, reached = _claimed_walk(rs.roots, rs.rank, simples)
-    positive = {by_key[k] for k, _ in reached}
-    return positive, positive & _compact(rs.roots, rs.base.simples, pair.grading.painted)
+    return _chamber(rs.roots, rs.rank, tuple(simples), rs.base.simples, pair.grading.painted)
 
 
-def _weighted_sums(metric: dict, compact: set, dim: int) -> tuple[list, list, list]:
-    """The compact and the noncompact sum of metric[a] * a over the roots a
-    of `metric`, and delta, the plain sum of those roots, column by column."""
-    def column_sums(roots):
+def _claimed_roots(pair: InnerPair, simples) -> tuple[frozenset, frozenset]:
+    """(positive roots, compact positive roots) of the chamber (`_chamber`)."""
+    return _claimed_chamber(pair, simples)[:2]
+
+
+def _balanced(metric: dict, chamber: tuple) -> bool:
+    """Whether the compact and the noncompact sum of metric[a] * a agree over
+    the positive roots a of the chamber, column by column."""
+    sums = []
+    for roots, columns in chamber[2:4]:
         weights = [metric[root] for root in roots]
-        return [sum(map(mul, weights, column)) for column in zip(*roots)] or [0] * dim
-
-    return (column_sums([root for root in metric if root in compact]),
-            column_sums([root for root in metric if root not in compact]),
-            [sum(column) for column in zip(*metric)])
+        sums.append([sum(map(mul, weights, column)) for column in columns])
+    return sums[0] == sums[1]
 
 
 def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
@@ -473,10 +511,17 @@ def _add_symmetric(matrix: dict, weight, a: tuple, b: tuple) -> None:
                     matrix[j, i] = matrix.get((j, i), 0) + term
 
 
-def _derived_relation(roots, positive: set, alpha: tuple, beta: tuple) -> dict:
+def _derived_relation(roots, positive, alpha: tuple, beta: tuple) -> dict:
     """The right side of the relation for (alpha, beta), re-derived from root
     strings, with the difference term folded onto its positive representative;
-    `roots` holds every root and `positive` the positive ones, all doubled."""
+    `roots` holds every root and `positive` the positive ones, all doubled.
+    Each call gets its own dict, copied from `_relation`'s entry."""
+    return dict(_relation(frozenset(roots), alpha, beta, tuple(map(sub, alpha, beta)) in positive))
+
+
+@lru_cache(maxsize=1024)
+def _relation(roots: frozenset, alpha: tuple, beta: tuple, difference_positive: bool) -> tuple:
+    """`_derived_relation`'s items: these four values decide them."""
     derived: dict[tuple, int | Fraction] = {}
     total = tuple(map(add, alpha, beta))
     if total in roots:
@@ -487,11 +532,11 @@ def _derived_relation(roots, positive: set, alpha: tuple, beta: tuple) -> dict:
     difference = tuple(map(sub, alpha, beta))
     if difference in roots:
         n2 = _n_squared(roots, alpha, tuple(map(neg, beta)))
-        sign = 1 if difference in positive else -1
+        sign = 1 if difference_positive else -1
         _accumulate(derived, difference if sign > 0 else tuple(map(sub, beta, alpha)), n2)
         _accumulate(derived, beta, sign * n2)
         _accumulate(derived, alpha, -sign * n2)
-    return derived
+    return tuple(derived.items())
 
 
 def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair,
@@ -577,12 +622,11 @@ def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
     arithmetic, on values kept as it reads them (an int when integral);
     RootSystemError when `simples` is not a base or the domain of `g` is not
     its positive roots."""
-    positive, compact = _claimed_roots(pair, simples)
-    if g.keys() != positive:
+    chamber = _claimed_chamber(pair, simples)
+    if g.keys() != chamber[0]:
         raise RootSystemError("metric domain does not match the positive roots")
-    g = {root: _exact(value.numerator, value.denominator) for root, value in g.items()}
-    compact_sum, noncompact_sum, _ = _weighted_sums(g, compact, pair.system.ambient_dim)
-    return compact_sum == noncompact_sum
+    return _balanced({root: _exact(value.numerator, value.denominator)
+                      for root, value in g.items()}, chamber)
 
 
 def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
@@ -643,9 +687,10 @@ def verify_data(data: dict) -> VerificationResult:
     except _MALFORMED:
         return _fail("malformed certificate")
     try:
-        positive, compact = _claimed_roots(pair, simples)
+        chamber = _claimed_chamber(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
+    positive, compact, _, _, delta = chamber
     if mode != ("so_1_2n_special" if pair.is_so_1_2n else "partner_property"):
         return _fail("ordering invalid")
 
@@ -653,8 +698,7 @@ def verify_data(data: dict) -> VerificationResult:
         return _fail("metric domain mismatch")
     if min(metric.values()) <= 0:
         return _fail("positivity violated")
-    compact_sum, noncompact_sum, delta = _weighted_sums(metric, compact, rs.ambient_dim)
-    if compact_sum != noncompact_sum or balanced_verdict is not True:
+    if not _balanced(metric, chamber) or balanced_verdict is not True:
         return _fail("balanced identity failed")
 
     result = _verify_pluriclosed_payload(payload, read, pair, positive, compact)
@@ -667,7 +711,7 @@ def verify_data(data: dict) -> VerificationResult:
         delta_stored, scalar_stored = read.vector(delta_stored), _rational(scalar_stored)
     except _MALFORMED:
         return _fail("malformed certificate")
-    if tuple(delta) != delta_stored:
+    if delta != delta_stored:
         return _fail("delta mismatch")
     if not any(delta) or delta_nonzero is not True:
         return _fail("delta zero")

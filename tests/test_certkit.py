@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -712,6 +713,75 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     def mutate(d):
         d["pluriclosed_certificate"]["relations"][0]["coeffs"][0]["c"] = "17"
     assert certkit.verify_data(_tampered(g2_data, mutate)).reason == "relation mismatch"
+
+
+def test_cold_verifier_reads_no_integer_tables(g2_data, monkeypatch):
+    """As above, with the chamber and relation caches cleared first, so the
+    height walk and the relations run under the patches."""
+    certkit._chamber.cache_clear()
+    certkit._relation.cache_clear()
+    test_verifier_reads_no_integer_tables(g2_data, monkeypatch)
+
+
+def _frozen(value) -> bool:
+    """Whether `value` is built of tuples and frozensets of ints alone."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_frozen, value))
+    return type(value) is int
+
+
+def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
+    """Both caches are bounded and hand out nothing mutable; a refused claim
+    is not stored; 384 chambers of B4 leave the chamber cache within its
+    bound."""
+    from innerlie.rootsys import all_simple_systems
+
+    assert certkit._chamber.cache_info().maxsize == 256
+    assert certkit._relation.cache_info().maxsize == 1024
+    pair = pair_by_name("so(5,4)")
+    a1, a2, a3, a4 = base = pair.system.base.simples
+
+    certkit._chamber.cache_clear()
+    record = certkit._claimed_chamber(pair, base)
+    assert isinstance(record, tuple) and _frozen(record)
+    assert isinstance(record[0], frozenset) and isinstance(record[1], frozenset)
+    for claim in ([a1, a1, a3, a4], [a1, -a1, a3, a4], [a1, a2, a3]):
+        with pytest.raises(RootSystemError):
+            certkit._claimed_roots(pair, claim)
+        assert certkit._chamber.cache_info().currsize == 1
+
+    systems = all_simple_systems(pair.system)
+    assert len(systems) == 384
+    for system in systems:
+        certkit._claimed_roots(pair, system.simples)
+    info = certkit._chamber.cache_info()
+    assert info.currsize <= info.maxsize
+
+    positive = record[0]
+    relation = certkit._derived_relation(pair.system.roots, positive, a1, a2)
+    expected = dict(relation)
+    relation[a1] = 17
+    relation.clear()
+    assert certkit._derived_relation(pair.system.roots, positive, a1, a2) == expected
+    assert expected and _frozen(certkit._relation(pair.system.roots, a1, a2, False))
+
+
+def test_generated_at_is_utc_to_the_second():
+    from datetime import datetime, timedelta, timezone
+
+    stamp = certkit.analyze_pair("g2(2)")["provenance"]["generated_at"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    moment = datetime.fromisoformat(stamp)
+    assert moment.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - moment) < timedelta(minutes=10)
+
+
+def test_cli_import_leaves_datetime_out():
+    """No module of the package imports datetime (about 0.4 MB of peak RSS)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, innerlie.cli; print('datetime' in sys.modules)"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_walk_keys_are_distinct_under_the_radix_bound():

@@ -23,7 +23,7 @@ import pytest
 
 import innerlie.certkit as certkit
 from innerlie import catalog, find_admissible_ordering, pair_by_name
-from innerlie.rootsys import RootSystemError
+from innerlie.rootsys import RootSystemError, RootVector, reflect
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +443,39 @@ def test_every_tampered_copy_agrees_with_reference(certificates, kind):
         assert certkit.verify_data(tampered) == expected, (name, kind)
 
 
+def _reflected_simples(d):
+    """Claim the base moved by the reflection in its first simple root: a
+    genuine base of the same root system, of another chamber."""
+    simples = [RootVector(s) for s in d["ordering"]["simples"]]
+    d["ordering"]["simples"] = [certkit._vec_to_json(reflect(s, simples[0])) for s in simples]
+
+
+def _cold_caches():
+    certkit._chamber.cache_clear()
+    certkit._relation.cache_clear()
+
+
+def test_cache_state_changes_no_verdict(certificates):
+    """Every certificate, each tampered copy and a copy claiming another
+    genuine base verify alike with the chamber and relation caches cleared,
+    warm, and warmed by the valid certificate first."""
+    variants = dict(TAMPERS, valid=lambda d: None, other_base=_reflected_simples)
+    for name, data in certificates.items():
+        text = json.dumps(data)
+        for kind, tamper in variants.items():
+            copied = json.loads(text)
+            tamper(copied)
+            _cold_caches()
+            cold = certkit.verify_data(copied)
+            warm = certkit.verify_data(copied)
+            _cold_caches()
+            certkit.verify_data(data)
+            assert cold == warm == certkit.verify_data(copied), (name, kind)
+            assert cold.ok == (kind == "valid"), (name, kind)
+            if kind == "other_base":  # the claim reached the other chamber
+                assert cold.reason == "metric domain mismatch", name
+
+
 # ---------------------------------------------------------------------------
 # Compactness from the claimed base against the full standard-base walk
 # ---------------------------------------------------------------------------
@@ -459,7 +492,15 @@ def test_compact_roots_from_claimed_parities_equal_the_full_walk():
     """For every pair of rank at most 16, the verifier's positive roots are
     the ordering's, and its compact ones, those of the grading's compact set
     (`certkit._compact`), are those read from a fresh full walk over the
-    standard base and from the solver's table."""
+    standard base and from the solver's table.
+
+    Only the first assert compares independent computations: the compact set,
+    the fresh walk and `pair.grading.is_compact` all read the parities of the
+    same standard-base walk, so the last two guard how the chamber intersects
+    that set, not the set.  The compact roots are checked against the
+    Gram-inverse reference of `tests/test_chambers.py` instead, in every
+    chamber of A3, B3, C3, D4 and G2 and on sampled bases of B5, D5, F4, E6
+    and E8, and by a CI step on the ordering of every rank-8 pair."""
     for pair in catalog(16):
         ordering = find_admissible_ordering(pair)
         positive, compact = certkit._claimed_roots(pair, ordering.system.simples)
