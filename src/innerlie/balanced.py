@@ -21,8 +21,8 @@ whole certificate with `certkit.verify_data` or `certkit.verify_file`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import certkit
 from .ordering import (
@@ -50,8 +50,7 @@ class InfeasibleOrdering(Exception):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class BalancedSystem:
+class BalancedSystem(NamedTuple):
     """The balanced relations for one ordering: the side of each non-simple
     positive root, +1 noncompact and -1 compact, in `ordering.split` order."""
 
@@ -60,8 +59,7 @@ class BalancedSystem:
     signs: dict[RootVector, int]
 
 
-@dataclass(frozen=True)
-class BalancedMetric:
+class BalancedMetric(NamedTuple):
     """Strictly positive rational coefficient per positive root."""
 
     g: dict[RootVector, Fraction]

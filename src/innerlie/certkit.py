@@ -39,24 +39,25 @@ digests.
 Everything the verifier caches is keyed by value.  `_keys` and `_texts` (per
 root set), `_standard_coordinates` (per root set and base) and `_compact`
 (per grading) are unbounded, one entry per catalog root system or grading.
-Two caches are bounded, so that a process walks a chamber, and derives a
+Three caches are bounded, so that a process walks a chamber, and derives a
 relation, once rather than once per certificate:
 
-- `_chamber` (256 entries, room for the 199 chambers of the catalog's pairs
-  of rank <= 16) is keyed by the root set, the rank, the claimed simples as
-  the reader returned them, the standard base and the painted nodes.  It
-  holds the positive and the compact positive roots (frozensets), each
-  side's roots and their columns, and delta (tuples).
+- `_chamber_roots` and `_chamber` (256 entries each, room for the 199
+  chambers of rank <= 16) are keyed by the root set, the rank, the claimed
+  simples as read, the standard base and the painted nodes.  The first holds
+  the positive and the compact positive roots (frozensets); the second adds
+  each side's roots and their columns, and delta (tuples).
 - `_relation` (1024 entries) is keyed by the root set, alpha, beta and
   whether alpha - beta is positive, the four values that decide a relation.
   It holds the relation's items as a tuple; `_derived_relation` hands each
   caller a dict of its own.
 
-Both are sound because each is a pure function of the values in its key,
+Each is sound because it is a pure function of the values in its key,
 stores only immutable entries and never stores a refusal: `lru_cache` keeps
 no exception, so a refused claim is walked, and refused, again.  Full, they
 take at most about 13.2 MiB (256 chambers of B16 or C16, the largest rank-16
-records) and 0.6 MiB (1024 rank-16 relations), by tracemalloc.
+records, in both chamber caches), 4.1 MiB more when `_chamber_roots` holds
+256 other chambers, and 0.6 MiB (1024 rank-16 relations), by tracemalloc.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 from . import __version__
 from .pairs import InnerPair, pair_by_name
@@ -86,8 +87,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
@@ -406,7 +406,7 @@ def _claimed_walk(roots, rank: int, simples) -> tuple[dict, list]:
             if w in unseen:
                 unseen.remove(w)
                 reached.append((w, c + unit))
-    if len({k for k, _ in reached} | {-k for k, _ in reached}) != len(by_key):
+    if not unseen.isdisjoint(map(neg, unseen)):  # a root and its negative both unreached
         raise RootSystemError("the claimed simple roots do not reach every root up to sign")
     return by_key, reached
 
@@ -436,17 +436,22 @@ def _compact(roots: frozenset, base: tuple, painted: tuple) -> frozenset:
 
 
 @lru_cache(maxsize=256)
-def _chamber(roots: frozenset, rank: int, simples: tuple, base: tuple, painted: tuple) -> tuple:
-    """(positive roots, compact positive roots, compact side, noncompact side,
-    delta) over a claimed base (see `_claimed_walk`), all doubled vectors: the
-    roots the walk reaches, as a frozenset, and those among them in the
-    grading's compact set (`_compact`); each side is (its roots, their
-    columns), the roots in their set's iteration order; delta is the column
-    sum of the positive roots.  A refused claim raises, so nothing of it is
-    stored."""
+def _chamber_roots(roots: frozenset, rank: int, simples: tuple, base: tuple,
+                   painted: tuple) -> tuple[frozenset, frozenset]:
+    """(positive roots, compact positive roots) over a claimed base (see
+    `_claimed_walk`), all doubled vectors: the roots the walk reaches, and
+    those among them in the grading's compact set (`_compact`).  A refused
+    claim raises, so nothing of it is stored."""
     by_key, reached = _claimed_walk(roots, rank, simples)
     positive = frozenset([by_key[k] for k, _ in reached])
-    compact = positive & _compact(roots, base, painted)
+    return positive, positive & _compact(roots, base, painted)
+
+
+@lru_cache(maxsize=256)
+def _chamber(roots: frozenset, rank: int, simples: tuple, base: tuple, painted: tuple) -> tuple:
+    """`_chamber_roots`'s two sets, each side as (its roots in their set's
+    order, their columns), and delta, the column sum of the positive roots."""
+    positive, compact = _chamber_roots(roots, rank, simples, base, painted)
     empty = ((),) * len(base[0])  # the columns of no roots, each summing to 0
     sides = [(tuple(side), tuple(zip(*side)) or empty) for side in (compact, positive - compact)]
     return (positive, compact, *sides, tuple(map(sum, zip(*positive))))
@@ -459,8 +464,9 @@ def _claimed_chamber(pair: InnerPair, simples) -> tuple:
 
 
 def _claimed_roots(pair: InnerPair, simples) -> tuple[frozenset, frozenset]:
-    """(positive roots, compact positive roots) of the chamber (`_chamber`)."""
-    return _claimed_chamber(pair, simples)[:2]
+    """`_chamber_roots` for a pair and the claimed simples."""
+    rs = pair.system
+    return _chamber_roots(rs.roots, rs.rank, tuple(simples), rs.base.simples, pair.grading.painted)
 
 
 def _balanced(metric: dict, chamber: tuple) -> bool:

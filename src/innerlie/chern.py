@@ -9,11 +9,10 @@ on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .balanced import BalancedMetric
 from .ordering import AdmissibleOrdering
@@ -21,8 +20,7 @@ from .pairs import InnerPair
 from .rootsys import RootVector
 
 
-@dataclass(frozen=True)
-class ChernReport:
+class ChernReport(NamedTuple):
     delta: RootVector
     scalar_curvature: Fraction
     delta_nonzero: bool

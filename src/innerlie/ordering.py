@@ -15,7 +15,7 @@ ordering's `split`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pairs import InnerPair
 from .rootsys import InvariantViolation, RootVector, SimpleSystem
@@ -25,8 +25,7 @@ MODE_SPECIAL = "so_1_2n_special"
 MODE_DIAGNOSTIC = "diagnostic"
 
 
-@dataclass(frozen=True)
-class AdmissibleOrdering:
+class AdmissibleOrdering(NamedTuple):
     """A simple system split into compact and noncompact parts, with its
     positive roots in lexicographic order and each one's coefficients split
     along (compact simples, noncompact simples)."""

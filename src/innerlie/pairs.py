@@ -5,7 +5,8 @@ roots into compact and noncompact ones.  The grading is stored as painted-node
 data on the fixed standard base: a root is noncompact exactly when the parity
 of its coefficient sum over the painted simple roots is odd.  The grading is
 stated once, relative to the standard base, and is never mutated when the
-choice of positive roots changes.
+choice of positive roots changes.  It is tabulated in one pass over the
+standard coordinate table, by the parity `certkit._compact` computes.
 
 Every catalog entry paints its conventional node and is validated against the
 known dimensions of the subalgebra pair: rank + |R| must equal dim g and
@@ -20,8 +21,8 @@ names exist is decided by the catalog alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping
 
@@ -42,18 +43,27 @@ class CatalogError(RuntimeError):
     """Catalog data is inconsistent (a bug in the tables, not user input)."""
 
 
-@dataclass(frozen=True)
-class CompactnessGrading:
+class _Frozen:
+    """Slots set once, in `__init__`: assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class CompactnessGrading(_Frozen):
     """Z2 grading of the root lattice given by painted standard simple roots."""
 
-    system: RootSystem
-    painted: tuple[int, ...]  # 0-based indices into the standard base
-    _compact: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("system", "painted", "_compact")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_compact", {
-            v: sum(abs(self.system.coordinates(v)[i]) for i in self.painted) % 2 == 0
-            for v in self.system.sorted_roots})
+    def __init__(self, system: RootSystem, painted: tuple[int, ...]):
+        mask = [i in painted for i in range(system.rank)]  # painted: 0-based indices
+        compact = {v: not sum(compress(c, mask)) % 2 for v, c in system._standard.items()}
+        for slot, value in zip(self.__slots__, (system, painted, compact)):
+            object.__setattr__(self, slot, value)
 
     def is_compact(self, root: RootVector) -> bool:
         compact = self._compact.get(root)
@@ -65,23 +75,20 @@ class CompactnessGrading:
         return sum(self._compact.values())
 
 
-@dataclass(eq=False, frozen=True)
-class InnerPair:
-    """One catalog entry: root system, grading, and expected dimensions.
-    `params` is a read-only copy: every caller gets the same cached pair."""
+class InnerPair(_Frozen):
+    """One catalog entry: root system, grading and expected dimensions, equal
+    only to itself and read-only, `params` too: every caller shares the pair."""
 
-    name: str
-    family: str
-    rank: int
-    params: Mapping = field(default_factory=dict)
-    system: RootSystem = None
-    grading: CompactnessGrading = None
-    dim_g: int = 0
-    dim_k: int = 0
-    aliases: tuple[str, ...] = ()
+    __slots__ = ("name", "family", "rank", "params", "system", "grading", "dim_g", "dim_k",
+                 "aliases")
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+    def __init__(self, name: str, family: str, rank: int, params: Mapping | None = None,
+                 system: RootSystem = None, grading: CompactnessGrading = None,
+                 dim_g: int = 0, dim_k: int = 0, aliases: tuple[str, ...] = ()):
+        for slot, value in zip(self.__slots__, (
+                name, family, rank, MappingProxyType(dict(params or {})), system, grading,
+                dim_g, dim_k, aliases)):
+            object.__setattr__(self, slot, value)
 
     @property
     def painted_node(self) -> int:

@@ -25,8 +25,8 @@ and checks the sign pattern; it never trusts the builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import certkit
 from .ordering import MODE_PARTNER, MODE_SPECIAL, AdmissibleOrdering
@@ -37,15 +37,13 @@ BRANCH_GENERIC = "generic"
 BRANCH_SPECIAL = "so_1_2n"
 
 
-@dataclass(frozen=True)
-class PluriclosedRelation:
+class PluriclosedRelation(NamedTuple):
     alpha: RootVector
     beta: RootVector
     coeffs: dict[RootVector, Fraction]
 
 
-@dataclass(frozen=True)
-class PluriclosedCertificate:
+class PluriclosedCertificate(NamedTuple):
     branch: str
     roots: dict[str, RootVector]
     ordering_simples: tuple[RootVector, ...]

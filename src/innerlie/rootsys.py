@@ -4,8 +4,8 @@ Families A-D at variable rank plus G2, F4, E6 and E8, realized with the
 classical coordinates (E6 sits inside the E8 ambient space, spanned by the
 first six E8 simple roots).  A root is a RootVector, the tuple of twice each
 ambient coordinate (all lie in (1/2)Z) as an int, the same tuple as the
-verifier's doubled vector; the roots are the orbit of the standard base
-under its simple reflections, in those doubled coordinates.
+verifier's doubled vector; the roots are the positive-root orbit of the
+standard simples (`RootSystem`) and its negatives, in those coordinates.
 `Fraction` is left to ambient values read or returned (`dot`) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
@@ -146,24 +146,25 @@ class SimpleSystem:
 
 def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
     """C[i][j] = 2<a_i, a_j> / <a_j, a_j>."""
-    rows = []
-    for a in simples:
-        row = []
-        for b in simples:
-            value, remainder = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
-            if remainder:
-                raise InvariantViolation("non-integral Cartan pairing")
-            row.append(value)
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b))) for b in simples]
+            for a in simples]
+    if any(remainder for row in rows for _, remainder in row):
+        raise InvariantViolation("non-integral Cartan pairing")
+    return tuple(tuple(value for value, _ in row) for row in rows)
 
 
 class RootSystem:
     """Immutable set of roots with a distinguished (standard) base.
 
-    The roots are the orbit of the simples under the simple reflections, in
-    doubled ambient coordinates; their coordinates over the standard base are
-    the verifier's height-walk table (`coordinates`), built once per root set.
+    The positive roots are the orbit of the simples climbing by reflections:
+    a reached v and a simple s give v - k*s when k = 2(v.s)/(s.s) < 0.  That
+    is every positive root and nothing else (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2): s_a permutes the positive roots
+    other than the simple a, and each non-simple positive b has a simple a with
+    <b, a^v> > 0, so b climbs from s_a b, positive and of lower height.  The
+    roots are these and their negatives; their coordinates over the standard
+    base are the verifier's height-walk table (`coordinates`), once per root
+    set, whose walk checks again that they are every root.
     """
 
     def __init__(self, family: str, rank: int, base: SimpleSystem):
@@ -171,21 +172,20 @@ class RootSystem:
         self.rank = rank
         self.base = base
         self.cartan = _cartan(base.simples)
-        # s(v) = v - k*s with k = 2(v.s)/(s.s), a sum of Cartan integers times
-        # v's coordinates, so integral (checked by _cartan) and the division
-        # exact.  Inline, since `reflect` must check (1/2)Z for any input.
+        # k is a sum of Cartan integers (checked by _cartan) times v's coordinates,
+        # so exact.  Inline, since `reflect` must check (1/2)Z for any input.
         mirrors = [(s, sum(map(mul, s, s))) for s in base.simples]
         reached = list(base.simples)
-        roots = set(reached)
-        for v in reached:  # grows as the orbit is walked; -s = s(s) is reached too
+        positive = set(reached)
+        for v in reached:  # grows as the orbit climbs, one height after another
             for s, nsq in mirrors:
                 k = 2 * sum(map(mul, v, s)) // nsq
-                if k:
+                if k < 0:
                     image = RootVector._from_doubled([a - k * b for a, b in zip(v, s)])
-                    if image not in roots:
-                        roots.add(image)
+                    if image not in positive:
+                        positive.add(image)
                         reached.append(image)
-        self.sorted_roots = tuple(sorted(roots))
+        self.sorted_roots = tuple(sorted([*reached, *map(neg, reached)]))
         self.roots = frozenset(self.sorted_roots)
         self.ambient_dim = len(self.sorted_roots[0])
 
@@ -234,36 +234,30 @@ class RootSystem:
 
 
 def _base_coords(family: str, rank: int) -> list[RootVector]:
+    """The standard simple roots in doubled ambient coordinates, as a
+    RootVector holds them: F4's and E8's half-integer simples have +-1."""
+    doubled = RootVector._from_doubled
+
+    def unit(i, size=rank, scale=2):
+        return [scale * (j == i) for j in range(size)]
+
     if family == "A":
-        return [RootVector([int(j == i) - int(j == i + 1) for j in range(rank + 1)])
-                for i in range(rank)]
+        return [doubled(map(sub, unit(i, rank + 1), unit(i + 1, rank + 1))) for i in range(rank)]
     if family in ("B", "C", "D"):
-        def unit(i):
-            return [int(j == i) for j in range(rank)]
-        chain = [RootVector([a - b for a, b in zip(unit(i), unit(i + 1))]) for i in range(rank - 1)]
+        chain = [doubled(map(sub, unit(i), unit(i + 1))) for i in range(rank - 1)]
         if family == "B":
-            return chain + [RootVector(unit(rank - 1))]
+            return chain + [doubled(unit(rank - 1))]
         if family == "C":
-            return chain + [RootVector([2 * c for c in unit(rank - 1)])]
-        last = [a + b for a, b in zip(unit(rank - 2), unit(rank - 1))]
-        return chain + [RootVector(last)]
+            return chain + [doubled(unit(rank - 1, scale=4))]
+        return chain + [doubled(map(add, unit(rank - 2), unit(rank - 1)))]
     if family == "G2":
-        return [root_vector(1, -1, 0), root_vector(-2, 1, 1)]
+        return [doubled((2, -2, 0)), doubled((-4, 2, 2))]
     if family == "F4":
-        return [
-            root_vector(0, 1, -1, 0),
-            root_vector(0, 0, 1, -1),
-            root_vector(0, 0, 0, 1),
-            root_vector("1/2", "-1/2", "-1/2", "-1/2"),
-        ]
+        return [doubled((0, 2, -2, 0)), doubled((0, 0, 2, -2)), doubled((0, 0, 0, 2)),
+                doubled((1, -1, -1, -1))]
     # E8 base; E6 takes its first six simple roots in the same ambient space.
-    e8 = [root_vector("1/2", "-1/2", "-1/2", "-1/2", "-1/2", "-1/2", "-1/2", "1/2"),
-          root_vector(1, 1, 0, 0, 0, 0, 0, 0)]
-    for j in range(3, 9):
-        coords = [0] * 8
-        coords[j - 2] = 1
-        coords[j - 3] = -1
-        e8.append(RootVector(coords))
+    e8 = [doubled((1, -1, -1, -1, -1, -1, -1, 1)), doubled(map(add, unit(0, 8), unit(1, 8)))]
+    e8 += [doubled(map(sub, unit(j - 2, 8), unit(j - 3, 8))) for j in range(3, 9)]
     return e8[:6] if family == "E6" else e8
 
 

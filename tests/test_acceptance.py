@@ -85,16 +85,15 @@ def test_criterion_2_pluriclosed_obstruction(catalog8, analyzed):
         assert ok, f"{pair.name}: {reason}"
         assert (obstruction.branch == "so_1_2n") == pair.is_so_1_2n
     # tamper rejection with the stated reason codes
-    import dataclasses
     sample = analyzed["g2(2)"]["obstruction"]
     g2 = pair_by_name("g2(2)")
-    perturbed = dataclasses.replace(
-        sample, combination=(sample.combination[0] + 1, sample.combination[1]))
+    perturbed = sample._replace(
+        combination=(sample.combination[0] + 1, sample.combination[1]))
     assert verify_certificate(perturbed, g2) == (False, "elimination failed")
     signs = dict(sample.variable_signs)
     root = next(iter(signs))
     signs[root] = -signs[root]
-    flipped = dataclasses.replace(sample, variable_signs=signs)
+    flipped = sample._replace(variable_signs=signs)
     assert verify_certificate(flipped, g2) == (False, "sign pattern violated")
     print("\nACCEPTANCE 2 (pluriclosed obstruction certificates + tamper rejection): PASS")
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import json
 import os
@@ -185,9 +184,20 @@ def test_catalog_pairs_cannot_be_changed():
     a change to it would reach every later caller and verification."""
     pair = pair_by_name("G2(2)")
     assert pair is next(p for p in catalog(8) if p.name == "g2(2)")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pair.dim_k = 7
     assert pair.dim_k == 6
+    # No attribute of the pair or of its grading can be assigned or deleted.
+    for record in (pair, pair.grading):
+        for name in type(record).__slots__:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is before, name
+        with pytest.raises(AttributeError):
+            record.extra = 1
     assert certkit.verify_data(json.loads(certkit.serialize(certkit.analyze_pair("g2(2)")))).ok
     # p = 0 would make so(5,4) read as so(1,2n) to every later caller.
     pair = pair_by_name("so(5,4)")
@@ -718,6 +728,7 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
 def test_cold_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     """As above, with the chamber and relation caches cleared first, so the
     height walk and the relations run under the patches."""
+    certkit._chamber_roots.cache_clear()
     certkit._chamber.cache_clear()
     certkit._relation.cache_clear()
     test_verifier_reads_no_integer_tables(g2_data, monkeypatch)
@@ -731,31 +742,37 @@ def _frozen(value) -> bool:
 
 
 def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
-    """Both caches are bounded and hand out nothing mutable; a refused claim
-    is not stored; 384 chambers of B4 leave the chamber cache within its
+    """The caches are bounded and hand out nothing mutable; a refused claim
+    is not stored; 384 chambers of B4 leave each chamber cache within its
     bound."""
     from innerlie.rootsys import all_simple_systems
 
-    assert certkit._chamber.cache_info().maxsize == 256
+    chamber_caches = (certkit._chamber_roots, certkit._chamber)
+    assert [cache.cache_info().maxsize for cache in chamber_caches] == [256, 256]
     assert certkit._relation.cache_info().maxsize == 1024
     pair = pair_by_name("so(5,4)")
     a1, a2, a3, a4 = base = pair.system.base.simples
 
-    certkit._chamber.cache_clear()
+    for cache in chamber_caches:
+        cache.cache_clear()
     record = certkit._claimed_chamber(pair, base)
     assert isinstance(record, tuple) and _frozen(record)
     assert isinstance(record[0], frozenset) and isinstance(record[1], frozenset)
+    assert certkit._claimed_roots(pair, base) == record[:2] and _frozen(record[:2])
     for claim in ([a1, a1, a3, a4], [a1, -a1, a3, a4], [a1, a2, a3]):
-        with pytest.raises(RootSystemError):
-            certkit._claimed_roots(pair, claim)
-        assert certkit._chamber.cache_info().currsize == 1
+        for read in (certkit._claimed_roots, certkit._claimed_chamber):
+            with pytest.raises(RootSystemError):
+                read(pair, claim)
+            assert [cache.cache_info().currsize for cache in chamber_caches] == [1, 1]
 
     systems = all_simple_systems(pair.system)
     assert len(systems) == 384
     for system in systems:
         certkit._claimed_roots(pair, system.simples)
-    info = certkit._chamber.cache_info()
-    assert info.currsize <= info.maxsize
+        certkit._claimed_chamber(pair, system.simples)
+    for cache in chamber_caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
 
     positive = record[0]
     relation = certkit._derived_relation(pair.system.roots, positive, a1, a2)
@@ -777,11 +794,13 @@ def test_generated_at_is_utc_to_the_second():
 
 
 def test_cli_import_leaves_datetime_out():
-    """No module of the package imports datetime (about 0.4 MB of peak RSS)."""
+    """No module of the package imports datetime (about 0.4 MB of peak RSS),
+    nor dataclasses, which imports inspect (about 1 MB)."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, innerlie.cli; print('datetime' in sys.modules)"],
+        [sys.executable, "-c", "import sys, innerlie.cli; "
+         "print([m for m in ('datetime', 'dataclasses', 'inspect') if m in sys.modules])"],
         capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_walk_keys_are_distinct_under_the_radix_bound():

@@ -1,17 +1,18 @@
 """Chamber-by-chamber equivalence of the root core's base check, the
-verifier's height walk over the claimed base and a Fraction Gram-inverse
-reference.  The core's check, `RootSystem.validate_base` (the "integer"
-path), runs the verifier's walk and returns its table, keyed by RootVector;
-it stores nothing.
+verifier's height walk over the claimed base and a Gram-matrix reference.
+The core's check, `RootSystem.validate_base` (the "integer" path), runs the
+verifier's walk and returns its table, keyed by RootVector; it stores
+nothing.
 
-The reference is the decomposition the package used before the integer
-core: solve against the Gram matrix of the simple roots in exact rationals,
-recompose to check span membership, then require integral one-sign
-coordinates.  It works on ambient Fraction tuples of its own, read by
-`_ambient` from a RootVector, the tuple of twice each ambient coordinate.
+The reference solves against the Gram matrix of the simple roots, not by a
+walk: on the tuple of twice each ambient coordinate that a RootVector is,
+read as plain ints, it takes the doubled Gram matrix's determinant and
+adjugate once per base (`_adjugate`), gives each root det times its
+coordinates, recomposes them to check span membership, then requires
+integral one-sign coordinates.  It is integer arithmetic of its own, with
+no RootVector operation.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -32,30 +33,31 @@ from innerlie.rootsys import (
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]
 
 
-def _ambient(v):
-    return tuple(Fraction(c, 2) for c in v)
-
-
 def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _gram_inverse(simples):
+def _adjugate(simples):
+    """(d, X) for the doubled Gram matrix G of `simples`, with d = +-det G
+    and X = d * G^-1 = +-adj G, both integral: Bareiss's fraction-free
+    Gauss-Jordan elimination of [G | I], which ends at [d*I | X].  Every
+    division is exact, each entry being a minor of [G | I]."""
     n = len(simples)
-    gram = [[_dot(simples[i], simples[j]) for j in range(n)] for i in range(n)]
-    aug = [gram[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[_dot(a, b) for b in simples] + [int(i == j) for j in range(n)]
+            for i, a in enumerate(simples)]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise RootSystemError("simple roots are linearly dependent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != col:
+                lead = rows[r][col]
+                rows[r] = [(top[col] * x - lead * y) // previous for x, y in zip(rows[r], top)]
+        previous = top[col]
+    return previous, [row[n:] for row in rows]
 
 
 # (root system, simples) -> the reference table, or the reason it refused
@@ -80,23 +82,20 @@ def reference_decomposition(rs, simples):
 def _reference_decomposition(rs, simples):
     if len(simples) != rs.rank or not all(rs.is_root(s) for s in simples):
         raise RootSystemError("not rank-many roots")
-    simples = [_ambient(s) for s in simples]
-    inverse = _gram_inverse(simples)
+    det, adjugate = _adjugate(simples)
     table = {}
     for root in rs.sorted_roots:
-        v = _ambient(root)
-        rhs = [_dot(v, s) for s in simples]
-        coeffs = [sum((row[j] * rhs[j] for j in range(len(simples))), Fraction(0))
-                  for row in inverse]
-        recomposed = [sum((c * s[d] for c, s in zip(coeffs, simples)), Fraction(0))
-                      for d in range(len(v))]
-        if recomposed != list(v):
+        pairings = [_dot(root, s) for s in simples]
+        scaled = [_dot(row, pairings) for row in adjugate]  # det times the coordinates
+        recomposed = [_dot(scaled, column) for column in zip(*simples)]
+        if recomposed != [det * c for c in root]:
             raise RootSystemError("outside the span")
-        if any(c.denominator != 1 for c in coeffs):
+        if any(c % det for c in scaled):
             raise RootSystemError("non-integral")
+        coeffs = [c // det for c in scaled]
         if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
             raise RootSystemError("mixed-sign")
-        table[root] = tuple(int(c) for c in coeffs)
+        table[root] = tuple(coeffs)
     return table
 
 
@@ -128,7 +127,7 @@ def accepted(path, rs, simples):
 @pytest.mark.parametrize("family,rank", SYSTEMS)
 def test_every_chamber_decomposes_identically(family, rank):
     """In every chamber the coordinates, and for each single painted node
-    the positive and the compact roots, agree with the Fraction reference."""
+    the positive and the compact roots, agree with the Gram-matrix reference."""
     rs = build_root_system(family, rank)
     nodes = range(rank)
     for simples in (system.simples for system in all_simple_systems(rs)):
@@ -153,6 +152,10 @@ B2_NEGATIVES = {
     "not unimodular": [root_vector(1, 1), root_vector(1, -1)],
     "mixed sign": [root_vector(1, 0), root_vector(0, 1)],
     "dependent": [root_vector(1, 0), root_vector(-1, 0)],
+    # Every root is a one-signed integral combination of these two, but the
+    # second is half a root: only the root-membership check refuses it.
+    "half a simple root": [root_vector(1, -1), root_vector(0, "1/2")],
+    "one root short": [root_vector(1, 0)],
 }
 
 
@@ -235,7 +238,7 @@ def verifier_roots(rs, simples, nodes):
 
 
 def reference_roots(rs, simples, nodes):
-    """For each single painted node, the roots with nonnegative Fraction
+    """For each single painted node, the roots with nonnegative reference
     coordinates over `simples`, and those of them whose coordinates over the
     standard base are even there."""
     positive = {v for v, c in reference_decomposition(rs, simples).items() if min(c) >= 0}
@@ -248,7 +251,7 @@ def reference_roots(rs, simples, nodes):
 @given(word=WORDS)
 def test_reflected_bases_decompose_as_the_reference(family, rank, word):
     """Coordinates over a moved base, and the positive and the compact roots
-    of the grading painted at each single node, agree with the Fraction
+    of the grading painted at each single node, agree with the Gram-matrix
     reference."""
     rs = build_root_system(family, rank)
     simples = _reflected_base(rs, word)

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
@@ -192,8 +191,7 @@ def _fresh_cert(name="g2(2)"):
 
 def test_tamper_combination_elimination_fails():
     pair, cert = _fresh_cert()
-    tampered = dataclasses.replace(cert, combination=(cert.combination[0] + 1,
-                                                      cert.combination[1]))
+    tampered = cert._replace(combination=(cert.combination[0] + 1, cert.combination[1]))
     ok, reason = verify_certificate(tampered, pair)
     assert not ok and reason == "elimination failed"
 
@@ -203,7 +201,7 @@ def test_tamper_sign_constraint_flagged():
     signs = dict(cert.variable_signs)
     some_root = next(iter(signs))
     signs[some_root] = -signs[some_root]
-    tampered = dataclasses.replace(cert, variable_signs=signs)
+    tampered = cert._replace(variable_signs=signs)
     ok, reason = verify_certificate(tampered, pair)
     assert not ok and reason == "sign pattern violated"
 
@@ -214,8 +212,8 @@ def test_tamper_relation_coefficient_detected():
     coeffs = dict(relation.coeffs)
     some_root = next(iter(coeffs))
     coeffs[some_root] += 1
-    tampered_relation = dataclasses.replace(relation, coeffs=coeffs)
-    tampered = dataclasses.replace(cert, relations=(tampered_relation, cert.relations[1]))
+    tampered_relation = relation._replace(coeffs=coeffs)
+    tampered = cert._replace(relations=(tampered_relation, cert.relations[1]))
     ok, reason = verify_certificate(tampered, pair)
     assert not ok and reason == "relation mismatch"
 
@@ -225,14 +223,14 @@ def test_tamper_conclusion_detected():
     coeffs = dict(cert.conclusion_coeffs)
     some_root = next(iter(coeffs))
     coeffs[some_root] += 1
-    tampered = dataclasses.replace(cert, conclusion_coeffs=coeffs)
+    tampered = cert._replace(conclusion_coeffs=coeffs)
     ok, reason = verify_certificate(tampered, pair)
     assert not ok and reason == "conclusion mismatch"
 
 
 def test_tamper_branch_detected():
     pair, cert = _fresh_cert()
-    tampered = dataclasses.replace(cert, branch="so_1_2n")
+    tampered = cert._replace(branch="so_1_2n")
     ok, reason = verify_certificate(tampered, pair)
     assert not ok
 

@@ -225,8 +225,8 @@ def test_base_decomposition_one_signed():
 
 def test_standard_coordinates_equal_the_gram_inverse_reference(catalog8):
     """For every root system of the rank-8 catalog, the standard base's
-    coordinates are those the Fraction Gram-inverse reference of the chamber
-    tests gives, read from the verifier's table of them."""
+    coordinates are those the Gram-matrix reference of the chamber tests
+    gives, read from the verifier's table of them."""
     from test_chambers import _reference_decomposition
 
     systems = {id(pair.system): pair.system for pair in catalog8}.values()
@@ -341,3 +341,77 @@ def test_root_order_is_the_ambient_lexicographic_order():
         rs = build_root_system(family, 8)
         ambient = sorted(rs.roots, key=lambda v: [F(c, 2) for c in v])
         assert sorted(rs.roots) == list(rs.sorted_roots) == ambient
+
+
+# ---------------------------------------------------------------------------
+# The orbit and the standard bases against references of the test tree
+# ---------------------------------------------------------------------------
+
+def _reference_base(family, rank):
+    """The standard simple roots in ambient coordinates, as Fractions, each
+    then doubled to a tuple of ints: E6 is the first six E8 simples."""
+    half = F(1, 2)
+
+    def unit(i, size):
+        return [F(int(j == i)) for j in range(size)]
+
+    def minus(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    if family == "A":
+        ambient = [minus(unit(i, rank + 1), unit(i + 1, rank + 1)) for i in range(rank)]
+    elif family in ("B", "C", "D"):
+        ambient = [minus(unit(i, rank), unit(i + 1, rank)) for i in range(rank - 1)]
+        last = {"B": unit(rank - 1, rank), "C": [2 * c for c in unit(rank - 1, rank)],
+                "D": [x + y for x, y in zip(unit(rank - 2, rank), unit(rank - 1, rank))]}
+        ambient.append(last[family])
+    elif family == "G2":
+        ambient = [[F(1), F(-1), F(0)], [F(-2), F(1), F(1)]]
+    elif family == "F4":
+        ambient = [minus(unit(1, 4), unit(2, 4)), minus(unit(2, 4), unit(3, 4)), unit(3, 4),
+                   [half, -half, -half, -half]]
+    else:
+        ambient = [[half, -half, -half, -half, -half, -half, -half, half],
+                   [F(1), F(1)] + [F(0)] * 6]
+        ambient += [minus(unit(j - 2, 8), unit(j - 3, 8)) for j in range(3, 9)]
+        ambient = ambient[:rank]
+    doubled = [[2 * c for c in v] for v in ambient]
+    assert all(c.denominator == 1 for v in doubled for c in v)
+    return [tuple(int(c) for c in v) for v in doubled]
+
+
+def _two_sided_orbit(simples):
+    """The orbit of `simples` (tuples of ints) under their reflections
+    v -> v - k*s, k = 2(v.s)/(s.s), climbing and descending alike."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    reached = list(simples)
+    roots = set(reached)
+    for v in reached:
+        for s in simples:
+            k, remainder = divmod(2 * dot(v, s), dot(s, s))
+            assert not remainder
+            image = tuple(a - k * b for a, b in zip(v, s))
+            if image not in roots:
+                roots.add(image)
+                reached.append(image)
+    return roots
+
+
+def test_orbit_and_standard_base_equal_the_test_references():
+    """For every root system of the rank-16 catalog, the standard base is the
+    reference spelled in ambient Fractions, and the roots, with their order,
+    are the two-sided reflection orbit of that base."""
+    from innerlie.pairs import catalog
+    from innerlie.rootsys import _base_coords
+
+    systems = sorted({(pair.family, pair.rank) for pair in catalog(16)})
+    assert len(systems) == 34
+    for family, rank in systems:
+        base = _reference_base(family, rank)
+        assert [tuple(v) for v in _base_coords(family, rank)] == base, (family, rank)
+        rs = build_root_system(family, rank)
+        orbit = _two_sided_orbit(base)
+        assert rs.roots == orbit, (family, rank)
+        assert [tuple(v) for v in rs.sorted_roots] == sorted(orbit), (family, rank)

@@ -451,6 +451,7 @@ def _reflected_simples(d):
 
 
 def _cold_caches():
+    certkit._chamber_roots.cache_clear()
     certkit._chamber.cache_clear()
     certkit._relation.cache_clear()
 
