@@ -19,45 +19,16 @@ other by the strict parse of each coordinate, so every root becomes its
 doubled ambient vector, a tuple of integers equal to the catalog's
 `RootVector` for it; every check is integer arithmetic on those, with
 metric values, relation coefficients and weights kept exact (an int when
-integral, else a Fraction).  One height walk checks the claimed simple
-roots, on integer keys that pack each doubled root into one int (the bound
-that makes this sound is at `_RADIX`): each reached root plus a simple,
-when a root, is reached.  The claim must reach every root up to sign, and
-the roots reached are the positive ones (`_claimed_walk`).  The compact
-roots are a set per grading (`_compact`): those whose coordinates over the
-standard base (one walk per root set, `_standard_coordinates`) sum to an
-even number at the painted nodes, the Z2 character of the root lattice that
-the painted nodes define (`_claimed_roots`).  The tables and sets are built
-on first use and hold nothing of a certificate.
+integral, else a Fraction).  The claimed simple roots are checked, and the
+positive and compact roots read, by the height walk of `walk`, once per
+chamber (a pair with its claimed simples); `walk`'s docstring also describes
+this module's two caches, `_texts` and `_relation`.
 The verifier uses no code of the solvers or of the integer root core.  The
 pluriclosed relation is stated once, in `_derived_relation`: the builder
 takes each relation from it, so on the builder's own output the relation
 check holds by construction, and what checks the formula itself is the
 Fraction reference in `tests/test_verifier_reference.py` and the golden
 digests.
-
-Everything the verifier caches is keyed by value.  `_keys` and `_texts` (per
-root set), `_standard_coordinates` (per root set and base) and `_compact`
-(per grading) are unbounded, one entry per catalog root system or grading.
-Three caches are bounded, so that a process walks a chamber, and derives a
-relation, once rather than once per certificate:
-
-- `_chamber_roots` and `_chamber` (256 entries each, room for the 199
-  chambers of rank <= 16) are keyed by the root set, the rank, the claimed
-  simples as read, the standard base and the painted nodes.  The first holds
-  the positive and the compact positive roots (frozensets); the second adds
-  each side's roots and their columns, and delta (tuples).
-- `_relation` (1024 entries) is keyed by the root set, alpha, beta and
-  whether alpha - beta is positive, the four values that decide a relation.
-  It holds the relation's items as a tuple; `_derived_relation` hands each
-  caller a dict of its own.
-
-Each is sound because it is a pure function of the values in its key,
-stores only immutable entries and never stores a refusal: `lru_cache` keeps
-no exception, so a refused claim is walked, and refused, again.  Full, they
-take at most about 13.2 MiB (256 chambers of B16 or C16, the largest rank-16
-records, in both chamber caches), 4.1 MiB more when `_chamber_roots` holds
-256 other chambers, and 0.6 MiB (1024 rank-16 relations), by tracemalloc.
 """
 
 from __future__ import annotations
@@ -77,6 +48,7 @@ from typing import NamedTuple
 from . import __version__
 from .pairs import InnerPair, pair_by_name
 from .rootsys import RootSystemError, RootVector
+from .walk import _claimed_chamber, _claimed_roots
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "innerlie"
@@ -243,12 +215,12 @@ def save(cert: dict, path: str) -> None:
 #
 # Every root is named by its doubled ambient vector, a tuple of integers
 # (coordinates lie in (1/2)Z); a catalog root, a RootVector, is that tuple.
-# The height walk names each root by an integer key instead (`_RADIX`).
+# The height walk (`walk`) names each root by an integer key instead.
 # The verifier reads the root set, the standard base and the painted nodes
 # as they are, but no method of `rootsys` and no RootVector arithmetic (its
-# own sums are plain `map(add, ...)` tuples and key sums).  The builder reads
-# the checker's coordinate tables (`validate_base`, `RootSystem.coordinates`)
-# and relations (`_derived_relation`), never the other way round.
+# own sums are plain `map(add, ...)` tuples and key sums).  The builder shares
+# the walk and reads the verifier's relations (`_derived_relation`), never
+# the other way round.
 # ---------------------------------------------------------------------------
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
@@ -356,117 +328,11 @@ class _Reader:
         return out
 
 
-# The height walk names a doubled root v by its key, sum v[i] * _RADIX**i.
-# Every doubled coordinate of a catalog root has size at most 4 (C's 2e_i,
-# G2's (-2, 1, 1)), so a root plus a simple root has coordinates of size at
-# most 8, far below _RADIX / 2: key(v + s) = key(v) + key(s), key(-v) = -key(v),
-# and no two vectors the walk meets share a key.
-_RADIX = 256
-
-
-@lru_cache(maxsize=None)
-def _keys(roots: frozenset) -> tuple[dict, dict]:
-    """({key: root}, {root: key}) for a root set, built once per set."""
-    units = [_RADIX ** i for i in range(len(next(iter(roots))))]
-    key_of = {v: sum(map(mul, v, units)) for v in roots}
-    return {k: v for v, k in key_of.items()}, key_of
-
-
 @lru_cache(maxsize=None)
 def _texts(roots: frozenset) -> dict:
     """{a root's coordinates as a certificate spells them: the root} for a
     root set, built once per set."""
     return {tuple(_vec_to_json(v)): v for v in roots}
-
-
-def _claimed_walk(roots, rank: int, simples) -> tuple[dict, list]:
-    """({key: root}, [(key, label)] by height): the claimed simples' keys, the
-    i-th labelled _RADIX**i, then each new key that is a reached key plus a
-    simple's, labelled with its parent's label plus that simple's, so that a
-    positive root's label is its coordinates, packed.  A claimed simple is
-    looked up among the roots, never packed.
-
-    The claim is a base exactly when it has `rank` members, all roots, and
-    the reached set R with -R is every root: the simples then span the root
-    space, so each root has unique coordinates over them, of one sign in R
-    and in -R.  A genuine base passes, each positive root being a simple plus
-    a positive root of smaller height.  Anything else raises RootSystemError.
-    """
-    if len(simples) != rank:
-        raise RootSystemError(f"expected {rank} simple roots, got {len(simples)}")
-    by_key, key_of = _keys(frozenset(roots))
-    keys = [key_of.get(s) for s in simples]
-    if None in keys:
-        raise RootSystemError("a claimed simple root is not a root")
-    steps = [(k, _RADIX ** i) for i, k in enumerate(keys)]
-    reached, unseen = list(steps), by_key.keys() - set(keys)
-    for v, c in reached:  # grows as the walk goes, one height after another
-        for s, unit in steps:
-            w = v + s
-            if w in unseen:
-                unseen.remove(w)
-                reached.append((w, c + unit))
-    if not unseen.isdisjoint(map(neg, unseen)):  # a root and its negative both unreached
-        raise RootSystemError("the claimed simple roots do not reach every root up to sign")
-    return by_key, reached
-
-
-def _claimed_coordinates(roots, rank: int, simples) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Coordinates of every root over a claimed base (see `_claimed_walk`), all
-    doubled vectors, read from the bytes of the labels: each is 0 to 6."""
-    by_key, reached = _claimed_walk(roots, rank, simples)
-    coords = {}
-    for k, label in reached:
-        c = coords[by_key[k]] = tuple(label.to_bytes(rank, "little"))
-        coords[by_key[-k]] = tuple(map(neg, c))
-    return coords
-
-
-@lru_cache(maxsize=None)
-def _standard_coordinates(roots: frozenset, base: tuple) -> dict:
-    """`_claimed_coordinates` over the standard base, once per root set."""
-    return _claimed_coordinates(roots, len(base), base)
-
-
-@lru_cache(maxsize=None)
-def _compact(roots: frozenset, base: tuple, painted: tuple) -> frozenset:
-    """The roots whose standard coordinates sum to an even number at `painted`."""
-    return frozenset(v for v, c in _standard_coordinates(roots, base).items()
-                     if sum(c[i] for i in painted) % 2 == 0)
-
-
-@lru_cache(maxsize=256)
-def _chamber_roots(roots: frozenset, rank: int, simples: tuple, base: tuple,
-                   painted: tuple) -> tuple[frozenset, frozenset]:
-    """(positive roots, compact positive roots) over a claimed base (see
-    `_claimed_walk`), all doubled vectors: the roots the walk reaches, and
-    those among them in the grading's compact set (`_compact`).  A refused
-    claim raises, so nothing of it is stored."""
-    by_key, reached = _claimed_walk(roots, rank, simples)
-    positive = frozenset([by_key[k] for k, _ in reached])
-    return positive, positive & _compact(roots, base, painted)
-
-
-@lru_cache(maxsize=256)
-def _chamber(roots: frozenset, rank: int, simples: tuple, base: tuple, painted: tuple) -> tuple:
-    """`_chamber_roots`'s two sets, each side as (its roots in their set's
-    order, their columns), and delta, the column sum of the positive roots."""
-    positive, compact = _chamber_roots(roots, rank, simples, base, painted)
-    empty = ((),) * len(base[0])  # the columns of no roots, each summing to 0
-    sides = [(tuple(side), tuple(zip(*side)) or empty) for side in (compact, positive - compact)]
-    return (positive, compact, *sides, tuple(map(sum, zip(*positive))))
-
-
-def _claimed_chamber(pair: InnerPair, simples) -> tuple:
-    """`_chamber` for a pair and the claimed simples."""
-    rs = pair.system
-    return _chamber(rs.roots, rs.rank, tuple(simples), rs.base.simples, pair.grading.painted)
-
-
-def _claimed_roots(pair: InnerPair, simples) -> tuple[frozenset, frozenset]:
-    """`_chamber_roots` for a pair and the claimed simples."""
-    rs = pair.system
-    return _chamber_roots(rs.roots, rs.rank, tuple(simples), rs.base.simples, pair.grading.painted)
 
 
 def _balanced(metric: dict, chamber: tuple) -> bool:

@@ -5,8 +5,8 @@ roots into compact and noncompact ones.  The grading is stored as painted-node
 data on the fixed standard base: a root is noncompact exactly when the parity
 of its coefficient sum over the painted simple roots is odd.  The grading is
 stated once, relative to the standard base, and is never mutated when the
-choice of positive roots changes.  It is tabulated in one pass over the
-standard coordinate table, by the parity `certkit._compact` computes.
+choice of positive roots changes.  The grading holds the set of compact
+roots that `walk._compact` tabulates, the same set the verifier reads.
 
 Every catalog entry paints its conventional node and is validated against the
 known dimensions of the subalgebra pair: rank + |R| must equal dim g and
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import compress
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,8 +29,10 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     RootVector,
+    _Frozen,
     build_root_system,
 )
+from .walk import _compact
 
 
 # The largest rank a pair name may build.  It bounds the work a name can ask
@@ -43,36 +44,20 @@ class CatalogError(RuntimeError):
     """Catalog data is inconsistent (a bug in the tables, not user input)."""
 
 
-class _Frozen:
-    """Slots set once, in `__init__`: assigning or deleting one raises."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
-
-
 class CompactnessGrading(_Frozen):
     """Z2 grading of the root lattice given by painted standard simple roots."""
 
     __slots__ = ("system", "painted", "_compact")
 
-    def __init__(self, system: RootSystem, painted: tuple[int, ...]):
-        mask = [i in painted for i in range(system.rank)]  # painted: 0-based indices
-        compact = {v: not sum(compress(c, mask)) % 2 for v, c in system._standard.items()}
-        for slot, value in zip(self.__slots__, (system, painted, compact)):
-            object.__setattr__(self, slot, value)
+    def __init__(self, system: RootSystem, painted: tuple[int, ...]):  # 0-based indices
+        self._set(system, painted, _compact(system.roots, system.base.simples, painted))
 
     def is_compact(self, root: RootVector) -> bool:
-        compact = self._compact.get(root)
-        if compact is None:
-            self.system.require_root(root)
-        return compact
+        self.system.require_root(root)
+        return root in self._compact
 
     def compact_count(self) -> int:
-        return sum(self._compact.values())
+        return len(self._compact)
 
 
 class InnerPair(_Frozen):
@@ -85,10 +70,8 @@ class InnerPair(_Frozen):
     def __init__(self, name: str, family: str, rank: int, params: Mapping | None = None,
                  system: RootSystem = None, grading: CompactnessGrading = None,
                  dim_g: int = 0, dim_k: int = 0, aliases: tuple[str, ...] = ()):
-        for slot, value in zip(self.__slots__, (
-                name, family, rank, MappingProxyType(dict(params or {})), system, grading,
-                dim_g, dim_k, aliases)):
-            object.__setattr__(self, slot, value)
+        self._set(name, family, rank, MappingProxyType(dict(params or {})), system, grading,
+                  dim_g, dim_k, aliases)
 
     @property
     def painted_node(self) -> int:

@@ -9,13 +9,13 @@ standard simples (`RootSystem`) and its negatives, in those coordinates.
 `Fraction` is left to ambient values read or returned (`dot`) and to
 metric, relation and curvature values.  No floating point is used anywhere.
 
-Every base's integer coordinates are the verifier's height walk on integer
-keys of the roots, which also checks the base: the standard base's table is
-cached with the verifier's, once per root set (`coordinates`), and any other
-base's is what `validate_base` returns; a SimpleSystem holds only its
-simples.  Sums of roots are tested against the root set as ambient vectors,
-the names the package and the certificates give to roots.  Root strings and
-N^2 are the verifier's (`certkit._derived_relation`).
+Every base's integer coordinates are the height walk of `walk`, which also
+checks the base and which the verifier runs too: the standard base's table is
+`walk`'s record of the root set (`coordinates`), and any other base's is what
+`validate_base` returns; a SimpleSystem holds only its simples.  Sums of
+roots are tested against the root set as ambient vectors, the names the
+package and the certificates give to roots.  Root strings and N^2 are the
+verifier's (`certkit._derived_relation`).
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product
@@ -27,9 +27,12 @@ invariant under positive scaling, so the constant is never needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
+
+from .walk import RootSystemError, _claimed_coordinates, _table
+
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E8")
 
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E8": 8}
@@ -44,10 +47,6 @@ _ROOT_COUNT = {
     "E6": lambda r: 72,
     "E8": lambda r: 240,
 }
-
-
-class RootSystemError(ValueError):
-    """Invalid root-system input (bad family/rank, non-root argument...)."""
 
 
 class InvariantViolation(RuntimeError):
@@ -127,15 +126,32 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
     return RootVector._from_doubled(c // nsq for c in scaled)
 
 
-class SimpleSystem:
+class _Frozen:
+    """Slots set once, in `__init__` by `_set`: assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for slot, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class SimpleSystem(_Frozen):
     """An ordered choice of simple roots, nothing more: the coordinates of the
     roots over it come from `RootSystem.validate_base`, which checks it."""
 
+    __slots__ = ("simples", "rank")
+
     def __init__(self, simples: Sequence[RootVector]):
-        self.simples = tuple(simples)
-        if not self.simples:
+        simples = tuple(simples)
+        if not simples:
             raise RootSystemError("a simple system needs at least one root")
-        self.rank = len(self.simples)
+        self._set(simples, len(simples))
 
     def key(self) -> frozenset[RootVector]:
         return frozenset(self.simples)
@@ -153,8 +169,9 @@ def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(value for value, _ in row) for row in rows)
 
 
-class RootSystem:
-    """Immutable set of roots with a distinguished (standard) base.
+class RootSystem(_Frozen):
+    """Read-only set of roots with a distinguished (standard) base, shared
+    by every caller of `build_root_system`.
 
     The positive roots are the orbit of the simples climbing by reflections:
     a reached v and a simple s give v - k*s when k = 2(v.s)/(s.s) < 0.  That
@@ -163,15 +180,14 @@ class RootSystem:
     other than the simple a, and each non-simple positive b has a simple a with
     <b, a^v> > 0, so b climbs from s_a b, positive and of lower height.  The
     roots are these and their negatives; their coordinates over the standard
-    base are the verifier's height-walk table (`coordinates`), once per root
-    set, whose walk checks again that they are every root.
+    base are `walk`'s table of the root set (`coordinates`), whose walk
+    checks again that they are every root.
     """
 
+    __slots__ = ("family", "rank", "base", "cartan", "sorted_roots", "roots", "ambient_dim")
+
     def __init__(self, family: str, rank: int, base: SimpleSystem):
-        self.family = family
-        self.rank = rank
-        self.base = base
-        self.cartan = _cartan(base.simples)
+        cartan = _cartan(base.simples)
         # k is a sum of Cartan integers (checked by _cartan) times v's coordinates,
         # so exact.  Inline, since `reflect` must check (1/2)Z for any input.
         mirrors = [(s, sum(map(mul, s, s))) for s in base.simples]
@@ -185,9 +201,9 @@ class RootSystem:
                     if image not in positive:
                         positive.add(image)
                         reached.append(image)
-        self.sorted_roots = tuple(sorted([*reached, *map(neg, reached)]))
-        self.roots = frozenset(self.sorted_roots)
-        self.ambient_dim = len(self.sorted_roots[0])
+        sorted_roots = tuple(sorted([*reached, *map(neg, reached)]))
+        self._set(family, rank, base, cartan, sorted_roots, frozenset(sorted_roots),
+                  len(sorted_roots[0]))
 
     def is_root(self, v: RootVector) -> bool:
         return v in self.roots
@@ -196,33 +212,26 @@ class RootSystem:
         if not self.is_root(v):
             raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}")
 
-    @cached_property
-    def _standard(self) -> dict[RootVector, tuple[int, ...]]:
-        """The verifier's table of the standard coordinates, the very dict."""
-        from .certkit import _standard_coordinates  # certkit imports rootsys
-        return _standard_coordinates(self.roots, self.base.simples)
-
     def coordinates(self, v: RootVector) -> tuple[int, ...]:
         """Integer coordinates of a root over the standard base."""
-        try:
-            return self._standard[v]
-        except KeyError:
-            raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}") from None
+        self.require_root(v)
+        return _table(self.roots, self.base.simples)[2][v]
 
     @property
     def positive_roots(self) -> tuple[RootVector, ...]:
         """Positive roots of the standard base, in lexicographic order."""
-        return tuple(v for v in self.sorted_roots if min(self._standard[v]) >= 0)
+        standard = _table(self.roots, self.base.simples)[2]
+        return tuple(v for v in self.sorted_roots if min(standard[v]) >= 0)
 
     def validate_base(self, system: SimpleSystem) -> dict[RootVector, tuple[int, ...]]:
         """The integer coordinates of every root over `system`, all of one sign,
         which proves `system` a genuine simple system for this root system.
 
-        The check is the verifier's height walk, `certkit._claimed_coordinates`;
-        anything but a base raises RootSystemError.  Nothing is stored.
+        The check is the height walk, `walk._claimed_coordinates`; anything
+        but a base raises RootSystemError.  Nothing is stored.
         """
-        from .certkit import _claimed_coordinates  # certkit imports rootsys
-        return _claimed_coordinates(self.roots, self.rank, system.simples)
+        return _claimed_coordinates(_table(self.roots, self.base.simples), self.rank,
+                                    system.simples)
 
     def reflected_base(self, p: int) -> SimpleSystem:
         """The standard base reflected in its p-th simple root, sorted."""
@@ -294,16 +303,12 @@ def all_simple_systems(rs: RootSystem) -> list[SimpleSystem]:
 
     Intended for small ranks; enumerating E8 chambers is out of scope.
     """
-    start = frozenset(rs.base.simples)
-    seen = {start}
-    order = [start]
-    queue = [start]
-    while queue:
-        current = queue.pop(0)
+    order = [frozenset(rs.base.simples)]
+    seen = set(order)
+    for current in order:  # grows as the search goes, one reflection after another
         for mirror in sorted(current):
             image = frozenset(reflect(v, mirror) for v in current)
             if image not in seen:
                 seen.add(image)
                 order.append(image)
-                queue.append(image)
     return [SimpleSystem(sorted(s)) for s in order]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
+import innerlie.walk as walk
 from innerlie.cli import main
 from innerlie.pairs import catalog, pair_by_name
 from innerlie.rootsys import InvariantViolation, RootSystemError, RootVector
@@ -700,6 +701,47 @@ def test_verifier_module_independent_of_solvers():
     assert not top_level_imports & {"balanced", "pluriclosed", "chern", "ordering"}
 
 
+# The builders `analyze_pair` runs, imported inside it, since each imports
+# `certkit`; they wait for `analyze_pair` to move to the builder side
+# (ROADMAP item 3).
+ANALYZE_PAIR_IMPORTS = {("certkit", "analyze_pair", module)
+                        for module in ("balanced", "chern", "pluriclosed")}
+
+
+def test_package_imports_form_no_cycle():
+    """`walk` imports nothing of the package, no module imports another
+    inside a function but `analyze_pair`, and the package's modules import
+    one another at the top level without a cycle (`__init__` aside)."""
+    import ast
+    from pathlib import Path
+
+    package = Path(certkit.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    nested, graph = set(), {}
+    for name, tree in modules.items():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update((name, scope.name, node.module) for node in ast.walk(scope)
+                              if isinstance(node, ast.ImportFrom) and node.level)
+        if name != "__init__":
+            graph[name] = {target for node in tree.body
+                           if isinstance(node, ast.ImportFrom) and node.level
+                           for target in ([node.module] if node.module else
+                                          [alias.name for alias in node.names])
+                           if target in modules and target != "__init__"}
+    assert nested == ANALYZE_PAIR_IMPORTS
+    walk_imports = [node for node in ast.walk(modules["walk"])
+                    if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.Import) or node.level == 0 for node in walk_imports)
+    assert not [alias.name for node in walk_imports for alias in node.names
+                if (getattr(node, "module", None) or alias.name).startswith("innerlie")]
+    while graph:  # drop the modules that import none of those left
+        leaves = {name for name, targets in graph.items() if not targets & graph.keys()}
+        assert leaves, f"import cycle among {sorted(graph)}"
+        for name in leaves:
+            del graph[name]
+
+
 def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     """The verifier keeps its own arithmetic: with the pair resolved up
     front, it accepts a valid certificate and rejects a tampered one while
@@ -725,12 +767,23 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     assert certkit.verify_data(_tampered(g2_data, mutate)).reason == "relation mismatch"
 
 
+BOUNDED_CACHES = (walk._chamber_roots, walk._chamber, certkit._relation)
+
+
+def clear_bounded_caches():
+    """Empty the chamber and relation caches, which are every bounded
+    lru_cache of `walk` and `certkit`, so that none escapes a cold run."""
+    found = {value for module in (walk, certkit) for value in vars(module).values()
+             if hasattr(value, "cache_info") and value.cache_info().maxsize is not None}
+    assert found == set(BOUNDED_CACHES)
+    for cache in BOUNDED_CACHES:
+        cache.cache_clear()
+
+
 def test_cold_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     """As above, with the chamber and relation caches cleared first, so the
     height walk and the relations run under the patches."""
-    certkit._chamber_roots.cache_clear()
-    certkit._chamber.cache_clear()
-    certkit._relation.cache_clear()
+    clear_bounded_caches()
     test_verifier_reads_no_integer_tables(g2_data, monkeypatch)
 
 
@@ -747,7 +800,7 @@ def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
     bound."""
     from innerlie.rootsys import all_simple_systems
 
-    chamber_caches = (certkit._chamber_roots, certkit._chamber)
+    chamber_caches = (walk._chamber_roots, walk._chamber)
     assert [cache.cache_info().maxsize for cache in chamber_caches] == [256, 256]
     assert certkit._relation.cache_info().maxsize == 1024
     pair = pair_by_name("so(5,4)")
@@ -755,12 +808,12 @@ def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
 
     for cache in chamber_caches:
         cache.cache_clear()
-    record = certkit._claimed_chamber(pair, base)
+    record = walk._claimed_chamber(pair, base)
     assert isinstance(record, tuple) and _frozen(record)
     assert isinstance(record[0], frozenset) and isinstance(record[1], frozenset)
-    assert certkit._claimed_roots(pair, base) == record[:2] and _frozen(record[:2])
+    assert walk._claimed_roots(pair, base) == record[:2] and _frozen(record[:2])
     for claim in ([a1, a1, a3, a4], [a1, -a1, a3, a4], [a1, a2, a3]):
-        for read in (certkit._claimed_roots, certkit._claimed_chamber):
+        for read in (walk._claimed_roots, walk._claimed_chamber):
             with pytest.raises(RootSystemError):
                 read(pair, claim)
             assert [cache.cache_info().currsize for cache in chamber_caches] == [1, 1]
@@ -768,8 +821,8 @@ def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
     systems = all_simple_systems(pair.system)
     assert len(systems) == 384
     for system in systems:
-        certkit._claimed_roots(pair, system.simples)
-        certkit._claimed_chamber(pair, system.simples)
+        walk._claimed_roots(pair, system.simples)
+        walk._claimed_chamber(pair, system.simples)
     for cache in chamber_caches:
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
@@ -811,10 +864,10 @@ def test_walk_keys_are_distinct_under_the_radix_bound():
     most 16."""
     from innerlie.pairs import catalog
 
-    assert 2 * (4 + 4) < certkit._RADIX
+    assert 2 * (4 + 4) < walk._RADIX
     for rs in {pair.system for pair in catalog(16)}:
         assert max(abs(c) for root in rs.roots for c in root) <= 4, rs
-        by_key, key_of = certkit._keys(rs.roots)
+        by_key, key_of, _ = walk._table(rs.roots, rs.base.simples)
         assert len(by_key) == len(key_of) == len(rs.roots), rs
         assert all(by_key[key_of[v]] is v and by_key.get(-key_of[v]) == -v for v in rs.roots), rs
 

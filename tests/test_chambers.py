@@ -1,8 +1,8 @@
 """Chamber-by-chamber equivalence of the root core's base check, the
 verifier's height walk over the claimed base and a Gram-matrix reference.
 The core's check, `RootSystem.validate_base` (the "integer" path), runs the
-verifier's walk and returns its table, keyed by RootVector; it stores
-nothing.
+walk the verifier runs (`walk`) and returns its table, keyed by RootVector;
+it stores nothing.
 
 The reference solves against the Gram matrix of the simple roots, not by a
 walk: on the tuple of twice each ambient coordinate that a RootVector is,
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
+import innerlie.walk as walk
 from innerlie.rootsys import (
     RootSystemError,
     SimpleSystem,
@@ -106,7 +107,7 @@ def integer_decomposition(rs, simples):
 def verifier_decomposition(rs, simples):
     """The verifier's check, on the roots as they are: each is its tuple of
     doubled coordinates."""
-    return certkit._claimed_coordinates(rs.sorted_roots, rs.rank, simples)
+    return walk._claimed_coordinates(walk._table(rs.roots, rs.base.simples), rs.rank, simples)
 
 
 PATHS = {
@@ -232,7 +233,7 @@ def _reflected_base(rs, word):
 def verifier_roots(rs, simples, nodes):
     """For the grading painted at each single node, the verifier's positive
     and compact positive roots over `simples`, from their painted parities."""
-    return [certkit._claimed_roots(
+    return [walk._claimed_roots(
                 SimpleNamespace(system=rs, grading=SimpleNamespace(painted=(node,))), simples)
             for node in nodes]
 

@@ -5,6 +5,7 @@ from operator import mul
 import pytest
 
 import innerlie.certkit as certkit
+import innerlie.walk as walk
 from innerlie import (
     RootSystemError,
     build_certificate,
@@ -131,7 +132,7 @@ def test_derived_relation_sums_to_the_pairing(name):
     product over 4, and every key is a positive root."""
     pair = pair_by_name(name)
     simples = find_admissible_ordering(pair).system.simples
-    positive, _ = certkit._claimed_roots(pair, simples)
+    positive, _ = walk._claimed_roots(pair, simples)
     for alpha, beta in permutations(sorted(positive), 2):
         derived = certkit._derived_relation(pair.system.roots, positive, alpha, beta)
         assert sum(derived.values()) == Fraction(sum(map(mul, alpha, beta)), 4), (alpha, beta)

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import innerlie.certkit as certkit
+import innerlie.walk as walk
 from innerlie.rootsys import (
     InvariantViolation,
     RootSystem,
@@ -232,7 +233,7 @@ def test_standard_coordinates_equal_the_gram_inverse_reference(catalog8):
     systems = {id(pair.system): pair.system for pair in catalog8}.values()
     assert len(systems) == 18
     for rs in systems:
-        table = certkit._standard_coordinates(rs.roots, rs.base.simples)
+        table = walk._table(rs.roots, rs.base.simples)[2]
         reference = _reference_decomposition(rs, rs.base.simples)
         assert {v: rs.coordinates(v) for v in rs.sorted_roots} == reference, rs
         assert all(rs.coordinates(v) is table[v] for v in rs.sorted_roots), rs
@@ -334,6 +335,24 @@ def test_copy_and_pickle_keep_a_root():
     v = RootVector([1, "1/2"])
     for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert type(clone) is RootVector and clone == (2, 1)
+
+
+def test_root_and_simple_systems_are_read_only():
+    """`build_root_system` shares each system with every pair, so setting or
+    deleting an attribute of one raises, and the catalog still builds."""
+    from innerlie import pairs
+
+    rs = build_root_system("A", 2)
+    for target in (rs, rs.base):
+        for name in (*type(target).__slots__, "extra"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(target, name, frozenset())
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(target, name)
+    assert len(rs.roots) == 6 and rs.base.rank == 2
+    assert pairs.pair_by_name("su(2,1)").system is rs
+    spec = pairs._spellings()["su(2,1)"]
+    assert pairs._make_pair.__wrapped__(**spec).dim_g == 8  # rebuilt past the pair cache
 
 
 def test_root_order_is_the_ambient_lexicographic_order():

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 import innerlie.certkit as certkit
+import innerlie.walk as walk
 from innerlie import catalog, find_admissible_ordering, pair_by_name
 from innerlie.rootsys import RootSystemError, RootVector, reflect
 
@@ -451,9 +452,8 @@ def _reflected_simples(d):
 
 
 def _cold_caches():
-    certkit._chamber_roots.cache_clear()
-    certkit._chamber.cache_clear()
-    certkit._relation.cache_clear()
+    from test_certkit import clear_bounded_caches
+    clear_bounded_caches()
 
 
 def test_cache_state_changes_no_verdict(certificates):
@@ -485,26 +485,27 @@ def _standard_walk_compact(pair):
     """The compact roots as the verifier used to read them: the whole height
     walk over the standard base, then the parity at the painted nodes."""
     rs = pair.system
-    standard = certkit._claimed_coordinates(rs.sorted_roots, rs.rank, rs.base.simples)
+    standard = walk._claimed_coordinates(walk._table(rs.roots, rs.base.simples), rs.rank,
+                                         rs.base.simples)
     return {v for v, c in standard.items() if sum(c[i] for i in pair.grading.painted) % 2 == 0}
 
 
 def test_compact_roots_from_claimed_parities_equal_the_full_walk():
     """For every pair of rank at most 16, the verifier's positive roots are
     the ordering's, and its compact ones, those of the grading's compact set
-    (`certkit._compact`), are those read from a fresh full walk over the
-    standard base and from the solver's table.
+    (`walk._compact`), are those read from a fresh full walk over the
+    standard base and from the solver's grading.
 
-    Only the first assert compares independent computations: the compact set,
-    the fresh walk and `pair.grading.is_compact` all read the parities of the
-    same standard-base walk, so the last two guard how the chamber intersects
-    that set, not the set.  The compact roots are checked against the
-    Gram-inverse reference of `tests/test_chambers.py` instead, in every
-    chamber of A3, B3, C3, D4 and G2 and on sampled bases of B5, D5, F4, E6
-    and E8, and by a CI step on the ordering of every rank-8 pair."""
+    Only the first assert compares independent computations: the compact set
+    is the one `pair.grading` holds, and it and the fresh walk read the
+    parities of the same standard-base walk, so the last two guard how the
+    chamber intersects that set, not the set.  The compact roots are checked
+    against the Gram-inverse reference of `tests/test_chambers.py` instead,
+    in every chamber of A3, B3, C3, D4 and G2 and on sampled bases of B5, D5,
+    F4, E6 and E8, and by a CI step on the ordering of every rank-8 pair."""
     for pair in catalog(16):
         ordering = find_admissible_ordering(pair)
-        positive, compact = certkit._claimed_roots(pair, ordering.system.simples)
+        positive, compact = walk._claimed_roots(pair, ordering.system.simples)
         assert positive == set(ordering.positives), pair.name
         assert compact == _standard_walk_compact(pair) & positive, pair.name
         assert compact == {v for v in positive if pair.grading.is_compact(v)}
