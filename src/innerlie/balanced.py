@@ -16,7 +16,7 @@ noncompact simples fix the noncompact-simple relations without feeding
 back.  The relation values take one full pass over the signs, and each
 bump then updates the values it changes.  The solvers build without
 checking their output; callers check a metric with `verify_balanced`, or a
-whole certificate with `certkit.verify_data` or `certkit.verify_file`.
+whole certificate with `verify.verify_data` or `verify.verify_file`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import certkit
+from . import verify
 from .ordering import (
     MODE_SPECIAL,
     AdmissibleOrdering,
@@ -221,9 +221,9 @@ def _so1_2n_metric(ordering: AdmissibleOrdering, x=Fraction(1), y=Fraction(2)) -
 
 def verify_balanced(metric: BalancedMetric, pair: InnerPair) -> bool:
     """Exact equality of the two weighted root sums, checked by the
-    verifier's own arithmetic (`certkit.check_balanced`); raises
+    verifier's own arithmetic (`verify.check_balanced`); raises
     RootSystemError when the metric's domain is not the positive roots."""
-    return certkit.check_balanced(pair, metric.ordering.system.simples, metric.g)
+    return verify.check_balanced(pair, metric.ordering.system.simples, metric.g)
 
 
 def solve_for_pair(pair: InnerPair) -> BalancedMetric:
@@ -241,7 +241,7 @@ SCAN_RANK_BOUND = 4
 
 def scan_binvariant(pair: InnerPair):
     """All orderings for which the unit metric g = 1 is balanced, by the
-    verifier's check (`certkit.check_balanced`)."""
+    verifier's check (`verify.check_balanced`)."""
     if pair.rank > SCAN_RANK_BOUND:
         raise RootSystemError(
             f"{pair.name} has rank {pair.rank} > bound {SCAN_RANK_BOUND}; "
@@ -249,6 +249,6 @@ def scan_binvariant(pair: InnerPair):
     found = []
     for system in all_simple_systems(pair.system):
         ordering = make_ordering(pair, system)
-        if certkit.check_balanced(pair, system.simples, dict.fromkeys(ordering.positives, 1)):
+        if verify.check_balanced(pair, system.simples, dict.fromkeys(ordering.positives, 1)):
             found.append(ordering)
     return found

@@ -16,9 +16,9 @@ right side appears with a coefficient matching its sign constraint (so the
 right side is strictly positive): a literal infeasibility witness.
 
 The relation is stated once, by the verifier: `instantiate_relation` takes
-its coefficients from `certkit._derived_relation` on doubled roots.
+its coefficients from `verify._derived_relation` on doubled roots.
 `verify_certificate` checks a certificate with the verifier of
-`certkit.verify_data`, which re-derives every coefficient from root strings
+`verify.verify_data`, which re-derives every coefficient from root strings
 and the stored ordering, checks the exact elimination of off-diagonal terms
 and checks the sign pattern; it never trusts the builder.
 """
@@ -28,10 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import certkit
 from .ordering import MODE_PARTNER, MODE_SPECIAL, AdmissibleOrdering
 from .pairs import InnerPair
 from .rootsys import InvariantViolation, RootSystemError, RootVector
+from .verify import _accumulate, _coeffs_to_json, _derived_relation, _vec_to_json, check_obstruction
 
 BRANCH_GENERIC = "generic"
 BRANCH_SPECIAL = "so_1_2n"
@@ -57,14 +57,14 @@ class PluriclosedCertificate(NamedTuple):
 def instantiate_relation(alpha: RootVector, beta: RootVector,
                          ordering: AdmissibleOrdering, pair: InnerPair) -> PluriclosedRelation:
     """The relation for (alpha, beta), derived on doubled roots by the
-    verifier's `certkit._derived_relation`."""
+    verifier's `verify._derived_relation`."""
     positive = set(ordering.positives)
     if alpha == beta:
         raise RootSystemError("the relation requires distinct roots")
     for root in (alpha, beta):
         if root not in positive:
             raise RootSystemError(f"{root!r} is not a positive root of the ordering")
-    derived = certkit._derived_relation(pair.system.roots, positive, alpha, beta)
+    derived = _derived_relation(pair.system.roots, positive, alpha, beta)
     # Keys the verifier makes are plain tuples, on which + concatenates.
     coeffs = {RootVector._from_doubled(root): Fraction(value) for root, value in derived.items()}
     return PluriclosedRelation(alpha=alpha, beta=beta, coeffs=coeffs)
@@ -89,7 +89,7 @@ def find_noncompact_interacting_pair(ordering: AdmissibleOrdering, pair: InnerPa
 def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> PluriclosedCertificate:
     """The two constructive branches, built without checking the result;
     callers check it with `verify_certificate`, or the whole certificate
-    with `certkit.verify_data` or `certkit.verify_file`."""
+    with `verify.verify_data` or `verify.verify_file`."""
     if ordering.mode == MODE_SPECIAL:
         n = pair.rank
         psi1 = RootVector([int(i == 0) for i in range(n)])
@@ -109,7 +109,7 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
     conclusion: dict[RootVector, Fraction] = {}
     for coeff, relation in zip(combination, relations):
         for root, value in relation.coeffs.items():
-            certkit._accumulate(conclusion, root, coeff * value)
+            _accumulate(conclusion, root, coeff * value)
     touched = set().union(*(relation.coeffs for relation in relations))
     signs = {root: -1 if pair.grading.is_compact(root) else 1 for root in sorted(touched)}
     return PluriclosedCertificate(
@@ -118,6 +118,26 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
         relations=relations, combination=combination,
         conclusion_root=psi1, conclusion_coeffs=conclusion,
         variable_signs=signs)
+
+
+def pluriclosed_payload(pluri) -> dict:
+    """The pluriclosed block of a certificate, from `build_certificate`."""
+    return {
+        "branch": pluri.branch,
+        "roots": {label: _vec_to_json(root) for label, root in sorted(pluri.roots.items())},
+        "relations": [
+            {"alpha": _vec_to_json(r.alpha), "beta": _vec_to_json(r.beta),
+             "coeffs": _coeffs_to_json(r.coeffs)}
+            for r in pluri.relations
+        ],
+        "combination": [str(c) for c in pluri.combination],
+        "conclusion_root": _vec_to_json(pluri.conclusion_root),
+        "conclusion_coeffs": _coeffs_to_json(pluri.conclusion_coeffs),
+        "variable_signs": [
+            {"root": _vec_to_json(root), "sign": sign}
+            for root, sign in sorted(pluri.variable_signs.items())
+        ],
+    }
 
 
 def verify_certificate(cert: PluriclosedCertificate, pair: InnerPair):
@@ -131,6 +151,5 @@ def verify_certificate(cert: PluriclosedCertificate, pair: InnerPair):
 
     Returns (True, None) or (False, reason).
     """
-    result = certkit.check_obstruction(pair, cert.ordering_simples,
-                                       certkit.pluriclosed_payload(cert))
+    result = check_obstruction(pair, cert.ordering_simples, pluriclosed_payload(cert))
     return result.ok, result.reason

@@ -15,7 +15,7 @@ checks the base and which the verifier runs too: the standard base's table is
 `validate_base` returns; a SimpleSystem holds only its simples.  Sums of
 roots are tested against the root set as ambient vectors, the names the
 package and the certificates give to roots.  Root strings and N^2 are the
-verifier's (`certkit._derived_relation`).
+verifier's (`verify._derived_relation`).
 
 The inner product is the Euclidean one on the ambient coordinates.  The
 Killing form restricted to the real span of the roots equals this product

@@ -1,6 +1,6 @@
 """The height walk: the positive roots and coordinates of a claimed base, and
 the check that it is one.  The builder (`rootsys`) and the verifier
-(`certkit`) both read it; it imports nothing of the package.
+(`verify`) both read it; it imports nothing of the package.
 
 A root is its doubled ambient vector, a tuple of ints, and the walk names it
 by an integer key (`_RADIX`).  The compact roots of a grading are those
@@ -8,9 +8,9 @@ whose coordinates over the standard base sum to an even number at the
 painted nodes, the Z2 character of the root lattice that they define
 (`_compact`, the one statement of that parity).
 
-Every table here and in `certkit` is keyed by value and built on first use.
+Every table here and in `verify` is keyed by value and built on first use.
 `_table` (per root set and standard base: the keys both ways and the
-standard coordinates), `_compact` (per grading) and `certkit._texts` (per
+standard coordinates), `_compact` (per grading) and `verify._texts` (per
 root set) are unbounded, one entry per catalog root system or grading.  The
 bounded ones let a process walk a chamber (a pair with its claimed simples),
 and derive a relation, once rather than once per certificate:
@@ -20,7 +20,7 @@ and derive a relation, once rather than once per certificate:
   claimed simples as read and the painted nodes.  The first holds the
   positive and the compact positive roots (frozensets); the second adds each
   side's roots and their columns, and delta (tuples).
-- `certkit._relation` (1024 entries), keyed by the root set, alpha, beta and
+- `verify._relation` (1024 entries), keyed by the root set, alpha, beta and
   whether alpha - beta is positive, the four values that decide a relation;
   `_derived_relation` hands each caller a dict of its own.
 

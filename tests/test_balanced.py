@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import innerlie.certkit as certkit
+import innerlie.verify as verify
 from innerlie import (
     InfeasibleOrdering,
     RootSystemError,
@@ -228,9 +228,9 @@ def test_relation_values_agree_with_the_verifier_on_every_kind_of_chamber(small_
             g = {root: 1 + i % 3 for i, root in enumerate(system.signs)}
             g_vals, h_vals = _relation_values(system, g)
             g.update(zip(ordering.compact_simples + ordering.noncompact_simples, g_vals + h_vals))
-            assert certkit.check_balanced(pair, base.simples, g), (pair.name, k)
+            assert verify.check_balanced(pair, base.simples, g), (pair.name, k)
             g[base.simples[k % pair.rank]] += 1
-            assert not certkit.check_balanced(pair, base.simples, g), (pair.name, k)
+            assert not verify.check_balanced(pair, base.simples, g), (pair.name, k)
             checked += 1
     assert checked == 274
 
@@ -300,7 +300,7 @@ def compact_g2():
 def test_compact_form_unit_metric_not_balanced():
     pair = compact_g2()
     unit = {root: F(1) for root in pair.system.positive_roots}
-    assert not certkit.check_balanced(pair, pair.system.base.simples, unit)
+    assert not verify.check_balanced(pair, pair.system.base.simples, unit)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -310,7 +310,7 @@ def test_compact_form_no_positive_metric_balanced(weights):
     with delta is a sum of positive terms."""
     pair = compact_g2()
     g = dict(zip(pair.system.positive_roots, weights))
-    assert not certkit.check_balanced(pair, pair.system.base.simples, g)
+    assert not verify.check_balanced(pair, pair.system.base.simples, g)
 
 
 def test_compact_form_pipeline_raises():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
+import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie.cli import main
 from innerlie.pairs import catalog, pair_by_name
@@ -491,8 +492,8 @@ NON_CANONICAL = {
     "whitespace": " 1",
     "plus": "+1",
     "json number": 1,
-    "over-limit numerator": "1" * (certkit.MAX_DIGITS + 1),
-    "over-limit denominator": "1/" + "1" * (certkit.MAX_DIGITS + 1),
+    "over-limit numerator": "1" * (verify.MAX_DIGITS + 1),
+    "over-limit denominator": "1/" + "1" * (verify.MAX_DIGITS + 1),
     "non-ascii digit": "\u0661",
     "negative zero": "-0",
     "leading zero": "01",
@@ -523,12 +524,12 @@ def test_root_text_tables_read_what_the_strict_parse_reads():
     most 16, is a root, and the coordinate-by-coordinate parse of its text."""
     doubled = {}  # each distinct coordinate string, strictly parsed once
     for rs in {pair.system for pair in catalog(16)}:
-        table = certkit._texts(rs.roots)
+        table = verify._texts(rs.roots)
         assert set(table.values()) == rs.roots and len(table) == len(rs.roots), rs
         for text, root in table.items():
             for c in text:
                 if c not in doubled:
-                    doubled[c] = certkit._rational(c, 2)
+                    doubled[c] = verify._rational(c, 2)
             assert tuple(map(doubled.get, text)) == root, (rs, text)
 
 
@@ -551,7 +552,7 @@ def test_reader_checks_a_vector_before_the_table():
     length gives ValueError before any entry is read, and an object or a
     string whose items spell a root is no vector."""
     rs = pair_by_name("so(3,2)").system
-    read = certkit._Reader(rs)
+    read = verify._Reader(rs)
     assert read.vector(["1", "0"]) == (2, 0)
     for value in ([[]] * 3, [{}], ["1", "0", "0"]):
         with pytest.raises(ValueError):
@@ -565,7 +566,7 @@ def test_verify_reads_rationals_up_to_the_digit_limit(g2_data):
     """A coefficient of MAX_DIGITS digits is read, and then fails the
     mathematics, not the reader."""
     def mutate(d):
-        d["metric"][0]["c"] = "1" * certkit.MAX_DIGITS
+        d["metric"][0]["c"] = "1" * verify.MAX_DIGITS
     result = certkit.verify_data(_tampered(g2_data, mutate))
     assert not result.ok and result.reason == "balanced identity failed"
 
@@ -643,9 +644,9 @@ def test_verify_file_byte_limit(tmp_path, capsys, g2_cert):
     read; one more byte and the file is refused before it is parsed."""
     text = certkit.serialize(g2_cert).encode()
     path = tmp_path / "padded.cert.json"
-    path.write_bytes(text.ljust(certkit.MAX_BYTES))
+    path.write_bytes(text.ljust(verify.MAX_BYTES))
     assert certkit.verify_file(str(path)).ok
-    path.write_bytes(text.ljust(certkit.MAX_BYTES + 1))
+    path.write_bytes(text.ljust(verify.MAX_BYTES + 1))
     result = certkit.verify_file(str(path))
     assert not result.ok and result.reason == "file too large"
     assert main(["verify", str(path)]) == 1
@@ -672,7 +673,7 @@ def _verify_through_a_fifo(path, content: bytes):
 def test_verify_file_reads_a_fifo_up_to_the_byte_limit(tmp_path, g2_cert):
     text = certkit.serialize(g2_cert).encode()
     assert _verify_through_a_fifo(tmp_path / "valid", text).ok
-    result = _verify_through_a_fifo(tmp_path / "large", b" " * (certkit.MAX_BYTES + 1))
+    result = _verify_through_a_fifo(tmp_path / "large", b" " * (verify.MAX_BYTES + 1))
     assert not result.ok and result.reason == "file too large"
 
 
@@ -680,38 +681,46 @@ def test_verify_file_reads_the_largest_rank16_certificate(tmp_path):
     """so(1,32) writes the largest certificate of rank at most 16, about 78 KB."""
     path = tmp_path / "so_1_32.cert.json"
     certkit.save(certkit.analyze_pair("so(1,32)"), str(path))
-    assert 70_000 < path.stat().st_size < certkit.MAX_BYTES
+    assert 70_000 < path.stat().st_size < verify.MAX_BYTES
     assert certkit.verify_file(str(path)).ok
 
 
 def test_verifier_module_independent_of_solvers():
     """The verification code path may use only root-system and catalog
-    primitives; solver modules are imported lazily by the analysis pipeline."""
+    primitives: the verifier's module imports no module of the package but
+    `pairs`, `rootsys` and `walk`, so no builder either."""
     import ast
     import inspect
 
-    import innerlie.certkit as module
+    import innerlie.verify as module
     tree = ast.parse(inspect.getsource(module))
-    top_level_imports = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module:
-            top_level_imports.add(node.module)
-        elif isinstance(node, ast.Import):
-            top_level_imports.update(alias.name for alias in node.names)
-    assert not top_level_imports & {"balanced", "pluriclosed", "chern", "ordering"}
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package_imports.update([node.module] if node.module else
+                                   [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [alias.name for alias in node.names]
+            assert not [name for name in names if name.startswith("innerlie")]
+    assert package_imports <= {"pairs", "rootsys", "walk"}
 
 
-# The builders `analyze_pair` runs, imported inside it, since each imports
-# `certkit`; they wait for `analyze_pair` to move to the builder side
-# (ROADMAP item 3).
-ANALYZE_PAIR_IMPORTS = {("certkit", "analyze_pair", module)
-                        for module in ("balanced", "chern", "pluriclosed")}
+def test_certkit_re_exports_only_the_verifier_entry_points():
+    """`certkit` keeps the pipeline; of the verifier it holds only
+    `verify_data` and `verify_file`, the same objects."""
+    assert certkit.verify_data is verify.verify_data
+    assert certkit.verify_file is verify.verify_file
+    own = {name for name, value in vars(verify).items()
+           if getattr(value, "__module__", None) == verify.__name__ or name.isupper()}
+    assert own & vars(certkit).keys() == {"verify_data", "verify_file"}
 
 
 def test_package_imports_form_no_cycle():
     """`walk` imports nothing of the package, no module imports another
-    inside a function but `analyze_pair`, and the package's modules import
-    one another at the top level without a cycle (`__init__` aside)."""
+    inside a function, no builder imports `certkit`, and the package's
+    modules import one another at the top level without a cycle (`__init__`
+    aside)."""
     import ast
     from pathlib import Path
 
@@ -729,7 +738,8 @@ def test_package_imports_form_no_cycle():
                            for target in ([node.module] if node.module else
                                           [alias.name for alias in node.names])
                            if target in modules and target != "__init__"}
-    assert nested == ANALYZE_PAIR_IMPORTS
+    assert nested == set()
+    assert not {"certkit"} & (graph["balanced"] | graph["pluriclosed"] | graph["chern"])
     walk_imports = [node for node in ast.walk(modules["walk"])
                     if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert all(isinstance(node, ast.Import) or node.level == 0 for node in walk_imports)
@@ -751,7 +761,7 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     from innerlie.rootsys import RootSystem, RootVector, SimpleSystem
 
     pair = pair_by_name("g2(2)")
-    monkeypatch.setattr(certkit, "pair_by_name", lambda name: pair)
+    monkeypatch.setattr(verify, "pair_by_name", lambda name: pair)
 
     def unreadable(*args, **kwargs):
         raise AssertionError("the verifier read an integer table")
@@ -767,13 +777,19 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     assert certkit.verify_data(_tampered(g2_data, mutate)).reason == "relation mismatch"
 
 
-BOUNDED_CACHES = (walk._chamber_roots, walk._chamber, certkit._relation)
+BOUNDED_CACHES = (walk._chamber_roots, walk._chamber, verify._relation)
 
 
 def clear_bounded_caches():
     """Empty the chamber and relation caches, which are every bounded
-    lru_cache of `walk` and `certkit`, so that none escapes a cold run."""
-    found = {value for module in (walk, certkit) for value in vars(module).values()
+    lru_cache of the package's modules, so that none escapes a cold run."""
+    import importlib
+    from pathlib import Path
+
+    modules = [importlib.import_module(f"innerlie.{path.stem}")
+               for path in Path(certkit.__file__).parent.glob("*.py")
+               if path.stem not in ("__init__", "__main__")]
+    found = {value for module in modules for value in vars(module).values()
              if hasattr(value, "cache_info") and value.cache_info().maxsize is not None}
     assert found == set(BOUNDED_CACHES)
     for cache in BOUNDED_CACHES:
@@ -802,7 +818,7 @@ def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
 
     chamber_caches = (walk._chamber_roots, walk._chamber)
     assert [cache.cache_info().maxsize for cache in chamber_caches] == [256, 256]
-    assert certkit._relation.cache_info().maxsize == 1024
+    assert verify._relation.cache_info().maxsize == 1024
     pair = pair_by_name("so(5,4)")
     a1, a2, a3, a4 = base = pair.system.base.simples
 
@@ -828,12 +844,12 @@ def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
         assert info.currsize <= info.maxsize
 
     positive = record[0]
-    relation = certkit._derived_relation(pair.system.roots, positive, a1, a2)
+    relation = verify._derived_relation(pair.system.roots, positive, a1, a2)
     expected = dict(relation)
     relation[a1] = 17
     relation.clear()
-    assert certkit._derived_relation(pair.system.roots, positive, a1, a2) == expected
-    assert expected and _frozen(certkit._relation(pair.system.roots, a1, a2, False))
+    assert verify._derived_relation(pair.system.roots, positive, a1, a2) == expected
+    assert expected and _frozen(verify._relation(pair.system.roots, a1, a2, False))
 
 
 def test_generated_at_is_utc_to_the_second():

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import innerlie.certkit as certkit
+import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie.rootsys import (
     RootSystemError,
@@ -213,7 +214,7 @@ def test_b4_non_bases_rejected(case):
     for path in PATHS:
         assert not accepted(path, rs, simples)
     data = certkit.analyze_pair("so(5,4)")
-    data["ordering"]["simples"] = [certkit._vec_to_json(s) for s in simples]
+    data["ordering"]["simples"] = [verify._vec_to_json(s) for s in simples]
     assert certkit.verify_data(data).reason == "ordering invalid"
 
 

@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-import innerlie.certkit as certkit
+import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie import (
     RootSystemError,
@@ -113,7 +113,7 @@ def test_at_most_one_double_sum_root(catalog8):
 # relation sum to <a, b>.  A flipped sign e cancels at x = -1 (e^2 = 1), so
 # this identity cannot see it; it does see a wrong N^2 and a difference
 # folded onto a negative root.  The builder takes its relations from
-# `certkit._derived_relation`, so this pins the one statement of the formula.
+# `verify._derived_relation`, so this pins the one statement of the formula.
 ONE_PAIR_PER_SYSTEM = [
     "su(2,1)", "so(1,4)", "g2(2)", "su(3,2)", "so(1,8)", "sp(4,R)", "so(8)*", "f4(-20)",
     "su(4,3)", "so(1,12)", "sp(6,R)", "so(12)*", "e6(-14)", "su(5,4)", "so(1,16)", "sp(8,R)",
@@ -134,7 +134,7 @@ def test_derived_relation_sums_to_the_pairing(name):
     simples = find_admissible_ordering(pair).system.simples
     positive, _ = walk._claimed_roots(pair, simples)
     for alpha, beta in permutations(sorted(positive), 2):
-        derived = certkit._derived_relation(pair.system.roots, positive, alpha, beta)
+        derived = verify._derived_relation(pair.system.roots, positive, alpha, beta)
         assert sum(derived.values()) == Fraction(sum(map(mul, alpha, beta)), 4), (alpha, beta)
         assert set(derived) <= positive, (alpha, beta)
 

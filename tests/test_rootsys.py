@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-import innerlie.certkit as certkit
+import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie.rootsys import (
     InvariantViolation,
@@ -160,7 +160,7 @@ def test_root_strings():
 
 def _n2(rs, alpha, beta):
     """The verifier's N^2, on the doubled roots."""
-    return certkit._n_squared(rs.roots, alpha, beta)
+    return verify._n_squared(rs.roots, alpha, beta)
 
 
 def test_n_squared_values():
@@ -284,7 +284,7 @@ def test_root_vector_refuses_values_outside_half_integers(value):
 
 
 def test_vec_to_json_writes_lowest_terms():
-    from innerlie.certkit import _vec_to_json
+    from innerlie.verify import _vec_to_json
     for c in range(-40, 41):
         v = RootVector([F(c, 2)])
         assert _vec_to_json(v) == [str(F(c, 2))]

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 import innerlie.certkit as certkit
+import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie import catalog, find_admissible_ordering, pair_by_name
 from innerlie.rootsys import RootSystemError, RootVector, reflect
@@ -32,7 +33,7 @@ from innerlie.rootsys import RootSystemError, RootVector, reflect
 # ---------------------------------------------------------------------------
 
 def _fail(reason):
-    return certkit.VerificationResult(False, reason)
+    return verify.VerificationResult(False, reason)
 
 
 class _Vec(tuple):
@@ -242,7 +243,7 @@ def _reference_pluriclosed(payload, pair, roots, is_positive, is_compact):
             return _fail("sign pattern violated")
         if (value > 0) != (true_sign > 0):
             return _fail("sign pattern violated")
-    return certkit.VerificationResult(True)
+    return verify.VerificationResult(True)
 
 
 def _pair_block_typed(cert):
@@ -254,7 +255,7 @@ def _pair_block_typed(cert):
 def reference_verify(data):
     if not isinstance(data, dict) or "schema_version" not in data:
         return _fail("schema mismatch")
-    if data["schema_version"] != certkit.SCHEMA_VERSION:
+    if data["schema_version"] != verify.SCHEMA_VERSION:
         return _fail("schema mismatch")
     try:
         cert = _read(data)
@@ -329,7 +330,7 @@ def reference_verify(data):
         return _fail("chern scalar nonzero")
     if cert.chern.get("kodaira_flag") is not True:
         return _fail("flag mismatch")
-    return certkit.VerificationResult(True)
+    return verify.VerificationResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +449,7 @@ def _reflected_simples(d):
     """Claim the base moved by the reflection in its first simple root: a
     genuine base of the same root system, of another chamber."""
     simples = [RootVector(s) for s in d["ordering"]["simples"]]
-    d["ordering"]["simples"] = [certkit._vec_to_json(reflect(s, simples[0])) for s in simples]
+    d["ordering"]["simples"] = [verify._vec_to_json(reflect(s, simples[0])) for s in simples]
 
 
 def _cold_caches():
