@@ -234,14 +234,14 @@ def _accumulate(coeffs: dict, root: tuple, value) -> None:
 
 
 def _add_symmetric(matrix: dict, weight, a: tuple, b: tuple) -> None:
-    """matrix += weight * (a b^T + b a^T), over the nonzero entries of a and b."""
+    """matrix += weight * (a b^T + b a^T) on and above the diagonal, with the
+    diagonal halved (each product lands once), over the nonzero entries."""
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    term = weight * x * y
-                    matrix[i, j] = matrix.get((i, j), 0) + term
-                    matrix[j, i] = matrix.get((j, i), 0) + term
+                    entry = (i, j) if i <= j else (j, i)
+                    matrix[entry] = matrix.get(entry, 0) + weight * x * y
 
 
 def _derived_relation(roots, positive, alpha: tuple, beta: tuple) -> dict:

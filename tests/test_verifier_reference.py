@@ -392,6 +392,17 @@ def _leading_zero(d):
     entry["c"] = "-0" + c[1:] if c.startswith("-") else "0" + c
 
 
+def _doubled_combination(d):
+    """Both weights and every conclusion coefficient doubled: the off-diagonal
+    terms still cancel and every sign holds, so for so(1,2n), whose conclusion
+    root e1 has a square with no off-diagonal entry, only the diagonal (twice
+    the conclusion's) refuses it."""
+    block = d["pluriclosed_certificate"]
+    block["combination"] = [str(2 * Fraction(c)) for c in block["combination"]]
+    for entry in block["conclusion_coeffs"]:
+        entry["c"] = str(2 * Fraction(entry["c"]))
+
+
 TAMPERS = {
     "metric_coefficient": _metric_coefficient,
     "relation_coefficient": _relation_coefficient,
@@ -412,6 +423,7 @@ TAMPERS = {
     "minus_zero_in_simple": _minus_zero_in_simple,
     "unreduced_metric_value": _unreduced_metric_value,
     "leading_zero_in_relation": _leading_zero,
+    "doubled_combination": _doubled_combination,
 }
 
 
