@@ -17,7 +17,6 @@ which imports no builder; `verify_data` and `verify_file` are re-exported.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -119,16 +118,20 @@ def _dump(value, pad: str) -> str:
 
 
 def save(cert: dict, path: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: a new file of mode 0600 in the target directory,
+    then rename; the directory is made only when it is missing."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(serialize(cert))
+        fd = os.open(tmp, flags, 0o600)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, flags, 0o600)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(serialize(cert).encode("ascii"))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
-

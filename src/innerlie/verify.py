@@ -48,9 +48,6 @@ class VerificationResult(NamedTuple):
         return self.ok
 
 
-# ---------------------------------------------------------------------------
-# Independent verification (root-system and catalog primitives only)
-#
 # Every root is named by its doubled ambient vector, a tuple of integers
 # (coordinates lie in (1/2)Z); a catalog root, a RootVector, is that tuple.
 # The height walk (`walk`) names each root by an integer key instead.
@@ -59,7 +56,6 @@ class VerificationResult(NamedTuple):
 # own sums are plain `map(add, ...)` tuples and key sums).  The builder shares
 # the walk and reads the verifier's relations (`_derived_relation`), never
 # the other way round.
-# ---------------------------------------------------------------------------
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
 # most MAX_DIGITS digits on each side of the bar, which bounds the size of the

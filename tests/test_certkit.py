@@ -66,6 +66,52 @@ def test_save_load_round_trip(tmp_path, g2_cert):
     assert _canonical(text) == text
 
 
+
+def test_save_makes_a_missing_directory_and_a_0600_file(tmp_path, g2_cert):
+    path = tmp_path / "new" / "dir" / "g2.cert.json"
+    certkit.save(g2_cert, str(path))
+    assert path.read_bytes() == certkit.serialize(g2_cert).encode()
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert os.listdir(path.parent) == [path.name]
+
+
+class _HalfWritten:
+    """A file handle whose write stores half of the bytes, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["serialize", "write", "rename"])
+def test_save_failing_midway_leaves_the_target_and_no_temporary_file(
+        tmp_path, g2_cert, monkeypatch, failure):
+    """A write that fails before, in the middle of or after the bytes leaves
+    an existing target as it was and removes its temporary file."""
+    path = tmp_path / "g2.cert.json"
+    path.write_bytes(b"previous")
+    fdopen = os.fdopen
+    cert = {**g2_cert, "note": 1.5} if failure == "serialize" else g2_cert
+    if failure == "write":
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: _HalfWritten(fdopen(fd, mode)))
+    if failure == "rename":
+        def replace(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+        monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises((TypeError, OSError)):
+        certkit.save(cert, str(path))
+    assert path.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == [path.name]
+
 # Keys and values with quotes, backslashes, control and non-ASCII characters.
 _texts = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028'),
                            st.characters()), max_size=6)
@@ -864,10 +910,13 @@ def test_generated_at_is_utc_to_the_second():
 
 def test_cli_import_leaves_datetime_out():
     """No module of the package imports datetime (about 0.4 MB of peak RSS),
-    nor dataclasses, which imports inspect (about 1 MB)."""
+    nor dataclasses, which imports inspect (about 1 MB), nor tempfile, which
+    imports shutil, random, bz2 and lzma.  `-S` leaves out the start-up hooks
+    of site-packages (`.pth` files), which may import some of these."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, innerlie.cli; "
-         "print([m for m in ('datetime', 'dataclasses', 'inspect') if m in sys.modules])"],
+        [sys.executable, "-S", "-c", "import sys, innerlie.cli; print([m for m in "
+         "('datetime', 'dataclasses', 'inspect', 'tempfile', 'shutil', 'random', 'bz2', 'lzma')"
+         " if m in sys.modules])"],
         capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
