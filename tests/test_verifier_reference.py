@@ -47,6 +47,7 @@ class _Vec(tuple):
             return self._hash
 
 
+@lru_cache(maxsize=None)  # only strings return, and a Fraction is immutable
 def _fraction(text):
     """Fraction(text), for the one spelling str(Fraction) writes; ValueError
     for any other ("-0", "16/4", "01", a JSON number)."""
@@ -150,6 +151,33 @@ def _claimed_coordinates(roots, rank, simples):
             raise RootSystemError("not a root")
     base = _AmbientBase(simples)
     return {v: base.coordinates(v) for v in roots}
+
+
+# (pair name, claimed simples) -> the claimed coordinates of every root, the
+# parity of each claimed simple at the painted nodes and the positive roots,
+# or the reason the claim was refused: the tampers of one certificate mostly
+# keep its chamber, so each is computed once.
+_CHAMBERS = {}
+
+
+def _reference_chamber(pair, simples):
+    key = (pair.name, simples)
+    if key not in _CHAMBERS:
+        rs = pair.system
+        roots = _ambient_roots(rs)
+        try:
+            coords = _claimed_coordinates(roots, rs.rank, simples)
+        except RootSystemError as exc:
+            _CHAMBERS[key] = str(exc)
+        else:
+            standard = _AmbientBase([_ambient(s) for s in rs.base.simples])
+            parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
+                      for s in simples]
+            positives = [root for root in roots if all(c >= 0 for c in coords[root])]
+            _CHAMBERS[key] = coords, parity, positives
+    if isinstance(_CHAMBERS[key], str):
+        raise RootSystemError(_CHAMBERS[key])
+    return _CHAMBERS[key]
 
 
 def _n_squared(roots, alpha, beta):
@@ -274,7 +302,7 @@ def reference_verify(data):
     rs = pair.system
     roots = _ambient_roots(rs)
     try:
-        coords = _claimed_coordinates(roots, rs.rank, cert.simples)
+        coords, simple_parity, positives = _reference_chamber(pair, cert.simples)
     except RootSystemError:
         return _fail("ordering invalid")
     if cert.ordering_mode not in ("partner_property", "so_1_2n_special"):
@@ -282,17 +310,12 @@ def reference_verify(data):
     if (cert.ordering_mode == "so_1_2n_special") != pair.is_so_1_2n:
         return _fail("ordering invalid")
 
-    standard = _AmbientBase([_ambient(s) for s in rs.base.simples])
-    simple_parity = [sum(abs(standard.coordinates(s)[i]) for i in pair.grading.painted) % 2
-                     for s in cert.simples]
-
     def is_compact(root):
         return sum(map(mul, coords[root], simple_parity)) % 2 == 0
 
     def is_positive(root):
         return all(c >= 0 for c in coords[root])
 
-    positives = [root for root in roots if is_positive(root)]
     if set(cert.metric) != set(positives):
         return _fail("metric domain mismatch")
     if any(value <= 0 for value in cert.metric.values()):
