@@ -427,12 +427,19 @@ def _replaced(data, path, new):
     return clone
 
 
-def _mutations(data):
+def _mutations(data, schema=False):
     """(description, mutated copy) for each changed leaf, each retype to a
     value of another type, each dropped and one added object key and each
     duplicated list entry, at every node of the certificate outside
-    `provenance`."""
+    `provenance`; with `schema`, at the first node of each schema path (its
+    list indices read as `*`) alone, duplicating a list's first entry alone."""
+    seen = set()
     for path, value in list(_nodes(data)):
+        if schema:
+            key = tuple("*" if type(k) is int else k for k in path)
+            if key in seen:
+                continue
+            seen.add(key)
         changed = _changed_leaf(value)
         if changed is not None:
             yield f"{path} changed", _replaced(data, path, changed)
@@ -445,7 +452,7 @@ def _mutations(data):
                     data, path, {k: v for k, v in value.items() if k != key})
             yield f"{path} with an added key", _replaced(data, path, {**value, "note": "x"})
         if isinstance(value, list):
-            for i in range(len(value)):
+            for i in range(min(len(value), 1) if schema else len(value)):
                 yield f"{path} with entry {i} duplicated", _replaced(
                     data, path, value[:i + 1] + value[i:])
 
@@ -461,6 +468,30 @@ def test_verify_rejects_every_mutation(name):
                 if certkit.verify_data(mutated).ok]
     assert accepted == []
     assert certkit.serialize(data) == text  # the mutations share, never change, its nodes
+
+
+def _first_pair_of_each_root_system_and_mode():
+    """The first catalog pair of rank at most 8 of each root system and
+    ordering mode; the mode is special for so(1,2n) alone, so each B of even
+    rank gives so(1,2n) and a partner-mode pair."""
+    first = {}
+    for pair in catalog(8):
+        first.setdefault((pair.family, pair.rank, pair.is_so_1_2n), pair.name)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("name", _first_pair_of_each_root_system_and_mode())
+def test_verify_rejects_every_mutation_of_each_schema_path(name):
+    """Every change `_mutations` makes at the first node of each schema path
+    (list indices read as `*`) is rejected with a reason, and none makes the
+    verifier raise."""
+    text = certkit.serialize(certkit.analyze_pair(name))
+    data = json.loads(text)
+    assert certkit.verify_data(data).ok
+    accepted = [what for what, mutated in _mutations(data, schema=True)
+                if certkit.verify_data(mutated).ok]
+    assert accepted == []
+    assert certkit.serialize(data) == text
 
 
 @functools.lru_cache(maxsize=None)
