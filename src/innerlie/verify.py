@@ -138,7 +138,6 @@ def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
             for root, value in sorted(coeffs.items())]
 
 
-
 class _Reader:
     """Reads the vectors and coefficients of one certificate over the root
     system `rs`, whose vectors all have its ambient length.

@@ -66,7 +66,6 @@ def test_save_load_round_trip(tmp_path, g2_cert):
     assert _canonical(text) == text
 
 
-
 def test_save_makes_a_missing_directory_and_a_0600_file(tmp_path, g2_cert):
     path = tmp_path / "new" / "dir" / "g2.cert.json"
     certkit.save(g2_cert, str(path))
@@ -111,6 +110,7 @@ def test_save_failing_midway_leaves_the_target_and_no_temporary_file(
         certkit.save(cert, str(path))
     assert path.read_bytes() == b"previous"
     assert os.listdir(tmp_path) == [path.name]
+
 
 # Keys and values with quotes, backslashes, control and non-ASCII characters.
 _texts = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028'),
@@ -776,10 +776,10 @@ def test_verifier_module_independent_of_solvers():
         if isinstance(node, ast.ImportFrom) and node.level:
             package_imports.update([node.module] if node.module else
                                    [alias.name for alias in node.names])
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [node.module] if isinstance(node, ast.ImportFrom) else \
-                [alias.name for alias in node.names]
-            assert not [name for name in names if name.startswith("innerlie")]
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("innerlie")
+        elif isinstance(node, ast.Import):
+            assert not [alias.name for alias in node.names if alias.name.startswith("innerlie")]
     assert package_imports <= {"pairs", "rootsys", "walk"}
 
 
