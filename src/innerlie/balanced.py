@@ -35,16 +35,16 @@ from .pairs import CompactnessGrading, InnerPair
 from .rootsys import (
     InvariantViolation,
     RootSystemError,
-    RootVector,
     all_simple_systems,
     build_root_system,
+    show,
 )
 
 
 class InfeasibleOrdering(Exception):
     """The balanced system has no positive solution for this ordering."""
 
-    def __init__(self, simple_root: RootVector, reason: str):
+    def __init__(self, simple_root: tuple, reason: str):
         self.simple_root = simple_root
         self.reason = reason
         super().__init__(reason)
@@ -56,13 +56,13 @@ class BalancedSystem(NamedTuple):
 
     pair: InnerPair
     ordering: AdmissibleOrdering
-    signs: dict[RootVector, int]
+    signs: dict[tuple, int]
 
 
 class BalancedMetric(NamedTuple):
     """Strictly positive rational coefficient per positive root."""
 
-    g: dict[RootVector, Fraction]
+    g: dict[tuple, Fraction]
     ordering: AdmissibleOrdering
 
 
@@ -72,7 +72,7 @@ def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSy
                                            for root in ordering.split if root not in simples})
 
 
-def noncompact_witness(system: BalancedSystem, j: int) -> RootVector:
+def noncompact_witness(system: BalancedSystem, j: int) -> tuple:
     """First noncompact root of `system.signs` with a nonzero coefficient
     along the j-th compact simple."""
     split = system.ordering.split
@@ -81,10 +81,11 @@ def noncompact_witness(system: BalancedSystem, j: int) -> RootVector:
             return root
     raise InvariantViolation(
         f"{system.pair.name}: no noncompact witness for compact simple "
-        f"{system.ordering.compact_simples[j]!r}; this contradicts the trivial-centralizer argument")
+        f"{show(system.ordering.compact_simples[j])}; this contradicts the "
+        "trivial-centralizer argument")
 
 
-def _relation_values(system: BalancedSystem, g: dict[RootVector, Fraction | int]):
+def _relation_values(system: BalancedSystem, g: dict[tuple, Fraction | int]):
     """Evaluate the right-hand sides: one value per compact and noncompact simple.
 
     Each root of `system.signs` adds sign * g times its compact-simple
@@ -124,7 +125,7 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
         if not any(split[root][1][j] for root in compact):
             raise InfeasibleOrdering(
                 psi,
-                f"{pair.name}: the relation for noncompact simple {psi!r} has a "
+                f"{pair.name}: the relation for noncompact simple {show(psi)} has a "
                 "non-positive right-hand side (no compact positive root outside "
                 "the base carries its coordinate)")
 
@@ -134,7 +135,7 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
     g = dict.fromkeys(system.signs, 1)  # integers until the metric is packaged
     g_vals, h_vals = _relation_values(system, g)
 
-    def bump(root: RootVector, coefficient: int, deficit: int) -> None:
+    def bump(root: tuple, coefficient: int, deficit: int) -> None:
         steps = max(1, -((-deficit) // coefficient))  # ceil for positive coefficient
         g[root] += steps
         value = system.signs[root] * steps
@@ -160,7 +161,7 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
                 raise InfeasibleOrdering(
                     ordering.noncompact_simples[j],
                     f"{pair.name}: the constructive scheme has no witness in the "
-                    f"span of the noncompact simples for {ordering.noncompact_simples[j]!r}")
+                    f"span of the noncompact simples for {show(ordering.noncompact_simples[j])}")
             bump(witness, split[witness][1][j], 1 - value)
 
     g.update(zip(ordering.compact_simples + ordering.noncompact_simples, g_vals + h_vals))
@@ -207,7 +208,7 @@ def _so1_2n_metric(ordering: AdmissibleOrdering, x=Fraction(1), y=Fraction(2)) -
         if value <= 0:
             raise RootSystemError(
                 f"coefficient z_{i} = {value} is not positive for (x, y) = ({x}, {y})")
-    g: dict[RootVector, Fraction] = {}
+    g: dict[tuple, Fraction] = {}
     for root in ordering.positives:
         support = [i for i, c in enumerate(root) if c != 0]
         if len(support) == 1:

@@ -17,22 +17,21 @@ from typing import Mapping, NamedTuple
 from .balanced import BalancedMetric
 from .ordering import AdmissibleOrdering
 from .pairs import InnerPair
-from .rootsys import RootVector
 
 
 class ChernReport(NamedTuple):
-    delta: RootVector
+    delta: tuple
     scalar_curvature: Fraction
     delta_nonzero: bool
     kodaira_flag: bool  # negative Kodaira dimension asserted when delta != 0
 
 
-def weyl_delta(ordering: AdmissibleOrdering) -> RootVector:
+def weyl_delta(ordering: AdmissibleOrdering) -> tuple:
     """Coordinate sum of the ordering's positive roots, column by column."""
-    return RootVector._from_doubled(map(sum, zip(*ordering.positives)))
+    return tuple(map(sum, zip(*ordering.positives)))
 
 
-def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],
+def chern_report(metric: BalancedMetric | Mapping[tuple, Fraction],
                  ordering: AdmissibleOrdering, pair: InnerPair) -> ChernReport:
     """delta and the scalar 2 * sum over positive roots a of +-g_a <a, delta>
     (+ for noncompact a); each doubled pairing is 4 <a, delta>, an integer.
@@ -47,7 +46,7 @@ def chern_report(metric: BalancedMetric | Mapping[RootVector, Fraction],
             value = g[root]
             term = pairing * value.numerator * (den // value.denominator)
             total += -term if pair.grading.is_compact(root) else term
-    nonzero = not delta.is_zero()
+    nonzero = any(delta)
     return ChernReport(
         delta=delta,
         scalar_curvature=Fraction(total, 2 * den),

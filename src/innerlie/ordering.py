@@ -15,10 +15,11 @@ ordering's `split`.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .pairs import InnerPair
-from .rootsys import InvariantViolation, RootVector, SimpleSystem
+from .rootsys import InvariantViolation, SimpleSystem
 
 MODE_PARTNER = "partner_property"
 MODE_SPECIAL = "so_1_2n_special"
@@ -31,11 +32,11 @@ class AdmissibleOrdering(NamedTuple):
     along (compact simples, noncompact simples)."""
 
     system: SimpleSystem
-    positives: tuple[RootVector, ...]
-    compact_simples: tuple[RootVector, ...]
-    noncompact_simples: tuple[RootVector, ...]
+    positives: tuple[tuple, ...]
+    compact_simples: tuple[tuple, ...]
+    noncompact_simples: tuple[tuple, ...]
     mode: str
-    split: dict[RootVector, tuple[tuple[int, ...], tuple[int, ...]]]
+    split: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def make_ordering(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
@@ -69,7 +70,7 @@ def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:
 
 def _has_partners(noncompact_simples, pair: InnerPair) -> bool:
     roots = pair.system.roots
-    return all(any(psi + other in roots for other in noncompact_simples)
+    return all(any(tuple(map(add, psi, other)) in roots for other in noncompact_simples)
                for psi in noncompact_simples)
 
 

@@ -28,7 +28,6 @@ from typing import Mapping
 from .rootsys import (
     RootSystem,
     RootSystemError,
-    RootVector,
     _Frozen,
     build_root_system,
 )
@@ -52,7 +51,7 @@ class CompactnessGrading(_Frozen):
     def __init__(self, system: RootSystem, painted: tuple[int, ...]):  # 0-based indices
         self._set(system, painted, _compact(system.roots, system.base.simples, painted))
 
-    def is_compact(self, root: RootVector) -> bool:
+    def is_compact(self, root: tuple) -> bool:
         self.system.require_root(root)
         return root in self._compact
 

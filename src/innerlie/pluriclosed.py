@@ -16,7 +16,8 @@ right side appears with a coefficient matching its sign constraint (so the
 right side is strictly positive): a literal infeasibility witness.
 
 The relation is stated once, by the verifier: `instantiate_relation` takes
-its coefficients from `verify._derived_relation` on doubled roots.
+its coefficients from `verify._derived_relation`, keyed by the verifier's
+own doubled roots, which are the catalog's.
 `verify_certificate` checks a certificate with the verifier of
 `verify.verify_data`, which re-derives every coefficient from root strings
 and the stored ordering, checks the exact elimination of off-diagonal terms
@@ -26,11 +27,12 @@ and checks the sign pattern; it never trusts the builder.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .ordering import MODE_PARTNER, MODE_SPECIAL, AdmissibleOrdering
 from .pairs import InnerPair
-from .rootsys import InvariantViolation, RootSystemError, RootVector
+from .rootsys import InvariantViolation, RootSystemError, show
 from .verify import _accumulate, _coeffs_to_json, _derived_relation, _vec_to_json, check_obstruction
 
 BRANCH_GENERIC = "generic"
@@ -38,23 +40,23 @@ BRANCH_SPECIAL = "so_1_2n"
 
 
 class PluriclosedRelation(NamedTuple):
-    alpha: RootVector
-    beta: RootVector
-    coeffs: dict[RootVector, Fraction]
+    alpha: tuple
+    beta: tuple
+    coeffs: dict[tuple, Fraction]
 
 
 class PluriclosedCertificate(NamedTuple):
     branch: str
-    roots: dict[str, RootVector]
-    ordering_simples: tuple[RootVector, ...]
+    roots: dict[str, tuple]
+    ordering_simples: tuple[tuple, ...]
     relations: tuple[PluriclosedRelation, ...]
     combination: tuple[Fraction, ...]
-    conclusion_root: RootVector
-    conclusion_coeffs: dict[RootVector, Fraction]
-    variable_signs: dict[RootVector, int]  # +1 noncompact, -1 compact
+    conclusion_root: tuple
+    conclusion_coeffs: dict[tuple, Fraction]
+    variable_signs: dict[tuple, int]  # +1 noncompact, -1 compact
 
 
-def instantiate_relation(alpha: RootVector, beta: RootVector,
+def instantiate_relation(alpha: tuple, beta: tuple,
                          ordering: AdmissibleOrdering, pair: InnerPair) -> PluriclosedRelation:
     """The relation for (alpha, beta), derived on doubled roots by the
     verifier's `verify._derived_relation`."""
@@ -63,10 +65,9 @@ def instantiate_relation(alpha: RootVector, beta: RootVector,
         raise RootSystemError("the relation requires distinct roots")
     for root in (alpha, beta):
         if root not in positive:
-            raise RootSystemError(f"{root!r} is not a positive root of the ordering")
+            raise RootSystemError(f"{show(root)} is not a positive root of the ordering")
     derived = _derived_relation(pair.system.roots, positive, alpha, beta)
-    # Keys the verifier makes are plain tuples, on which + concatenates.
-    coeffs = {RootVector._from_doubled(root): Fraction(value) for root, value in derived.items()}
+    coeffs = {root: Fraction(value) for root, value in derived.items()}
     return PluriclosedRelation(alpha=alpha, beta=beta, coeffs=coeffs)
 
 
@@ -79,8 +80,8 @@ def find_noncompact_interacting_pair(ordering: AdmissibleOrdering, pair: InnerPa
     roots = pair.system.roots
     for psi1 in ordering.noncompact_simples:
         for psi2 in ordering.noncompact_simples:
-            phi = psi1 + psi2
-            if psi1 != psi2 and phi in roots and phi + psi1 not in roots:
+            phi = tuple(map(add, psi1, psi2))
+            if psi1 != psi2 and phi in roots and tuple(map(add, phi, psi1)) not in roots:
                 return psi1, psi2, phi
     raise InvariantViolation(
         f"{pair.name}: no interacting noncompact pair; contradicts the partner property")
@@ -91,10 +92,8 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
     callers check it with `verify_certificate`, or the whole certificate
     with `verify.verify_data` or `verify.verify_file`."""
     if ordering.mode == MODE_SPECIAL:
-        n = pair.rank
-        psi1 = RootVector([int(i == 0) for i in range(n)])
-        psi2 = RootVector([int(i == 1) for i in range(n)])
-        phi1, phi2 = psi1 + psi2, psi1 - psi2
+        zeros = (0,) * (pair.rank - 2)  # e1, e2, e1 + e2 and e1 - e2, doubled:
+        psi1, psi2, phi1, phi2 = (2, 0, *zeros), (0, 2, *zeros), (2, 2, *zeros), (2, -2, *zeros)
         roots = {"psi1": psi1, "psi2": psi2, "phi1": phi1, "phi2": phi2}
         relations = (instantiate_relation(psi1, psi2, ordering, pair),
                      instantiate_relation(phi1, psi1, ordering, pair))
@@ -106,7 +105,7 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
                      instantiate_relation(phi, psi1, ordering, pair))
         branch = BRANCH_GENERIC
     combination = (Fraction(-1), Fraction(1))
-    conclusion: dict[RootVector, Fraction] = {}
+    conclusion: dict[tuple, Fraction] = {}
     for coeff, relation in zip(combination, relations):
         for root, value in relation.coeffs.items():
             _accumulate(conclusion, root, coeff * value)

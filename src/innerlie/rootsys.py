@@ -2,12 +2,14 @@
 
 Families A-D at variable rank plus G2, F4, E6 and E8, realized with the
 classical coordinates (E6 sits inside the E8 ambient space, spanned by the
-first six E8 simple roots).  A root is a RootVector, the tuple of twice each
-ambient coordinate (all lie in (1/2)Z) as an int, the same tuple as the
-verifier's doubled vector; the roots are the positive-root orbit of the
-standard simples (`RootSystem`) and its negatives, in those coordinates.
-`Fraction` is left to ambient values read or returned (`dot`) and to
-metric, relation and curvature values.  No floating point is used anywhere.
+first six E8 simple roots).  A root is a plain tuple of ints, twice each
+ambient coordinate (all lie in (1/2)Z): the verifier's doubled vector.
+`root_vector` makes one from ambient values and `show` prints one in them;
+sums are `map(add, ...)` tuples, since `+` on tuples concatenates.  The
+roots are the positive-root orbit of the standard simples (`RootSystem`)
+and its negatives, in those coordinates.  `Fraction` is left to ambient
+values read and to metric, relation and curvature values.  No floating
+point is used anywhere.
 
 Every base's integer coordinates are the height walk of `walk`, which also
 checks the base and which the verifier runs too: the standard base's table is
@@ -29,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .walk import RootSystemError, _claimed_coordinates, _table
 
@@ -53,64 +55,21 @@ class InvariantViolation(RuntimeError):
     """An internal guarantee failed; indicates a bug, not bad user input."""
 
 
-class RootVector(tuple):
-    """Immutable vector of the ambient epsilon basis with coordinates in (1/2)Z,
-    held as the tuple of twice each coordinate: hash, equality and order are
-    those of that int tuple.
-
-    The constructor takes ambient values (int, Fraction or "1/2"); `+`, `-`
-    and `k * v` are vector operations, not tuple concatenation or repetition."""
-
-    __slots__ = ()
-
-    def __new__(cls, coords: Iterable[Fraction | int | str]):
-        doubled = [2 * Fraction(c) for c in coords]
-        if any(c.denominator != 1 for c in doubled):
-            raise RootSystemError(f"coordinates {[str(c / 2) for c in doubled]} not all in (1/2)Z")
-        return tuple.__new__(cls, [c.numerator for c in doubled])
-
-    @classmethod
-    def _from_doubled(cls, doubled: Iterable[int]) -> "RootVector":
-        return tuple.__new__(cls, doubled)
-
-    def dot(self, other: "RootVector") -> Fraction:
-        if len(self) != len(other):
-            raise RootSystemError("ambient dimension mismatch")
-        return Fraction(sum(map(mul, self, other)), 4)
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
-
-    def is_zero(self) -> bool:
-        return not any(self)
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector._from_doubled(map(add, self, other))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector._from_doubled(map(sub, self, other))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector._from_doubled(map(neg, self))
-
-    def __rmul__(self, scalar) -> "RootVector":
-        return RootVector(Fraction(scalar) * c / 2 for c in self)
-
-    __mul__ = __rmul__
-
-    def __reduce__(self):  # for copy and pickle, which would call the constructor on doubled values
-        return RootVector._from_doubled, (tuple(self),)
-
-    def __repr__(self) -> str:
-        return "(" + ", ".join(str(Fraction(c, 2)) for c in self) + ")"
+def root_vector(*coords: Fraction | int | str) -> tuple:
+    """The root with these ambient coordinates (int, Fraction or "1/2"), as
+    twice each: root_vector(1, "-1/2") == (2, -1)."""
+    doubled = [2 * Fraction(c) for c in coords]
+    if any(c.denominator != 1 for c in doubled):
+        raise RootSystemError(f"coordinates {[str(c / 2) for c in doubled]} not all in (1/2)Z")
+    return tuple([c.numerator for c in doubled])
 
 
-def root_vector(*coords) -> RootVector:
-    """Shorthand constructor: root_vector(1, -1, 0)."""
-    return RootVector(coords)
+def show(v: tuple) -> str:
+    """A doubled root in ambient coordinates: show((1, -2)) == "(1/2, -1)"."""
+    return "(" + ", ".join(str(Fraction(c, 2)) for c in v) + ")"
 
 
-def reflect(v: RootVector, mirror: RootVector) -> RootVector:
+def reflect(v: tuple, mirror: tuple) -> tuple:
     """Reflect v in the hyperplane orthogonal to mirror.
 
     Involutive, and maps the root system to itself whenever both arguments
@@ -122,8 +81,8 @@ def reflect(v: RootVector, mirror: RootVector) -> RootVector:
     twice_dot = 2 * sum(map(mul, v, mirror))
     scaled = [nsq * a - twice_dot * b for a, b in zip(v, mirror)]
     if any(c % nsq for c in scaled):
-        raise RootSystemError(f"the reflection of {v!r} in {mirror!r} leaves (1/2)Z")
-    return RootVector._from_doubled(c // nsq for c in scaled)
+        raise RootSystemError(f"the reflection of {show(v)} in {show(mirror)} leaves (1/2)Z")
+    return tuple([c // nsq for c in scaled])
 
 
 class _Frozen:
@@ -147,20 +106,20 @@ class SimpleSystem(_Frozen):
 
     __slots__ = ("simples", "rank")
 
-    def __init__(self, simples: Sequence[RootVector]):
+    def __init__(self, simples: Sequence[tuple]):
         simples = tuple(simples)
         if not simples:
             raise RootSystemError("a simple system needs at least one root")
         self._set(simples, len(simples))
 
-    def key(self) -> frozenset[RootVector]:
+    def key(self) -> frozenset[tuple]:
         return frozenset(self.simples)
 
     def __repr__(self) -> str:
-        return f"SimpleSystem{list(self.simples)!r}"
+        return "SimpleSystem[" + ", ".join(map(show, self.simples)) + "]"
 
 
-def _cartan(simples: Sequence[RootVector]) -> tuple[tuple[int, ...], ...]:
+def _cartan(simples: Sequence[tuple]) -> tuple[tuple[int, ...], ...]:
     """C[i][j] = 2<a_i, a_j> / <a_j, a_j>."""
     rows = [[divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b))) for b in simples]
             for a in simples]
@@ -197,33 +156,33 @@ class RootSystem(_Frozen):
             for s, nsq in mirrors:
                 k = 2 * sum(map(mul, v, s)) // nsq
                 if k < 0:
-                    image = RootVector._from_doubled([a - k * b for a, b in zip(v, s)])
+                    image = tuple([a - k * b for a, b in zip(v, s)])
                     if image not in positive:
                         positive.add(image)
                         reached.append(image)
-        sorted_roots = tuple(sorted([*reached, *map(neg, reached)]))
+        sorted_roots = tuple(sorted([*reached, *(tuple(map(neg, v)) for v in reached)]))
         self._set(family, rank, base, cartan, sorted_roots, frozenset(sorted_roots),
                   len(sorted_roots[0]))
 
-    def is_root(self, v: RootVector) -> bool:
+    def is_root(self, v: tuple) -> bool:
         return v in self.roots
 
-    def require_root(self, v: RootVector) -> None:
+    def require_root(self, v: tuple) -> None:
         if not self.is_root(v):
-            raise RootSystemError(f"{v!r} is not a root of {self.family}{self.rank}")
+            raise RootSystemError(f"{show(v)} is not a root of {self.family}{self.rank}")
 
-    def coordinates(self, v: RootVector) -> tuple[int, ...]:
+    def coordinates(self, v: tuple) -> tuple[int, ...]:
         """Integer coordinates of a root over the standard base."""
         self.require_root(v)
         return _table(self.roots, self.base.simples)[2][v]
 
     @property
-    def positive_roots(self) -> tuple[RootVector, ...]:
+    def positive_roots(self) -> tuple[tuple, ...]:
         """Positive roots of the standard base, in lexicographic order."""
         standard = _table(self.roots, self.base.simples)[2]
         return tuple(v for v in self.sorted_roots if min(standard[v]) >= 0)
 
-    def validate_base(self, system: SimpleSystem) -> dict[RootVector, tuple[int, ...]]:
+    def validate_base(self, system: SimpleSystem) -> dict[tuple, tuple[int, ...]]:
         """The integer coordinates of every root over `system`, all of one sign,
         which proves `system` a genuine simple system for this root system.
 
@@ -242,31 +201,29 @@ class RootSystem(_Frozen):
         return f"RootSystem({self.family}, rank={self.rank}, roots={len(self.roots)})"
 
 
-def _base_coords(family: str, rank: int) -> list[RootVector]:
-    """The standard simple roots in doubled ambient coordinates, as a
-    RootVector holds them: F4's and E8's half-integer simples have +-1."""
-    doubled = RootVector._from_doubled
+def _base_coords(family: str, rank: int) -> list[tuple]:
+    """The standard simple roots in doubled ambient coordinates: F4's and
+    E8's half-integer simples have +-1."""
 
     def unit(i, size=rank, scale=2):
         return [scale * (j == i) for j in range(size)]
 
     if family == "A":
-        return [doubled(map(sub, unit(i, rank + 1), unit(i + 1, rank + 1))) for i in range(rank)]
+        return [tuple(map(sub, unit(i, rank + 1), unit(i + 1, rank + 1))) for i in range(rank)]
     if family in ("B", "C", "D"):
-        chain = [doubled(map(sub, unit(i), unit(i + 1))) for i in range(rank - 1)]
+        chain = [tuple(map(sub, unit(i), unit(i + 1))) for i in range(rank - 1)]
         if family == "B":
-            return chain + [doubled(unit(rank - 1))]
+            return chain + [tuple(unit(rank - 1))]
         if family == "C":
-            return chain + [doubled(unit(rank - 1, scale=4))]
-        return chain + [doubled(map(add, unit(rank - 2), unit(rank - 1)))]
+            return chain + [tuple(unit(rank - 1, scale=4))]
+        return chain + [tuple(map(add, unit(rank - 2), unit(rank - 1)))]
     if family == "G2":
-        return [doubled((2, -2, 0)), doubled((-4, 2, 2))]
+        return [(2, -2, 0), (-4, 2, 2)]
     if family == "F4":
-        return [doubled((0, 2, -2, 0)), doubled((0, 0, 2, -2)), doubled((0, 0, 0, 2)),
-                doubled((1, -1, -1, -1))]
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
     # E8 base; E6 takes its first six simple roots in the same ambient space.
-    e8 = [doubled((1, -1, -1, -1, -1, -1, -1, 1)), doubled(map(add, unit(0, 8), unit(1, 8)))]
-    e8 += [doubled(map(sub, unit(j - 2, 8), unit(j - 3, 8))) for j in range(3, 9)]
+    e8 = [(1, -1, -1, -1, -1, -1, -1, 1), tuple(map(add, unit(0, 8), unit(1, 8)))]
+    e8 += [tuple(map(sub, unit(j - 2, 8), unit(j - 3, 8))) for j in range(3, 9)]
     return e8[:6] if family == "E6" else e8
 
 

@@ -6,10 +6,10 @@ A strict reader takes each rational only in the form str(Fraction) writes, of
 bounded length.  A vector spelled as the writer (`_vec_to_json`, stated next
 to the reader) spells a catalog root is resolved by one lookup in its root
 set's text table (`_texts`), and any other by the strict parse of each
-coordinate, so every root becomes its doubled ambient vector, a tuple of
-integers equal to the catalog's `RootVector` for it; every check is integer
-arithmetic on those, with metric values, relation coefficients and weights
-kept exact (an int when integral, else a Fraction).  The claimed simple
+coordinate, so every root becomes its doubled ambient vector, the tuple of
+integers the catalog holds for it; every check is integer arithmetic on
+those, with metric values, relation coefficients and weights kept exact (an
+int when integral, else a Fraction).  The claimed simple
 roots are checked, and the positive and compact roots read, by the height
 walk of `walk`, once per chamber (a pair with its claimed simples);
 `walk`'s docstring also describes this module's two caches, `_texts` and
@@ -34,7 +34,7 @@ from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from .pairs import InnerPair, pair_by_name
-from .rootsys import RootSystemError, RootVector
+from .rootsys import RootSystemError
 from .walk import _claimed_chamber, _claimed_roots
 
 SCHEMA_VERSION = 1
@@ -48,14 +48,13 @@ class VerificationResult(NamedTuple):
         return self.ok
 
 
-# Every root is named by its doubled ambient vector, a tuple of integers
-# (coordinates lie in (1/2)Z); a catalog root, a RootVector, is that tuple.
-# The height walk (`walk`) names each root by an integer key instead.
-# The verifier reads the root set, the standard base and the painted nodes
-# as they are, but no method of `rootsys` and no RootVector arithmetic (its
-# own sums are plain `map(add, ...)` tuples and key sums).  The builder shares
-# the walk and reads the verifier's relations (`_derived_relation`), never
-# the other way round.
+# Every root, in the catalog as here, is its doubled ambient vector, a tuple
+# of integers (coordinates lie in (1/2)Z); the height walk (`walk`) names
+# each root by an integer key instead.  The verifier reads the root set, the
+# standard base and the painted nodes as they are, but no method of
+# `rootsys`; its sums are `map(add, ...)` tuples and key sums.  The builder
+# shares the walk and reads the verifier's relations (`_derived_relation`),
+# never the other way round.
 
 # A rational in a certificate is the JSON string str(Fraction) writes, with at
 # most MAX_DIGITS digits on each side of the bar, which bounds the size of the
@@ -128,12 +127,12 @@ class _Halves(dict):
 _HALVES = _Halves()
 
 
-def _vec_to_json(v: RootVector) -> list[str]:
+def _vec_to_json(v: tuple) -> list[str]:
     """The ambient coordinates in lowest terms."""
     return list(map(_HALVES.__getitem__, v))
 
 
-def _coeffs_to_json(coeffs: dict[RootVector, Fraction]) -> list:
+def _coeffs_to_json(coeffs: dict[tuple, Fraction]) -> list:
     return [{"root": _vec_to_json(root), "c": str(value)}
             for root, value in sorted(coeffs.items())]
 
@@ -345,11 +344,11 @@ def _verify_pluriclosed_payload(payload, read: _Reader, pair: InnerPair,
 
 
 def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
-    """Whether the metric `g` (RootVector -> value) satisfies the balanced
-    identity over the base `simples` (RootVectors), by `verify_data`'s
-    arithmetic, on values kept as it reads them (an int when integral);
-    RootSystemError when `simples` is not a base or the domain of `g` is not
-    its positive roots."""
+    """Whether the metric `g` (root -> value) satisfies the balanced
+    identity over the base `simples`, by `verify_data`'s arithmetic, on
+    values kept as it reads them (an int when integral); RootSystemError
+    when `simples` is not a base or the domain of `g` is not its positive
+    roots."""
     chamber = _claimed_chamber(pair, simples)
     if g.keys() != chamber[0]:
         raise RootSystemError("metric domain does not match the positive roots")
@@ -359,7 +358,7 @@ def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
 
 def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
     """`verify_data`'s check of a pluriclosed block (`pluriclosed_payload`)
-    over the base `simples` (RootVectors)."""
+    over the base `simples`."""
     try:
         claimed = _claimed_roots(pair, simples)
     except RootSystemError:

@@ -26,6 +26,7 @@ from innerlie import (
     verify_certificate,
     weyl_delta,
 )
+from test_rootsys import plus
 
 MAX_RANK = 8
 
@@ -63,7 +64,7 @@ def test_criterion_1_balanced_metrics_full_catalog(catalog8, analyzed):
             assert ordering.mode == "partner_property"
             nc = ordering.noncompact_simples
             for psi in nc:  # the partner property itself
-                assert any(pair.system.is_root(psi + other) for other in nc)
+                assert any(pair.system.is_root(plus(psi, other)) for other in nc)
             # one reflection of the standard base about its noncompact simple
             base = pair.system.base.simples
             (mirror,) = [s for s in base if not pair.grading.is_compact(s)]
@@ -102,8 +103,27 @@ def test_criterion_3_chern_scalar_and_delta(catalog8, analyzed):
     for pair in catalog8:
         entry = analyzed[pair.name]
         assert chern_report(entry["metric"], entry["ordering"], pair).scalar_curvature == 0
-        assert not weyl_delta(entry["ordering"]).is_zero()
+        assert any(weyl_delta(entry["ordering"]))
     print("\nACCEPTANCE 3 (vanishing Chern scalar, nonzero delta): PASS")
+
+
+def test_every_root_the_pipeline_hands_out_is_a_plain_int_tuple(catalog8, analyzed):
+    """Roots have one representation, the plain tuple of doubled ints, from
+    the root system through the ordering, the metric, the obstruction and
+    delta."""
+    for pair in catalog8:
+        entry = analyzed[pair.name]
+        ordering, metric, obstruction = entry["ordering"], entry["metric"], entry["obstruction"]
+        roots = [*pair.system.sorted_roots, *pair.system.base.simples, *ordering.system.simples,
+                 *ordering.compact_simples, *ordering.noncompact_simples, *ordering.positives,
+                 *ordering.split, *metric.g, *obstruction.roots.values(),
+                 *obstruction.ordering_simples, obstruction.conclusion_root,
+                 *obstruction.conclusion_coeffs, *obstruction.variable_signs,
+                 weyl_delta(ordering), chern_report(metric, ordering, pair).delta]
+        for relation in obstruction.relations:
+            roots += [relation.alpha, relation.beta, *relation.coeffs]
+        assert {type(v) for v in roots} == {tuple}, pair.name
+        assert {type(c) for v in roots for c in v} == {int}, pair.name
 
 
 def test_criterion_4_negative_controls():
@@ -165,7 +185,7 @@ def test_criterion_5_structural_oracles(catalog8):
         assert pair.rank + len(rs.roots) == dim_g
         assert pair.rank + compact == dim_k
         for psi1, psi2 in permutations(rs.base.simples, 2):
-            assert not (rs.is_root(psi1 + 2 * psi2) and rs.is_root(psi2 + 2 * psi1))
+            assert not (rs.is_root(plus(psi1, psi2, psi2)) and rs.is_root(plus(psi2, psi1, psi1)))
     print("\nACCEPTANCE 5 (structural oracles: counts, Cartan matrices, dims, "
           "root-string exclusions): PASS")
 

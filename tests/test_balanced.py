@@ -85,6 +85,16 @@ def test_su_standard_ordering_infeasible(name):
     assert "non-positive" in str(excinfo.value)
 
 
+def test_su21_standard_ordering_reason_names_its_simple_in_ambient_values():
+    pair = pair_by_name("su(2,1)")
+    with pytest.raises(InfeasibleOrdering) as excinfo:
+        solve_constructive(assemble_system(standard_ordering(pair), pair))
+    assert excinfo.value.simple_root == root_vector(0, 1, -1) == (0, 2, -2)
+    assert excinfo.value.reason == (
+        "su(2,1): the relation for noncompact simple (0, 1, -1) has a non-positive "
+        "right-hand side (no compact positive root outside the base carries its coordinate)")
+
+
 def test_solve_g2_frozen_regression():
     pair = pair_by_name("g2(2)")
     metric = solve_for_pair(pair)

@@ -17,7 +17,8 @@ import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie.cli import main
 from innerlie.pairs import catalog, pair_by_name
-from innerlie.rootsys import InvariantViolation, RootSystemError, RootVector
+from innerlie.rootsys import InvariantViolation, RootSystemError, root_vector
+from test_rootsys import minus
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +136,7 @@ def test_serialize_writes_json_dumps_bytes_for_every_rank8_certificate(catalog8)
         assert certkit.serialize(cert) == json.dumps(cert, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [None, 1.5, Fraction(1, 2), RootVector([1, "1/2"])])
+@pytest.mark.parametrize("value", [None, 1.5, Fraction(1, 2), root_vector(1, "1/2")])
 def test_serialize_refuses_what_a_certificate_cannot_hold(value):
     """A root, a tuple of doubled coordinates, included: a file holds ambient strings."""
     for doc in (value, [value], ["0", value], {"c": value}):
@@ -829,13 +830,27 @@ def test_package_imports_form_no_cycle():
             del graph[name]
 
 
+def test_no_module_subclasses_tuple_or_names_a_root_class():
+    """A root is a plain tuple of doubled ints everywhere in the package: no
+    module defines a tuple subclass, and none mentions the `RootVector`
+    subclass that once made `+` add vectors."""
+    import ast
+    from pathlib import Path
+
+    for path in Path(certkit.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "RootVector" not in text, path.name
+        bases = [ast.unparse(base) for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.ClassDef) for base in node.bases]
+        assert not [base for base in bases if base.split("[")[0] == "tuple"], path.name
+
+
 def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     """The verifier keeps its own arithmetic: with the pair resolved up
     front, it accepts a valid certificate and rejects a tampered one while
-    every integer table of the root core, and RootVector arithmetic, raise
-    when used."""
+    every integer table of the root core raises when used."""
     from innerlie.pairs import pair_by_name
-    from innerlie.rootsys import RootSystem, RootVector, SimpleSystem
+    from innerlie.rootsys import RootSystem
 
     pair = pair_by_name("g2(2)")
     monkeypatch.setattr(verify, "pair_by_name", lambda name: pair)
@@ -843,10 +858,8 @@ def test_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     def unreadable(*args, **kwargs):
         raise AssertionError("the verifier read an integer table")
 
-    for owner, name in [(RootSystem, "coordinates"), (RootSystem, "validate_base"),
-                        (RootVector, "__add__"), (RootVector, "__sub__"),
-                        (RootVector, "__rmul__"), (RootVector, "dot")]:
-        monkeypatch.setattr(owner, name, unreadable)
+    for name in ("coordinates", "validate_base"):
+        monkeypatch.setattr(RootSystem, name, unreadable)
     assert certkit.verify_data(g2_data).ok
 
     def mutate(d):
@@ -905,7 +918,7 @@ def test_verifier_caches_are_bounded_and_hold_only_walks_that_pass():
     assert isinstance(record, tuple) and _frozen(record)
     assert isinstance(record[0], frozenset) and isinstance(record[1], frozenset)
     assert walk._claimed_roots(pair, base) == record[:2] and _frozen(record[:2])
-    for claim in ([a1, a1, a3, a4], [a1, -a1, a3, a4], [a1, a2, a3]):
+    for claim in ([a1, a1, a3, a4], [a1, minus(a1), a3, a4], [a1, a2, a3]):
         for read in (walk._claimed_roots, walk._claimed_chamber):
             with pytest.raises(RootSystemError):
                 read(pair, claim)
@@ -965,7 +978,8 @@ def test_walk_keys_are_distinct_under_the_radix_bound():
         assert max(abs(c) for root in rs.roots for c in root) <= 4, rs
         by_key, key_of, _ = walk._table(rs.roots, rs.base.simples)
         assert len(by_key) == len(key_of) == len(rs.roots), rs
-        assert all(by_key[key_of[v]] is v and by_key.get(-key_of[v]) == -v for v in rs.roots), rs
+        assert all(by_key[key_of[v]] is v and by_key.get(-key_of[v]) == minus(v)
+                   for v in rs.roots), rs
 
 
 # ---------------------------------------------------------------------------

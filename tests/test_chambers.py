@@ -1,16 +1,15 @@
 """Chamber-by-chamber equivalence of the root core's base check, the
 verifier's height walk over the claimed base and a Gram-matrix reference.
 The core's check, `RootSystem.validate_base` (the "integer" path), runs the
-walk the verifier runs (`walk`) and returns its table, keyed by RootVector;
-it stores nothing.
+walk the verifier runs (`walk`) and returns its table, keyed by root; it
+stores nothing.
 
 The reference solves against the Gram matrix of the simple roots, not by a
-walk: on the tuple of twice each ambient coordinate that a RootVector is,
-read as plain ints, it takes the doubled Gram matrix's determinant and
-adjugate once per base (`_adjugate`), gives each root det times its
-coordinates, recomposes them to check span membership, then requires
-integral one-sign coordinates.  It is integer arithmetic of its own, with
-no RootVector operation.
+walk: on the tuple of twice each ambient coordinate that a root is, it
+takes the doubled Gram matrix's determinant and adjugate once per base
+(`_adjugate`), gives each root det times its coordinates, recomposes them
+to check span membership, then requires integral one-sign coordinates.  It
+is integer arithmetic of its own.
 """
 
 from itertools import combinations
@@ -31,6 +30,7 @@ from innerlie.rootsys import (
     reflect,
     root_vector,
 )
+from test_rootsys import minus, plus
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]
 
@@ -181,7 +181,7 @@ def _reached(rs, simples):
     while frontier:
         v = frontier.pop()
         for s in simples:
-            w = v + s
+            w = plus(v, s)
             if rs.is_root(w) and w not in reached:
                 reached.add(w)
                 frontier.append(w)
@@ -192,9 +192,9 @@ def _b4_claims():
     e = [root_vector(*(int(i == j) for j in range(4))) for i in range(4)]
     a1, a2, a3, a4 = build_root_system("B", 4).base.simples
     return {
-        "B3 base plus -e1": [e[0] - e[1], e[1] - e[2], e[2], -e[0]],
+        "B3 base plus -e1": [plus(e[0], minus(e[1])), plus(e[1], minus(e[2])), e[2], minus(e[0])],
         "duplicated simple": [a1, a1, a3, a4],
-        "alpha and -alpha, padded": [a1, -a1, a3, a4],
+        "alpha and -alpha, padded": [a1, minus(a1), a3, a4],
     }
 
 
@@ -204,7 +204,7 @@ def test_b3_base_plus_minus_e1_reaches_half_the_roots_of_b4():
     rs = build_root_system("B", 4)
     reached = _reached(rs, _b4_claims()["B3 base plus -e1"])
     assert len(reached) == 18 and 2 * len(reached) >= len(rs.roots)
-    assert all(-v in reached for v in reached)
+    assert all(minus(v) in reached for v in reached)
 
 
 @pytest.mark.parametrize("case", sorted(_b4_claims()))

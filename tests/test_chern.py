@@ -14,6 +14,7 @@ from innerlie import (
 from innerlie.balanced import BalancedMetric
 from innerlie.ordering import make_ordering
 from innerlie.rootsys import SimpleSystem, root_vector
+from test_rootsys import dot, minus
 
 F = Fraction
 
@@ -26,15 +27,15 @@ def test_weyl_delta_a2():
 def test_weyl_delta_negated_ordering():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
-    reversed_system = SimpleSystem([-s for s in ordering.system.simples])
+    reversed_system = SimpleSystem([minus(s) for s in ordering.system.simples])
     reversed_ordering = make_ordering(pair, reversed_system)
-    assert weyl_delta(reversed_ordering) == -weyl_delta(ordering)
+    assert weyl_delta(reversed_ordering) == minus(weyl_delta(ordering))
 
 
 def test_weyl_delta_nonzero_for_g2_reflected():
     pair = pair_by_name("g2(2)")
     ordering = find_admissible_ordering(pair)
-    assert not weyl_delta(ordering).is_zero()
+    assert any(weyl_delta(ordering))
 
 
 def test_chern_scalar_vanishes_on_balanced():
@@ -50,7 +51,7 @@ def test_chern_scalar_nonzero_on_unbalanced():
     unit = BalancedMetric(g={r: F(1) for r in ordering.positives}, ordering=ordering)
     value = chern_report(unit, ordering, pair).scalar_curvature
     # imbalance (0,2,-2) against delta (2,0,-2), doubled
-    assert value == 2 * root_vector(0, 2, -2).dot(root_vector(2, 0, -2)) == 8
+    assert value == 2 * dot(root_vector(0, 2, -2), root_vector(2, 0, -2)) == 8
 
 
 def test_chern_scalar_linear_in_metric():
@@ -84,6 +85,6 @@ def test_chern_scalar_equals_the_fraction_formula(name, data):
     g = {root: data.draw(st.one_of(weights, st.just(metric.g[root])))
          for root in ordering.positives}
     delta = weyl_delta(ordering)
-    expected = 2 * sum((-g[a] if pair.grading.is_compact(a) else g[a]) * a.dot(delta)
+    expected = 2 * sum((-g[a] if pair.grading.is_compact(a) else g[a]) * dot(a, delta)
                        for a in ordering.positives)
     assert chern_report(g, ordering, pair).scalar_curvature == expected

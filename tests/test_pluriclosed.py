@@ -15,6 +15,7 @@ from innerlie import (
 )
 from innerlie.pluriclosed import find_noncompact_interacting_pair, instantiate_relation
 from innerlie.rootsys import root_vector
+from test_rootsys import minus, plus
 
 F = Fraction
 
@@ -69,10 +70,10 @@ def test_interacting_pair_g2():
     ordering = find_admissible_ordering(pair)
     psi1, psi2, phi = find_noncompact_interacting_pair(ordering, pair)
     alpha, beta = pair.system.base.simples
-    assert {psi1, psi2} == {-beta, alpha + beta}
-    assert phi == psi1 + psi2 == alpha
+    assert {psi1, psi2} == {minus(beta), plus(alpha, beta)}
+    assert phi == plus(psi1, psi2) == alpha
     assert pair.grading.is_compact(phi)
-    assert not pair.system.is_root(phi + psi1)
+    assert not pair.system.is_root(plus(phi, psi1))
     assert phi in ordering.positives  # positive over the reflected base
 
 
@@ -82,7 +83,7 @@ def test_interacting_pair_f4m20():
     psi1, psi2, phi = find_noncompact_interacting_pair(ordering, pair)
     a3 = pair.system.base.simples[2]
     assert phi == a3
-    assert not pair.system.is_root(phi + psi1)
+    assert not pair.system.is_root(plus(phi, psi1))
 
 
 def test_interacting_pair_requires_partner_mode():
@@ -103,7 +104,7 @@ def test_at_most_one_double_sum_root(catalog8):
         seen.add(key)
         rs = pair.system
         for psi1, psi2 in permutations(rs.base.simples, 2):
-            assert not (rs.is_root(psi1 + 2 * psi2) and rs.is_root(psi2 + 2 * psi1))
+            assert not (rs.is_root(plus(psi1, psi2, psi2)) and rs.is_root(plus(psi2, psi1, psi1)))
 
 
 # The compact form as a negative control.  With every x_a = -1 (the unit
@@ -145,9 +146,9 @@ def test_certificate_g2_frozen():
     cert = build_certificate(ordering, pair)
     alpha, beta = pair.system.base.simples
     assert cert.branch == "generic"
-    assert cert.conclusion_root == -beta  # the noncompact simple with phi + psi1 not a root
+    assert cert.conclusion_root == minus(beta)  # the noncompact simple with phi + psi1 not a root
     assert cert.conclusion_coeffs == {
-        -beta: F(6), alpha + beta: F(6), alpha: F(-6)}
+        minus(beta): F(6), plus(alpha, beta): F(6), alpha: F(-6)}
     assert cert.combination == (F(-1), F(1))
     assert verify_certificate(cert, pair) == (True, None)
 

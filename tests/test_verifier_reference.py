@@ -3,11 +3,10 @@
 The reference below is the verifier the package used before it switched to
 doubled integer coordinates: it parses every coordinate into a `Fraction`,
 holds every vector as a tuple of ambient Fractions of its own (a catalog
-root, the RootVector tuple of doubled coordinates c, is read as the
-Fraction(c, 2)), decomposes roots over the claimed base by a
-Bareiss-inverted Gram matrix, and recomputes root
-strings, the elimination matrix, the balanced sums and the Chern data in
-Fraction arithmetic.  The verifier in `certkit` must give the same
+root, the tuple of doubled coordinates c, is read as the Fraction(c, 2)),
+decomposes roots over the claimed base by a Bareiss-inverted Gram matrix,
+and recomputes root strings, the elimination matrix, the balanced sums and
+the Chern data in Fraction arithmetic.  The verifier in `certkit` must give the same
 (ok, reason) on every catalog certificate and on a fixed set of tampered
 copies of each.
 """
@@ -25,7 +24,7 @@ import innerlie.certkit as certkit
 import innerlie.verify as verify
 import innerlie.walk as walk
 from innerlie import catalog, find_admissible_ordering, pair_by_name
-from innerlie.rootsys import RootSystemError, RootVector, reflect
+from innerlie.rootsys import RootSystemError, reflect, root_vector
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +65,7 @@ def _coeffs(data):
 
 
 def _ambient(v):
-    """A catalog root as ambient Fractions; a RootVector holds twice each."""
+    """A catalog root as ambient Fractions; the catalog holds twice each."""
     return _Vec(Fraction(c, 2) for c in v)
 
 
@@ -483,7 +482,7 @@ def test_every_tampered_copy_agrees_with_reference(certificates, kind):
 def _reflected_simples(d):
     """Claim the base moved by the reflection in its first simple root: a
     genuine base of the same root system, of another chamber."""
-    simples = [RootVector(s) for s in d["ordering"]["simples"]]
+    simples = [root_vector(*s) for s in d["ordering"]["simples"]]
     d["ordering"]["simples"] = [verify._vec_to_json(reflect(s, simples[0])) for s in simples]
 
 
