@@ -31,12 +31,11 @@ from .ordering import (
     find_admissible_ordering,
     make_ordering,
 )
-from .pairs import CompactnessGrading, InnerPair
+from .pairs import InnerPair, pair_by_name
 from .rootsys import (
     InvariantViolation,
     RootSystemError,
     all_simple_systems,
-    build_root_system,
     show,
 )
 
@@ -148,7 +147,8 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
     # One pass per phase, over the values as the phase found them.  A
     # noncompact witness is a positive root, so its bump can only raise the
     # compact values; a witness from the span of the noncompact simples is
-    # zero on the compact simples, so its bump leaves them alone.
+    # zero on the compact simples, so its bump leaves them alone and can only
+    # raise the noncompact ones.  Each bump lifts its value to at least 1.
     for j, value in enumerate(list(g_vals)):
         if value < 1:
             bump(witnesses[j], split[witnesses[j]][0][j], 1 - value)
@@ -165,24 +165,12 @@ def solve_constructive(system: BalancedSystem) -> BalancedMetric:
             bump(witness, split[witness][1][j], 1 - value)
 
     g.update(zip(ordering.compact_simples + ordering.noncompact_simples, g_vals + h_vals))
-    if min(g.values()) <= 0:
-        raise InvariantViolation(f"{pair.name}: constructive scheme left a non-positive value")
     fractions = {value: Fraction(value) for value in set(g.values())}  # one per distinct value
     return BalancedMetric(g={root: fractions[value] for root, value in g.items()}, ordering=ordering)
 
 
-def so_1_2n_pair(n: int) -> InnerPair:
-    """so(1,2n) built directly.  Odd n gives an odd-dimensional algebra
-    outside the catalog, but the closed-form solver is valid for any n >= 2."""
-    system = build_root_system("B", n)
-    return InnerPair(name=f"so(1,{2 * n})", family="B", rank=n,
-                     params={"p": 0, "q": n}, system=system,
-                     grading=CompactnessGrading(system, (n - 1,)),
-                     dim_g=n * (2 * n + 1), dim_k=n * (2 * n - 1))
-
-
 def solve_so1_2n(n: int, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
-    """Closed-form family for so(1,2n) with the standard ordering.
+    """Closed-form family for the catalog's so(1,2n) with the standard ordering.
 
     Assigns x to the positive differences, y to the positive sums and
     determines the short-root coefficients z_i by exact expansion:
@@ -190,11 +178,10 @@ def solve_so1_2n(n: int, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:
         z_i = (x + y)(n - i) + (y - x)(i - 1),  i = 1..n,
 
     all positive exactly when y > x > 0.  The choice (x, y) is validated
-    by the arithmetic, and any non-positive z_i is rejected by index.
+    by the arithmetic, and any non-positive z_i is rejected by index.  An n
+    with no catalog pair, odd n included, raises the catalog's RootSystemError.
     """
-    if n < 2:
-        raise RootSystemError("so(1,2n) needs n >= 2")
-    return _so1_2n_metric(find_admissible_ordering(so_1_2n_pair(n)), x, y)
+    return _so1_2n_metric(find_admissible_ordering(pair_by_name(f"so(1,{2 * n})")), x, y)
 
 
 def _so1_2n_metric(ordering: AdmissibleOrdering, x=Fraction(1), y=Fraction(2)) -> BalancedMetric:

@@ -45,7 +45,6 @@ def analyze_pair(pair_or_name) -> dict:
     pair = pair_or_name if isinstance(pair_or_name, InnerPair) else pair_by_name(pair_or_name)
     metric = solve_for_pair(pair)
     ordering = metric.ordering
-    chern = chern_report(metric, ordering, pair)
     return {
         "schema_version": verify.SCHEMA_VERSION,
         "pair": {
@@ -63,12 +62,7 @@ def analyze_pair(pair_or_name) -> dict:
         "metric": verify._coeffs_to_json(metric.g),
         "balanced_verdict": True,
         "pluriclosed_certificate": pluriclosed_payload(build_certificate(ordering, pair)),
-        "chern_report": {
-            "delta": verify._vec_to_json(chern.delta),
-            "scalar_curvature": str(chern.scalar_curvature),
-            "delta_nonzero": chern.delta_nonzero,
-            "kodaira_flag": chern.kodaira_flag,
-        },
+        "chern_report": chern_report(metric, ordering, pair),
         "provenance": {
             "tool": TOOL_NAME,
             "version": __version__,

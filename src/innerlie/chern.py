@@ -1,4 +1,4 @@
-"""Chern-Ricci data: the sum of positive roots, Ricci values and the scalar.
+"""The certificate's Chern block: delta, the sum of positive roots, and the scalar.
 
 The distinguished toral element is represented by its inner-product dual,
 the coordinate sum of the positive roots, so every pairing below is a plain
@@ -12,18 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
+from . import verify
 from .balanced import BalancedMetric
 from .ordering import AdmissibleOrdering
 from .pairs import InnerPair
-
-
-class ChernReport(NamedTuple):
-    delta: tuple
-    scalar_curvature: Fraction
-    delta_nonzero: bool
-    kodaira_flag: bool  # negative Kodaira dimension asserted when delta != 0
 
 
 def weyl_delta(ordering: AdmissibleOrdering) -> tuple:
@@ -32,10 +26,11 @@ def weyl_delta(ordering: AdmissibleOrdering) -> tuple:
 
 
 def chern_report(metric: BalancedMetric | Mapping[tuple, Fraction],
-                 ordering: AdmissibleOrdering, pair: InnerPair) -> ChernReport:
-    """delta and the scalar 2 * sum over positive roots a of +-g_a <a, delta>
-    (+ for noncompact a); each doubled pairing is 4 <a, delta>, an integer.
-    The sum is taken in integers over the common denominator `den` of g."""
+                 ordering: AdmissibleOrdering, pair: InnerPair) -> dict:
+    """The Chern block: delta, the scalar 2 * sum over positive roots a of
+    +-g_a <a, delta> (+ for noncompact a) as a string, and delta != 0 as both
+    delta_nonzero and kodaira_flag.  Each doubled pairing is 4 <a, delta>, an
+    integer, and the sum is taken in integers over the common denominator of g."""
     g = metric.g if isinstance(metric, BalancedMetric) else metric
     den = lcm(*(value.denominator for value in g.values()))
     delta = weyl_delta(ordering)
@@ -47,8 +42,9 @@ def chern_report(metric: BalancedMetric | Mapping[tuple, Fraction],
             term = pairing * value.numerator * (den // value.denominator)
             total += -term if pair.grading.is_compact(root) else term
     nonzero = any(delta)
-    return ChernReport(
-        delta=delta,
-        scalar_curvature=Fraction(total, 2 * den),
-        delta_nonzero=nonzero,
-        kodaira_flag=nonzero)
+    return {
+        "delta": verify._vec_to_json(delta),
+        "scalar_curvature": str(Fraction(total, 2 * den)),
+        "delta_nonzero": nonzero,
+        "kodaira_flag": nonzero,
+    }

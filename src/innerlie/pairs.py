@@ -8,9 +8,9 @@ stated once, relative to the standard base, and is never mutated when the
 choice of positive roots changes.  The grading holds the set of compact
 roots that `walk._compact` tabulates, the same set the verifier reads.
 
-Every catalog entry paints its conventional node and is validated against the
-known dimensions of the subalgebra pair: rank + |R| must equal dim g and
-rank + |R_compact| must equal dim k, both exactly; no other node is tried.
+Every catalog entry paints its conventional node.  Its dim g is rank + |R|,
+which must be even, and its grading must give the known dim k as
+rank + |R_compact|, exactly; no other node is tried.
 
 The catalog is stated once, as data: each family gives the arguments of
 `_make_pair` for its pairs, and `catalog` builds them.  A name is a key into
@@ -99,13 +99,12 @@ def infer_grading(system: RootSystem, expected_dim_k: int,
 
 
 @lru_cache(maxsize=None)
-def _make_pair(name, family, rank, dim_g, dim_k, painted_index, aliases=(), **params):
-    """The pair, built once.  Its callers hand it only specs of rank <= MAX_RANK
-    (`catalog` refuses a larger bound, `pair_by_name` looks names up among
-    them), so the cache holds only valid catalog pairs."""
+def _make_pair(name, family, rank, dim_k, painted_index, aliases=(), **params):
+    """The pair, built once, with dim g = rank + |R|.  Its callers hand it only
+    specs of rank <= MAX_RANK (`catalog` refuses a larger bound, `pair_by_name`
+    looks names up among them), so the cache holds only valid catalog pairs."""
     system = build_root_system(family, rank)
-    if dim_g != rank + len(system.roots):
-        raise CatalogError(f"{name}: dim g = {dim_g} != rank + |R| = {rank + len(system.roots)}")
+    dim_g = rank + len(system.roots)
     if dim_g % 2 != 0:
         raise CatalogError(f"{name}: dim g = {dim_g} is odd")
     grading = infer_grading(system, dim_k, painted_index)
@@ -119,7 +118,7 @@ def _su(p: int, q: int) -> dict:
     aliases = (f"su({q},{p})",) if q != p else ()
     return dict(
         name=f"su({p},{q})", family="A", rank=n - 1, p=p, q=q,
-        dim_g=n * n - 1, dim_k=p * p + q * q - 1,
+        dim_k=p * p + q * q - 1,
         painted_index=p - 1, aliases=aliases)
 
 
@@ -130,7 +129,6 @@ def _so_odd(p: int, q: int) -> dict:
     return dict(
         name=f"so({2 * p + 1},{2 * q})", family="B", rank=p + q,
         p=p, q=q,
-        dim_g=(p + q) * (2 * p + 2 * q + 1),
         dim_k=p * (2 * p + 1) + q * (2 * q - 1),
         painted_index=q - 1, aliases=aliases)
 
@@ -140,7 +138,7 @@ def _sp_split(n: int) -> dict:
     r = 2 * n
     return dict(
         name=f"sp({r},R)", family="C", rank=r, n=n,
-        dim_g=r * (2 * r + 1), dim_k=r * r,
+        dim_k=r * r,
         painted_index=r - 1)
 
 
@@ -148,7 +146,6 @@ def _sp_pq(p: int, q: int) -> dict:
     aliases = (f"sp({q},{p})",) if q != p else ()
     return dict(
         name=f"sp({p},{q})", family="C", rank=p + q, p=p, q=q,
-        dim_g=(p + q) * (2 * p + 2 * q + 1),
         dim_k=p * (2 * p + 1) + q * (2 * q + 1),
         painted_index=q - 1, aliases=aliases)
 
@@ -157,7 +154,7 @@ def _so_star(n: int) -> dict:
     r = 2 * n
     return dict(
         name=f"so({4 * n})*", family="D", rank=r, n=n,
-        dim_g=r * (2 * r - 1), dim_k=r * r,
+        dim_k=r * r,
         painted_index=r - 1)
 
 
@@ -166,20 +163,19 @@ def _so_even(p: int, q: int) -> dict:
     return dict(
         name=f"so({2 * p},{2 * q})", family="D", rank=p + q,
         p=p, q=q,
-        dim_g=(p + q) * (2 * p + 2 * q - 1),
         dim_k=p * (2 * p - 1) + q * (2 * q - 1),
         painted_index=q - 1, aliases=aliases)
 
 
 _EXCEPTIONAL = (
-    # name, family, rank, painted index (0-based), dim g, dim k
-    ("g2(2)", "G2", 2, 1, 14, 6),
-    ("f4(4)", "F4", 4, 0, 52, 24),
-    ("f4(-20)", "F4", 4, 3, 52, 36),
-    ("e6(2)", "E6", 6, 1, 78, 38),
-    ("e6(-14)", "E6", 6, 0, 78, 46),
-    ("e8(8)", "E8", 8, 0, 248, 120),
-    ("e8(-24)", "E8", 8, 7, 248, 136),
+    # name, family, rank, painted index (0-based), dim k
+    ("g2(2)", "G2", 2, 1, 6),
+    ("f4(4)", "F4", 4, 0, 24),
+    ("f4(-20)", "F4", 4, 3, 36),
+    ("e6(2)", "E6", 6, 1, 38),
+    ("e6(-14)", "E6", 6, 0, 46),
+    ("e8(8)", "E8", 8, 0, 120),
+    ("e8(-24)", "E8", 8, 7, 136),
 )
 
 
@@ -207,10 +203,10 @@ def _specs(max_rank: int) -> list[dict]:
     for total in range(4, max_rank + 1, 2):  # so(2p, 2q), p+q even >= 4
         for q in range(1, total // 2 + 1):
             add(5, _so_even(total - q, q))
-    for name, family, rank, painted, dim_g, dim_k in _EXCEPTIONAL:
+    for name, family, rank, painted, dim_k in _EXCEPTIONAL:
         if rank <= max_rank:
-            add(6, dict(name=name, family=family, rank=rank,
-                        dim_g=dim_g, dim_k=dim_k, painted_index=painted))
+            add(6, dict(name=name, family=family, rank=rank, dim_k=dim_k,
+                        painted_index=painted))
     entries.sort(key=lambda item: item[0])
     return [spec for _, spec in entries]
 

@@ -15,6 +15,7 @@ from innerlie import (
     InfeasibleOrdering,
     assemble_system,
     build_certificate,
+    catalog,
     chern_report,
     pair_by_name,
     reflect,
@@ -102,8 +103,10 @@ def test_criterion_2_pluriclosed_obstruction(catalog8, analyzed):
 def test_criterion_3_chern_scalar_and_delta(catalog8, analyzed):
     for pair in catalog8:
         entry = analyzed[pair.name]
-        assert chern_report(entry["metric"], entry["ordering"], pair).scalar_curvature == 0
+        block = chern_report(entry["metric"], entry["ordering"], pair)
+        assert block["scalar_curvature"] == "0"
         assert any(weyl_delta(entry["ordering"]))
+        assert block["delta_nonzero"] is True and block["kodaira_flag"] is True
     print("\nACCEPTANCE 3 (vanishing Chern scalar, nonzero delta): PASS")
 
 
@@ -119,7 +122,7 @@ def test_every_root_the_pipeline_hands_out_is_a_plain_int_tuple(catalog8, analyz
                  *ordering.split, *metric.g, *obstruction.roots.values(),
                  *obstruction.ordering_simples, obstruction.conclusion_root,
                  *obstruction.conclusion_coeffs, *obstruction.variable_signs,
-                 weyl_delta(ordering), chern_report(metric, ordering, pair).delta]
+                 weyl_delta(ordering)]
         for relation in obstruction.relations:
             roots += [relation.alpha, relation.beta, *relation.coeffs]
         assert {type(v) for v in roots} == {tuple}, pair.name
@@ -188,6 +191,16 @@ def test_criterion_5_structural_oracles(catalog8):
             assert not (rs.is_root(plus(psi1, psi2, psi2)) and rs.is_root(plus(psi2, psi1, psi1)))
     print("\nACCEPTANCE 5 (structural oracles: counts, Cartan matrices, dims, "
           "root-string exclusions): PASS")
+
+
+def test_table_dims_of_every_catalog_pair():
+    """The catalog derives dim g as rank + |R| and checks the grading's
+    rank + |R_compact| against its dim k; `_expected_table_dims` states both
+    again, by formula, for every pair of rank <= 16."""
+    pairs = catalog(16)
+    assert len(pairs) == 199
+    for pair in pairs:
+        assert (pair.dim_g, pair.dim_k) == _expected_table_dims(pair), pair.name
 
 
 def test_criterion_6_independent_verifier(catalog8, tmp_path):

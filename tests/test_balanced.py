@@ -150,11 +150,17 @@ def test_solve_so1_2n_boundary_rejected():
 
 
 def test_solve_so1_2n_n3():
-    from innerlie.balanced import so_1_2n_pair
-    metric = solve_so1_2n(3, 1, 2)
-    shorts = {i: metric.g[root_vector(*(int(j == i) for j in range(3)))] for i in range(3)}
-    assert (shorts[0], shorts[1], shorts[2]) == (F(6), F(4), F(2))
-    assert verify_balanced(metric, so_1_2n_pair(3))
+    """so(1,6) is odd-dimensional, so it is not in the catalog, and the
+    closed form refuses it with the catalog's reason."""
+    with pytest.raises(RootSystemError, match=r"'so\(1,6\)' is not in the catalog"):
+        solve_so1_2n(3, 1, 2)
+
+
+def test_solve_so1_2n_n4():
+    metric = solve_so1_2n(4, 1, 2)
+    shorts = [metric.g[root_vector(*(int(j == i) for j in range(4)))] for i in range(4)]
+    assert shorts == [F(9), F(7), F(5), F(3)]
+    assert verify_balanced(metric, pair_by_name("so(1,8)"))
 
 
 def test_so1_2n_rational_family():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import innerlie.certkit as certkit
+import innerlie.verify as verify
 from innerlie import (
     chern_report,
     find_admissible_ordering,
@@ -42,14 +44,14 @@ def test_chern_scalar_vanishes_on_balanced():
     for name in ["g2(2)", "so(1,4)", "f4(4)", "su(3,2)"]:
         pair = pair_by_name(name)
         metric = solve_for_pair(pair)
-        assert chern_report(metric, metric.ordering, pair).scalar_curvature == 0
+        assert chern_report(metric, metric.ordering, pair)["scalar_curvature"] == "0"
 
 
 def test_chern_scalar_nonzero_on_unbalanced():
     pair = pair_by_name("su(2,1)")
     ordering = standard_ordering(pair)
     unit = BalancedMetric(g={r: F(1) for r in ordering.positives}, ordering=ordering)
-    value = chern_report(unit, ordering, pair).scalar_curvature
+    value = F(chern_report(unit, ordering, pair)["scalar_curvature"])
     # imbalance (0,2,-2) against delta (2,0,-2), doubled
     assert value == 2 * dot(root_vector(0, 2, -2), root_vector(2, 0, -2)) == 8
 
@@ -59,17 +61,18 @@ def test_chern_scalar_linear_in_metric():
     ordering = standard_ordering(pair)
     unit = BalancedMetric(g={r: F(1) for r in ordering.positives}, ordering=ordering)
     scaled = BalancedMetric(g={r: F(7, 3) for r in ordering.positives}, ordering=ordering)
-    assert chern_report(scaled, ordering, pair).scalar_curvature == \
-        F(7, 3) * chern_report(unit, ordering, pair).scalar_curvature
+    assert F(chern_report(scaled, ordering, pair)["scalar_curvature"]) == \
+        F(7, 3) * F(chern_report(unit, ordering, pair)["scalar_curvature"])
 
 
 def test_chern_report_flags():
     pair = pair_by_name("so(1,4)")
     metric = solve_for_pair(pair)
     report = chern_report(metric, metric.ordering, pair)
-    assert report.scalar_curvature == 0
-    assert report.delta_nonzero and report.kodaira_flag
-    assert report.delta == weyl_delta(metric.ordering)
+    assert report["scalar_curvature"] == "0"
+    assert report["delta_nonzero"] is True and report["kodaira_flag"] is True
+    assert report["delta"] == verify._vec_to_json(weyl_delta(metric.ordering)) == ["3", "1"]
+    assert report == certkit.analyze_pair(pair)["chern_report"]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -87,4 +90,4 @@ def test_chern_scalar_equals_the_fraction_formula(name, data):
     delta = weyl_delta(ordering)
     expected = 2 * sum((-g[a] if pair.grading.is_compact(a) else g[a]) * dot(a, delta)
                        for a in ordering.positives)
-    assert chern_report(g, ordering, pair).scalar_curvature == expected
+    assert F(chern_report(g, ordering, pair)["scalar_curvature"]) == expected
