@@ -22,6 +22,7 @@ whole certificate with `verify.verify_data` or `verify.verify_file`.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import verify
@@ -66,8 +67,8 @@ class BalancedMetric(NamedTuple):
 
 
 def assemble_system(ordering: AdmissibleOrdering, pair: InnerPair) -> BalancedSystem:
-    simples = set(ordering.system.simples)
-    return BalancedSystem(pair, ordering, {root: -1 if pair.grading.is_compact(root) else 1
+    simples, compact = set(ordering.system.simples), ordering.chamber[1]
+    return BalancedSystem(pair, ordering, {root: -1 if root in compact else 1
                                            for root in ordering.split if root not in simples})
 
 
@@ -87,23 +88,15 @@ def noncompact_witness(system: BalancedSystem, j: int) -> tuple:
 def _relation_values(system: BalancedSystem, g: dict[tuple, Fraction | int]):
     """Evaluate the right-hand sides: one value per compact and noncompact simple.
 
-    Each root of `system.signs` adds sign * g times its compact-simple
-    coefficients to the first and subtracts it times its noncompact-simple
-    ones from the second.  Exact for integer and Fraction values of g alike.
+    Each is a column sum over the roots of `system.signs`: sign * g times
+    their compact-simple coefficients, then minus that for the noncompact
+    ones.  Exact for integer and Fraction values of g alike.
     """
-    split = system.ordering.split
-    g_vals = [0] * len(system.ordering.compact_simples)
-    h_vals = [0] * len(system.ordering.noncompact_simples)
-    for root, sign in system.signs.items():
-        value = sign * g[root]
-        n, m = split[root]
-        for j, c in enumerate(n):
-            if c:
-                g_vals[j] += value * c
-        for j, c in enumerate(m):
-            if c:
-                h_vals[j] -= value * c
-    return g_vals, h_vals
+    split, k = system.ordering.split, len(system.ordering.compact_simples)
+    weights = [sign * g[root] for root, sign in system.signs.items()]
+    rows = [n + m for n, m in map(split.__getitem__, system.signs)]
+    sums = [sum(map(mul, weights, column)) for column in zip(*rows)]
+    return sums[:k], [-value for value in sums[k:]]
 
 
 def solve_constructive(system: BalancedSystem) -> BalancedMetric:

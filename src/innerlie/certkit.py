@@ -44,7 +44,7 @@ def analyze_pair(pair_or_name) -> dict:
     """
     pair = pair_or_name if isinstance(pair_or_name, InnerPair) else pair_by_name(pair_or_name)
     metric = solve_for_pair(pair)
-    ordering = metric.ordering
+    ordering, spelled = metric.ordering, verify._spellings(pair.system.roots)
     return {
         "schema_version": verify.SCHEMA_VERSION,
         "pair": {
@@ -57,11 +57,11 @@ def analyze_pair(pair_or_name) -> dict:
         },
         "ordering": {
             "mode": ordering.mode,
-            "simples": [verify._vec_to_json(s) for s in ordering.system.simples],
+            "simples": [list(spelled[s]) for s in ordering.system.simples],
         },
-        "metric": verify._coeffs_to_json(metric.g),
+        "metric": verify._coeffs_to_json(metric.g, spelled),
         "balanced_verdict": True,
-        "pluriclosed_certificate": pluriclosed_payload(build_certificate(ordering, pair)),
+        "pluriclosed_certificate": pluriclosed_payload(build_certificate(ordering, pair), pair),
         "chern_report": chern_report(metric, ordering, pair),
         "provenance": {
             "tool": TOOL_NAME,

@@ -10,8 +10,7 @@ on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Mapping
 
 from . import verify
@@ -29,22 +28,17 @@ def chern_report(metric: BalancedMetric | Mapping[tuple, Fraction],
                  ordering: AdmissibleOrdering, pair: InnerPair) -> dict:
     """The Chern block: delta, the scalar 2 * sum over positive roots a of
     +-g_a <a, delta> (+ for noncompact a) as a string, and delta != 0 as both
-    delta_nonzero and kodaira_flag.  Each doubled pairing is 4 <a, delta>, an
-    integer, and the sum is taken in integers over the common denominator of g."""
+    delta_nonzero and kodaira_flag.  On the doubled roots and delta of the
+    ordering's chamber record the scalar is <n - c, delta> / 2, n and c being
+    the noncompact and compact column sums of `verify._side_sums`, exact."""
     g = metric.g if isinstance(metric, BalancedMetric) else metric
-    den = lcm(*(value.denominator for value in g.values()))
-    delta = weyl_delta(ordering)
-    total = 0
-    for root in ordering.positives:
-        pairing = sum(map(mul, root, delta))
-        if pairing:
-            value = g[root]
-            term = pairing * value.numerator * (den // value.denominator)
-            total += -term if pair.grading.is_compact(root) else term
+    c, n = verify._side_sums({root: verify._exact(value.numerator, value.denominator)
+                              for root, value in g.items()}, ordering.chamber)
+    delta = ordering.chamber[-1]
     nonzero = any(delta)
     return {
         "delta": verify._vec_to_json(delta),
-        "scalar_curvature": str(Fraction(total, 2 * den)),
+        "scalar_curvature": str(Fraction(sum(map(mul, map(sub, n, c), delta)), 2)),
         "delta_nonzero": nonzero,
         "kodaira_flag": nonzero,
     }

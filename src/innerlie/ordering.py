@@ -15,11 +15,12 @@ ordering's `split`.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .pairs import InnerPair
 from .rootsys import InvariantViolation, SimpleSystem
+from .walk import _claimed_chamber
 
 MODE_PARTNER = "partner_property"
 MODE_SPECIAL = "so_1_2n_special"
@@ -37,21 +38,22 @@ class AdmissibleOrdering(NamedTuple):
     noncompact_simples: tuple[tuple, ...]
     mode: str
     split: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]
+    chamber: tuple  # its record by the walk, `walk._claimed_chamber`
 
 
 def make_ordering(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
-    """Check a simple system for a pair, split its positive roots by the
-    coordinates `validate_base` returns (compact simples first, so they split
-    at one index; a root's are of one sign, so positive when above zero's),
-    and classify its mode."""
-    compact = tuple(s for s in system.simples if pair.grading.is_compact(s))
-    noncompact = tuple(s for s in system.simples if not pair.grading.is_compact(s))
-    coords = pair.system.validate_base(SimpleSystem(compact + noncompact))
-    k, zero = len(compact), (0,) * system.rank
-    split = {}
+    """Check a simple system for a pair, split its positive roots by their
+    labels' bytes in its chamber record (coordinates over the system, compact
+    simples' first, so they split at one index), and classify its mode."""
+    chamber = _claimed_chamber(pair, system.simples)
+    positive, compact_roots, labels = chamber[:3]
+    compact = tuple(s for s in system.simples if s in compact_roots)
+    noncompact = tuple(s for s in system.simples if s not in compact_roots)
+    pick = itemgetter(*map(system.simples.index, compact + noncompact))
+    k, label_of, split = len(compact), dict(zip(positive, labels)), {}
     for v in pair.system.sorted_roots:
-        c = coords[v]
-        if c > zero:
+        if v in label_of:
+            c = pick(label_of[v].to_bytes(system.rank, "little"))
             split[v] = c[:k], c[k:]
     if pair.is_so_1_2n and system.key() == pair.system.base.key():
         mode = MODE_SPECIAL
@@ -60,7 +62,8 @@ def make_ordering(pair: InnerPair, system: SimpleSystem) -> AdmissibleOrdering:
     else:
         mode = MODE_DIAGNOSTIC
     return AdmissibleOrdering(system=system, positives=tuple(split), compact_simples=compact,
-                              noncompact_simples=noncompact, mode=mode, split=split)
+                              noncompact_simples=noncompact, mode=mode, split=split,
+                              chamber=chamber)
 
 
 def standard_ordering(pair: InnerPair) -> AdmissibleOrdering:

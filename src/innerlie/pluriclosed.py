@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .ordering import MODE_PARTNER, MODE_SPECIAL, AdmissibleOrdering
 from .pairs import InnerPair
 from .rootsys import InvariantViolation, RootSystemError, show
-from .verify import _accumulate, _coeffs_to_json, _derived_relation, _vec_to_json, check_obstruction
+from .verify import _accumulate, _coeffs_to_json, _derived_relation, _spellings, check_obstruction
 
 BRANCH_GENERIC = "generic"
 BRANCH_SPECIAL = "so_1_2n"
@@ -60,7 +60,7 @@ def instantiate_relation(alpha: tuple, beta: tuple,
                          ordering: AdmissibleOrdering, pair: InnerPair) -> PluriclosedRelation:
     """The relation for (alpha, beta), derived on doubled roots by the
     verifier's `verify._derived_relation`."""
-    positive = set(ordering.positives)
+    positive = ordering.chamber[0]
     if alpha == beta:
         raise RootSystemError("the relation requires distinct roots")
     for root in (alpha, beta):
@@ -110,7 +110,8 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
         for root, value in relation.coeffs.items():
             _accumulate(conclusion, root, coeff * value)
     touched = set().union(*(relation.coeffs for relation in relations))
-    signs = {root: -1 if pair.grading.is_compact(root) else 1 for root in sorted(touched)}
+    compact = ordering.chamber[1]  # the relations touch positive roots alone
+    signs = {root: -1 if root in compact else 1 for root in sorted(touched)}
     return PluriclosedCertificate(
         branch=branch, roots=roots,
         ordering_simples=ordering.system.simples,
@@ -119,21 +120,22 @@ def build_certificate(ordering: AdmissibleOrdering, pair: InnerPair) -> Pluriclo
         variable_signs=signs)
 
 
-def pluriclosed_payload(pluri) -> dict:
-    """The pluriclosed block of a certificate, from `build_certificate`."""
+def pluriclosed_payload(pluri, pair: InnerPair) -> dict:
+    """The pluriclosed block of a certificate, from `build_certificate` for `pair`."""
+    spelled = _spellings(pair.system.roots)  # each root's spelling, a tuple
     return {
         "branch": pluri.branch,
-        "roots": {label: _vec_to_json(root) for label, root in sorted(pluri.roots.items())},
+        "roots": {label: list(spelled[root]) for label, root in sorted(pluri.roots.items())},
         "relations": [
-            {"alpha": _vec_to_json(r.alpha), "beta": _vec_to_json(r.beta),
-             "coeffs": _coeffs_to_json(r.coeffs)}
+            {"alpha": list(spelled[r.alpha]), "beta": list(spelled[r.beta]),
+             "coeffs": _coeffs_to_json(r.coeffs, spelled)}
             for r in pluri.relations
         ],
         "combination": [str(c) for c in pluri.combination],
-        "conclusion_root": _vec_to_json(pluri.conclusion_root),
-        "conclusion_coeffs": _coeffs_to_json(pluri.conclusion_coeffs),
+        "conclusion_root": list(spelled[pluri.conclusion_root]),
+        "conclusion_coeffs": _coeffs_to_json(pluri.conclusion_coeffs, spelled),
         "variable_signs": [
-            {"root": _vec_to_json(root), "sign": sign}
+            {"root": list(spelled[root]), "sign": sign}
             for root, sign in sorted(pluri.variable_signs.items())
         ],
     }
@@ -150,5 +152,5 @@ def verify_certificate(cert: PluriclosedCertificate, pair: InnerPair):
 
     Returns (True, None) or (False, reason).
     """
-    result = check_obstruction(pair, cert.ordering_simples, pluriclosed_payload(cert))
+    result = check_obstruction(pair, cert.ordering_simples, pluriclosed_payload(cert, pair))
     return result.ok, result.reason

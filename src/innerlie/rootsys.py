@@ -14,7 +14,8 @@ point is used anywhere.
 Every base's integer coordinates are the height walk of `walk`, which also
 checks the base and which the verifier runs too: the standard base's table is
 `walk`'s record of the root set (`coordinates`), and any other base's is what
-`validate_base` returns; a SimpleSystem holds only its simples.  Sums of
+`validate_base` returns, or an ordering's chamber record (`ordering`) holds
+packed; a SimpleSystem holds only its simples.  Sums of
 roots are tested against the root set as ambient vectors, the names the
 package and the certificates give to roots.  Root strings and N^2 are the
 verifier's (`verify._derived_relation`).
@@ -102,7 +103,7 @@ class _Frozen:
 
 class SimpleSystem(_Frozen):
     """An ordered choice of simple roots, nothing more: the coordinates of the
-    roots over it come from `RootSystem.validate_base`, which checks it."""
+    roots over it come from the height walk, which checks it."""
 
     __slots__ = ("simples", "rank")
 

@@ -9,12 +9,12 @@ set's text table (`_texts`), and any other by the strict parse of each
 coordinate, so every root becomes its doubled ambient vector, the tuple of
 integers the catalog holds for it; every check is integer arithmetic on
 those, with metric values, relation coefficients and weights kept exact (an
-int when integral, else a Fraction).  The claimed simple
-roots are checked, and the positive and compact roots read, by the height
-walk of `walk`, once per chamber (a pair with its claimed simples);
-`walk`'s docstring also describes this module's two caches, `_texts` and
-`_relation`.  The verifier uses no code of the solvers or of the integer
-root core: of the package it imports `pairs`, `rootsys` and `walk` alone.
+int when integral, else a Fraction).  The claimed simple roots are checked,
+and the positive and compact roots read, by the height walk of `walk`, once
+per chamber (a pair with its claimed simples); `walk`'s docstring also
+describes this module's caches, `_spellings`, `_texts` and `_relation`.  The
+verifier uses no code of the solvers or of the integer root core: of the
+package it imports `pairs`, `rootsys` and `walk` alone.
 The pluriclosed relation is stated once, in `_derived_relation`: the builder
 takes each relation from it, so on the builder's own output the relation
 check holds by construction, and what checks the formula itself is the
@@ -132,8 +132,9 @@ def _vec_to_json(v: tuple) -> list[str]:
     return list(map(_HALVES.__getitem__, v))
 
 
-def _coeffs_to_json(coeffs: dict[tuple, Fraction]) -> list:
-    return [{"root": _vec_to_json(root), "c": str(value)}
+def _coeffs_to_json(coeffs: dict[tuple, Fraction], spelled: dict) -> list:
+    """The entries of `coeffs`, each root spelled by `spelled` (`_spellings`)."""
+    return [{"root": list(spelled[root]), "c": str(value)}
             for root, value in sorted(coeffs.items())]
 
 
@@ -184,20 +185,26 @@ class _Reader:
 
 
 @lru_cache(maxsize=None)
+def _spellings(roots: frozenset) -> dict:
+    """{a root: its coordinates as a certificate spells them, a tuple} for a
+    root set, built once per set: the builder spells each root from it."""
+    return {v: tuple(_vec_to_json(v)) for v in roots}
+
+
+@lru_cache(maxsize=None)
 def _texts(roots: frozenset) -> dict:
-    """{a root's coordinates as a certificate spells them: the root} for a
-    root set, built once per set."""
-    return {tuple(_vec_to_json(v)): v for v in roots}
+    """`_spellings` of a root set inverted, built once per set."""
+    return {text: v for v, text in _spellings(roots).items()}
 
 
-def _balanced(metric: dict, chamber: tuple) -> bool:
-    """Whether the compact and the noncompact sum of metric[a] * a agree over
-    the positive roots a of the chamber, column by column."""
+def _side_sums(metric: dict, chamber: tuple) -> list:
+    """The compact and the noncompact sum of metric[a] * a over the positive
+    roots a of the chamber, column by column."""
     sums = []
-    for roots, columns in chamber[2:4]:
+    for roots, columns in chamber[3:5]:
         weights = [metric[root] for root in roots]
         sums.append([sum(map(mul, weights, column)) for column in columns])
-    return sums[0] == sums[1]
+    return sums
 
 
 def _n_squared(roots, alpha: tuple, beta: tuple) -> int | Fraction:
@@ -352,8 +359,9 @@ def check_balanced(pair: InnerPair, simples, g: dict) -> bool:
     chamber = _claimed_chamber(pair, simples)
     if g.keys() != chamber[0]:
         raise RootSystemError("metric domain does not match the positive roots")
-    return _balanced({root: _exact(value.numerator, value.denominator)
-                      for root, value in g.items()}, chamber)
+    compact, noncompact = _side_sums({root: _exact(value.numerator, value.denominator)
+                                      for root, value in g.items()}, chamber)
+    return compact == noncompact
 
 
 def check_obstruction(pair: InnerPair, simples, payload) -> VerificationResult:
@@ -417,7 +425,7 @@ def verify_data(data: dict) -> VerificationResult:
         chamber = _claimed_chamber(pair, simples)
     except RootSystemError:
         return _fail("ordering invalid")
-    positive, compact, _, _, delta = chamber
+    positive, compact, _, _, _, delta = chamber
     if mode != ("so_1_2n_special" if pair.is_so_1_2n else "partner_property"):
         return _fail("ordering invalid")
 
@@ -425,7 +433,8 @@ def verify_data(data: dict) -> VerificationResult:
         return _fail("metric domain mismatch")
     if min(metric.values()) <= 0:
         return _fail("positivity violated")
-    if not _balanced(metric, chamber) or balanced_verdict is not True:
+    compact_sum, noncompact_sum = _side_sums(metric, chamber)
+    if compact_sum != noncompact_sum or balanced_verdict is not True:
         return _fail("balanced identity failed")
 
     result = _verify_pluriclosed_payload(payload, read, pair, positive, compact)

@@ -1,6 +1,6 @@
 """The height walk: the positive roots and coordinates of a claimed base, and
-the check that it is one.  The builder (`rootsys`) and the verifier
-(`verify`) both read it; it imports nothing of the package.
+the check that it is one.  The builder (`rootsys`, `ordering`) and the
+verifier (`verify`) both read it; it imports nothing of the package.
 
 A root is its doubled ambient vector, a tuple of ints, and the walk names it
 by an integer key (`_RADIX`).  The compact roots of a grading are those
@@ -10,16 +10,21 @@ painted nodes, the Z2 character of the root lattice that they define
 
 Every table here and in `verify` is keyed by value and built on first use.
 `_table` (per root set and standard base: the keys both ways and the
-standard coordinates), `_compact` (per grading) and `verify._texts` (per
-root set) are unbounded, one entry per catalog root system or grading.  The
-bounded ones let a process walk a chamber (a pair with its claimed simples),
-and derive a relation, once rather than once per certificate:
+standard coordinates), `_compact` (per grading), and `verify._spellings`
+and `verify._texts` (per root set) are unbounded, one entry per catalog root
+system or grading.  The bounded ones let a process walk a chamber (a pair
+with its claimed simples), and derive a relation, once rather than once per
+certificate:
 
 - `_chamber_roots` and `_chamber` (256 entries each, room for the 199
   chambers of rank <= 16), keyed by the root set, the standard base, the
   claimed simples as read and the painted nodes.  The first holds the
-  positive and the compact positive roots (frozensets); the second adds each
-  side's roots and their columns, and delta (tuples).
+  positive and the compact positive roots (frozensets) and each positive
+  root's label (one int each, in a tuple); the second adds each side's roots
+  and their columns, and delta (tuples).  The verifier reads `_chamber` for
+  each certificate it checks, and the builder once per certificate it
+  builds (`ordering.make_ordering` keeps it in the ordering, whose split is
+  the labels' bytes), so the two walk a chamber once between them.
 - `verify._relation` (1024 entries), keyed by the root set, alpha, beta and
   whether alpha - beta is positive, the four values that decide a relation;
   `_derived_relation` hands each caller a dict of its own.
@@ -27,10 +32,10 @@ and derive a relation, once rather than once per certificate:
 Each is sound because it is a pure function of the values in its key, holds
 nothing of a certificate, stores only immutable entries and never stores a
 refusal (`lru_cache` keeps no exception, so a refused claim is walked, and
-refused, again).  Full, the bounded ones take at most about 13.2 MiB (256
+refused, again).  Full, the bounded ones take at most about 18.4 MiB (256
 chambers of B16 or C16, the largest rank-16 records, in both chamber
-caches), 4.1 MiB more when `_chamber_roots` holds 256 other chambers, and
-0.6 MiB (1024 rank-16 relations), by tracemalloc.
+caches, 5.3 MiB of it labels), 9.4 MiB more when `_chamber_roots` holds 256
+other chambers, and 0.6 MiB (1024 rank-16 relations), by tracemalloc.
 """
 
 from __future__ import annotations
@@ -113,24 +118,26 @@ def _compact(roots: frozenset, base: tuple, painted: tuple) -> frozenset:
 
 @lru_cache(maxsize=256)
 def _chamber_roots(roots: frozenset, base: tuple, simples: tuple,
-                   painted: tuple) -> tuple[frozenset, frozenset]:
-    """(positive roots, compact positive roots) over a claimed base (see
-    `_claimed_walk`): the roots the walk reaches, and those among them in the
-    grading's compact set.  A refused claim raises, so nothing of it is stored."""
+                   painted: tuple) -> tuple[frozenset, frozenset, tuple]:
+    """(positive roots, compact positive roots, labels) over a claimed base
+    (see `_claimed_walk`): the roots the walk reaches, those among them in the
+    grading's compact set, and the walk's label of each positive root (its
+    coordinates over `simples`, packed), in the order the first set iterates.
+    A refused claim raises, so nothing of it is stored."""
     table = _table(roots, base)
-    by_key, reached = table[0], _claimed_walk(table, len(base), simples)
-    positive = frozenset([by_key[k] for k, _ in reached])
-    return positive, positive & _compact(roots, base, painted)
+    label_of = {table[0][k]: label for k, label in _claimed_walk(table, len(base), simples)}
+    positive = frozenset(label_of)
+    return positive, positive & _compact(roots, base, painted), tuple(map(label_of.get, positive))
 
 
 @lru_cache(maxsize=256)
 def _chamber(roots: frozenset, base: tuple, simples: tuple, painted: tuple) -> tuple:
-    """`_chamber_roots`'s two sets, each side as (its roots in their set's
+    """`_chamber_roots`'s record, then each side as (its roots in their set's
     order, their columns), and delta, the column sum of the positive roots."""
-    positive, compact = _chamber_roots(roots, base, simples, painted)
+    positive, compact, _ = record = _chamber_roots(roots, base, simples, painted)
     empty = ((),) * len(base[0])  # the columns of no roots, each summing to 0
     sides = [(tuple(side), tuple(zip(*side)) or empty) for side in (compact, positive - compact)]
-    return (positive, compact, *sides, tuple(map(sum, zip(*positive))))
+    return (*record, *sides, tuple(map(sum, zip(*positive))))
 
 
 def _claimed_chamber(pair, simples) -> tuple:
@@ -140,6 +147,6 @@ def _claimed_chamber(pair, simples) -> tuple:
 
 
 def _claimed_roots(pair, simples) -> tuple[frozenset, frozenset]:
-    """`_chamber_roots` for a pair and the claimed simples."""
+    """`_chamber_roots`'s two sets for a pair and the claimed simples."""
     rs = pair.system
-    return _chamber_roots(rs.roots, rs.base.simples, tuple(simples), pair.grading.painted)
+    return _chamber_roots(rs.roots, rs.base.simples, tuple(simples), pair.grading.painted)[:2]

@@ -893,6 +893,51 @@ def test_cold_verifier_reads_no_integer_tables(g2_data, monkeypatch):
     test_verifier_reads_no_integer_tables(g2_data, monkeypatch)
 
 
+def test_one_walk_per_chamber_for_builder_and_verifier(catalog8, tmp_path, monkeypatch):
+    """On cleared chamber and relation caches, analyzing, saving and verifying
+    each rank-8 pair walks its chamber once: the builder's ordering and the
+    verifier read the same record."""
+    walks = []
+    claimed_walk = walk._claimed_walk
+
+    def counted(*args):
+        walks.append(args)
+        return claimed_walk(*args)
+
+    monkeypatch.setattr(walk, "_claimed_walk", counted)
+    clear_bounded_caches()
+    path = str(tmp_path / "pair.cert.json")
+    for pair in catalog8:
+        before = len(walks)
+        certkit.save(certkit.analyze_pair(pair), path)
+        assert certkit.verify_file(path).ok, pair.name
+        assert len(walks) - before == 1, pair.name
+
+
+def test_cache_state_changes_no_certificate_byte(catalog8):
+    """Every rank-8 certificate, provenance aside, has the same bytes when
+    built on cleared chamber and relation caches, on warm ones, and after
+    `scan_binvariant` has pushed the 384 chambers of B4, more than either
+    chamber cache holds, through them."""
+    from innerlie.balanced import scan_binvariant
+
+    def certificates():
+        texts = []
+        for pair in catalog8:
+            cert = certkit.analyze_pair(pair)
+            del cert["provenance"]
+            texts.append(certkit.serialize(cert))
+        return texts
+
+    clear_bounded_caches()
+    cold = certificates()
+    warm = certificates()
+    misses = walk._chamber_roots.cache_info().misses
+    scan_binvariant(pair_by_name("so(5,4)"))
+    assert walk._chamber_roots.cache_info().misses - misses > 256
+    assert cold == warm == certificates()
+
+
 def _frozen(value) -> bool:
     """Whether `value` is built of tuples and frozensets of ints alone."""
     if isinstance(value, (tuple, frozenset)):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import innerlie.certkit as certkit
 import innerlie.verify as verify
 import innerlie.walk as walk
+from innerlie.ordering import find_admissible_ordering
 from innerlie.rootsys import (
     RootSystemError,
     SimpleSystem,
@@ -246,6 +247,26 @@ def reference_roots(rs, simples, nodes):
     positive = {v for v, c in reference_decomposition(rs, simples).items() if min(c) >= 0}
     standard = reference_decomposition(rs, rs.base.simples)
     return [(positive, {v for v in positive if standard[v][node] % 2 == 0}) for node in nodes]
+
+
+def test_every_rank8_ordering_splits_as_the_reference(catalog8):
+    """The builder's ordering takes its compact simples and its split from the
+    walk's chamber record, which the verifier shares.  For every rank-8 pair
+    its compact simples are those even at the painted nodes over the
+    standard base, and its split is, entry for entry and in order, the
+    reference coordinates over (compact simples, noncompact simples) of the
+    roots they make positive."""
+    for pair in catalog8:
+        rs, ordering = pair.system, find_admissible_ordering(pair)
+        ordered = ordering.compact_simples + ordering.noncompact_simples
+        assert sorted(ordered) == sorted(ordering.system.simples), pair.name
+        standard = reference_decomposition(rs, rs.base.simples)
+        k = len(ordering.compact_simples)
+        assert [sum(standard[s][i] for i in pair.grading.painted) % 2 == 0 for s in ordered] \
+            == [True] * k + [False] * (rs.rank - k), pair.name
+        expected = [(v, (c[:k], c[k:])) for v, c in reference_decomposition(rs, ordered).items()
+                    if min(c) >= 0]
+        assert list(ordering.split.items()) == expected, pair.name
 
 
 @pytest.mark.parametrize("family,rank", PROPERTY_SYSTEMS)

@@ -58,11 +58,21 @@ def test_catalog_deterministic():
     assert first == second
 
 
+# dim g of each family at rank r, in closed form.
+DIM_G = {
+    "A": lambda r: (r + 1) ** 2 - 1,
+    "B": lambda r: r * (2 * r + 1),
+    "C": lambda r: r * (2 * r + 1),
+    "D": lambda r: r * (2 * r - 1),
+    "G2": lambda r: 14, "F4": lambda r: 52, "E6": lambda r: 78, "E8": lambda r: 248,
+}
+
+
 def test_dimensions_exact(catalog8):
     for pair in catalog8:
         roots = pair.system.roots
         compact = sum(1 for v in roots if pair.grading.is_compact(v))
-        assert pair.rank + len(roots) == pair.dim_g
+        assert pair.dim_g == DIM_G[pair.family](pair.rank), pair.name
         assert pair.dim_g % 2 == 0
         assert pair.rank + compact == pair.dim_k
 
